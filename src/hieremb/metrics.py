@@ -21,12 +21,6 @@ class MetricError(ValueError):
     """Metric undefined for the given inputs."""
 
 
-@dataclass(frozen=True)
-class RankedList:
-    query: str
-    candidates: tuple[str, ...]
-
-
 @dataclass
 class MetricsReport:
     """All evaluation numbers for one fold and one loss combination."""
@@ -49,26 +43,58 @@ class MetricsReport:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
+# Byte budget of one block of float64 query rows (similarities, gains);
+# bounds the working memory of ranking and scoring at any pool size.
+_BLOCK_BYTES = 8 << 20
+
+
+@dataclass(frozen=True, eq=False)
+class Ranking:
+    """Candidate orders of some queries over one sorted pool: row i of `order`
+    lists the pool positions of every member but query `ids[queries[i]]`,
+    best first (descending cosine similarity, ties by ascending id)."""
+
+    ids: tuple[str, ...]
+    queries: np.ndarray  # (q,) pool positions
+    order: np.ndarray  # (q, len(ids) - 1) int32 pool positions
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+
+def _blocks(rows: int, width: int):
+    """Row slices holding at most _BLOCK_BYTES of float64 at this width."""
+    step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def build_ranked_lists(
     embeddings: dict[str, np.ndarray], pool_ids: list[str] | None = None
-) -> list[RankedList]:
-    """One ranked candidate list per query, over the given pool.
-
-    The pool defaults to all embedded ids; each query is ranked against the
-    rest of the pool.
-    """
+) -> Ranking:
+    """Every pool member (default: every embedded id) ranked as a query
+    against the rest of the pool."""
     ids = sorted(embeddings) if pool_ids is None else sorted(pool_ids)
-    if len(ids) < 2:
+    n = len(ids)
+    if n < 2:
         raise MetricError("need at least two samples to rank")
-    matrix, _ = unit_rows(np.stack([embeddings[sid] for sid in ids]))
-    sims = matrix @ matrix.T
-    ranked = []
-    for qi, qid in enumerate(ids):
-        order = np.argsort(-sims[qi], kind="stable")  # stable: ties fall back to id order
-        ranked.append(
-            RankedList(query=qid, candidates=tuple(ids[j] for j in order if j != qi))
-        )
-    return ranked
+    unit, _ = unit_rows(np.stack([embeddings[sid] for sid in ids]))
+    queries = np.arange(n)
+    order = np.empty((n, n - 1), dtype=np.int32)
+    for rows in _blocks(n, n):
+        full = np.argsort(-(unit[rows] @ unit.T), axis=1, kind="stable")  # stable: ties by id
+        own = queries[rows, None]
+        order[rows] = full[full != own].reshape(len(own), n - 1)
+    return Ranking(ids=tuple(ids), queries=queries, order=order)
+
+
+def _pool_leaves(ranking: Ranking, leaf_of: dict[str, int]) -> tuple[list[int], np.ndarray, int]:
+    """The pool's distinct leaves, each pool member's index into them, and
+    the candidate count of every query."""
+    n = ranking.order.shape[1]
+    if n < 1 and len(ranking):
+        raise MetricError(f"query {ranking.ids[ranking.queries[0]]!r} has no candidates")
+    leaves, index = np.unique([leaf_of[sid] for sid in ranking.ids], return_inverse=True)
+    return [int(leaf) for leaf in leaves], index, n
 
 
 def leaf_f1(predictions: dict[str, int], truths: dict[str, int], classes: list[int]) -> float:
@@ -91,39 +117,39 @@ def leaf_f1(predictions: dict[str, int], truths: dict[str, int], classes: list[i
     return float(np.mean(scores))
 
 
-def rp_at_k(ranked_lists: list[RankedList], leaf_of: dict[str, int], k: int = 5) -> float:
+def rp_at_k(ranking: Ranking, leaf_of: dict[str, int], k: int = 5) -> float:
     """Mean fraction of the top-k candidates sharing the query's leaf."""
-    if any(len(rl.candidates) < k for rl in ranked_lists):
+    if ranking.order.shape[1] < k:
         raise MetricError(f"every query needs at least {k} candidates")
-    precisions = [
-        sum(1 for cid in rl.candidates[:k] if leaf_of[cid] == leaf_of[rl.query]) / k
-        for rl in ranked_lists
-    ]
-    return float(np.mean(precisions))
+    leaf = np.array([leaf_of[sid] for sid in ranking.ids])
+    hits = leaf[ranking.order[:, :k]] == leaf[ranking.queries, None]
+    return float(np.mean(hits.sum(axis=1) / k))
 
 
-def _level_mean_ranks(
-    rl: RankedList,
-    taxonomy: Taxonomy,
-    leaf_of: dict[str, int],
-    levels: list[tuple[int, list[int]]],
-) -> dict[int, float | None]:
-    """Per retained level, the mean shifted-normalised rank of the candidates
-    under the query's ancestor at that level; None when none exist."""
-    n = len(rl.candidates)
-    if n < 1:
-        raise MetricError(f"query {rl.query!r} has no candidates")
-    rank_of = {cid: r for r, cid in enumerate(rl.candidates, start=1)}
-    result: dict[int, float | None] = {}
-    for level, _ in levels:
-        node = taxonomy.target_at_level(leaf_of[rl.query], level)
-        member_leaves = set(taxonomy.leaves_under(node))
-        ranks = [rank_of[cid] for cid in rl.candidates if leaf_of[cid] in member_leaves]
-        result[level] = float(np.mean([(r - 1) / n for r in ranks])) if ranks else None
-    return result
+def _mean_rank_table(
+    ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int], levels: list
+) -> np.ndarray:
+    """(queries, levels): mean shifted-normalised rank of the candidates under
+    the query's ancestor at each retained level; NaN when none exist."""
+    leaves, leaf_idx, n = _pool_leaves(ranking, leaf_of)
+    # a candidate lies under the query's ancestor at a level exactly when
+    # both leaves have the same class there
+    classes = np.array(
+        [[taxonomy.target_at_level(leaf, level) for leaf in leaves] for level, _ in levels]
+    ).reshape(len(levels), len(leaves))
+    query_leaf = leaf_idx[ranking.queries]
+    shifted = np.arange(n) / n  # (rank - 1) / n
+    means = np.empty((len(ranking), len(levels)))
+    for rows in _blocks(len(ranking), n):
+        candidate_leaf = leaf_idx[ranking.order[rows]]
+        for k, cls in enumerate(classes):
+            hits = cls[candidate_leaf] == cls[query_leaf[rows], None]
+            with np.errstate(invalid="ignore"):
+                means[rows, k] = (hits @ shifted) / hits.sum(axis=1)
+    return means
 
 
-def mnr(ranked_lists: list[RankedList], taxonomy: Taxonomy, leaf_of: dict[str, int]) -> float:
+def mnr(ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int]) -> float:
     """Mean normalised rank of tree-similar candidates, averaged over levels.
 
     For each query and each retained tree level, the candidates under the
@@ -136,24 +162,16 @@ def mnr(ranked_lists: list[RankedList], taxonomy: Taxonomy, leaf_of: dict[str, i
     levels = taxonomy.levels_with_multiple_classes()
     if not levels:
         raise MetricError("tree has no level with more than one class")
-    query_values = []
-    skipped_levels = 0
-    skipped_queries = 0
-    for rl in ranked_lists:
-        per_level = _level_mean_ranks(rl, taxonomy, leaf_of, levels)
-        level_values = [v for v in per_level.values() if v is not None]
-        skipped_levels += sum(1 for v in per_level.values() if v is None)
-        if level_values:
-            query_values.append(float(np.mean(level_values)))
-        else:
-            skipped_queries += 1
-    if skipped_levels:
-        warnings.warn(f"MNR skipped {skipped_levels} query-level terms with no correct candidate")
-    if skipped_queries:
-        warnings.warn(f"MNR skipped {skipped_queries} queries with no correct candidate at all")
-    if not query_values:
+    means = _mean_rank_table(ranking, taxonomy, leaf_of, levels)
+    missing = np.isnan(means)
+    unanswered = missing.all(axis=1)
+    if missing.any():
+        warnings.warn(f"MNR skipped {missing.sum()} query-level terms with no correct candidate")
+    if unanswered.any():
+        warnings.warn(f"MNR skipped {unanswered.sum()} queries with no correct candidate at all")
+    if unanswered.all():
         raise MetricError("MNR undefined: no query had a correct candidate")
-    return float(np.mean(query_values))
+    return float(np.mean(np.nanmean(means[~unanswered], axis=1)))
 
 
 def relevance(taxonomy: Taxonomy, leaf1: int, leaf2: int, kind: str) -> float:
@@ -177,75 +195,54 @@ def relevance(taxonomy: Taxonomy, leaf1: int, leaf2: int, kind: str) -> float:
     return 1.0 - max(d1, d2) / height
 
 
-class _RelevanceCache:
-    def __init__(self, taxonomy: Taxonomy, kind: str):
-        self.taxonomy = taxonomy
-        self.kind = kind
-        self._cache: dict[tuple[int, int], float] = {}
-
-    def __call__(self, l1: int, l2: int) -> float:
-        key = (l1, l2) if l1 <= l2 else (l2, l1)
-        if key not in self._cache:
-            self._cache[key] = relevance(self.taxonomy, l1, l2, self.kind)
-        return self._cache[key]
-
-
-def _query_ndcg(
-    rl: RankedList, leaf_of: dict[str, int], rel: _RelevanceCache
-) -> float | None:
-    """One query's DCG over the full list divided by its ideal DCG; None when
+def _ndcg_values(
+    ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int], kind: str
+) -> np.ndarray:
+    """Each query's DCG over its full list divided by its ideal DCG; NaN when
     every candidate has relevance 0."""
-    if not rl.candidates:
-        raise MetricError(f"query {rl.query!r} has no candidates")
-    rels = np.array([rel(leaf_of[rl.query], leaf_of[cid]) for cid in rl.candidates])
-    discounts = 1.0 / np.log2(np.arange(2, len(rels) + 2))
-    ideal = np.sort(rels)[::-1]
-    idcg = float(ideal @ discounts)
-    if idcg == 0.0:
-        return None
-    return float(rels @ discounts) / idcg
+    leaves, leaf_idx, n = _pool_leaves(ranking, leaf_of)
+    gain = np.empty((len(leaves), len(leaves)))
+    for i, j in zip(*np.triu_indices(len(leaves))):
+        gain[i, j] = gain[j, i] = relevance(taxonomy, leaves[i], leaves[j], kind)
+    discounts = 1.0 / np.log2(np.arange(2, n + 2))
+    # the candidates are the pool less the query, so the ideal list depends
+    # only on the query's leaf: the pool's gains sorted, less the query's 1.0
+    ideal = np.array([np.sort(row[leaf_idx])[::-1][1:] @ discounts for row in gain])
+    query_leaf = leaf_idx[ranking.queries]
+    dcg = np.empty(len(ranking))
+    for rows in _blocks(len(ranking), n):
+        dcg[rows] = gain[query_leaf[rows, None], leaf_idx[ranking.order[rows]]] @ discounts
+    idcg = ideal[query_leaf]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(idcg == 0.0, np.nan, dcg / idcg)
 
 
-def ndcg(
-    ranked_lists: list[RankedList],
-    taxonomy: Taxonomy,
-    leaf_of: dict[str, int],
-    kind: str,
-) -> float:
+def ndcg(ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int], kind: str) -> float:
     """Mean NDCG with linear tree-relevance gains over the full list."""
-    rel = _RelevanceCache(taxonomy, kind)
-    values = []
-    skipped = 0
-    for rl in ranked_lists:
-        value = _query_ndcg(rl, leaf_of, rel)
-        if value is None:
-            skipped += 1
-        else:
-            values.append(value)
+    values = _ndcg_values(ranking, taxonomy, leaf_of, kind)
+    skipped = int(np.isnan(values).sum())
     if skipped:
         warnings.warn(f"NDCG skipped {skipped} queries whose candidates all have relevance 0")
-    if not values:
+    if skipped == len(values):
         raise MetricError("NDCG undefined: every query was skipped")
-    return float(np.mean(values))
+    return float(np.nanmean(values))
 
 
 def per_query_diagnostics(
-    ranked_lists: list[RankedList], taxonomy: Taxonomy, leaf_of: dict[str, int]
+    ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int]
 ) -> list[dict]:
     """One row per query: mean normalised rank per retained level plus both
     NDCG values; blank entries where a quantity is undefined."""
     levels = taxonomy.levels_with_multiple_classes()
-    rel_sum = _RelevanceCache(taxonomy, "sum")
-    rel_max = _RelevanceCache(taxonomy, "max")
-    rows = []
-    for rl in ranked_lists:
-        row: dict = {"query": rl.query}
-        for level, value in _level_mean_ranks(rl, taxonomy, leaf_of, levels).items():
-            row[f"mnr_level_{level}"] = value
-        row["ndcg_sum"] = _query_ndcg(rl, leaf_of, rel_sum)
-        row["ndcg_max"] = _query_ndcg(rl, leaf_of, rel_max)
-        rows.append(row)
-    return rows
+    means = _mean_rank_table(ranking, taxonomy, leaf_of, levels)
+    columns = {f"mnr_level_{level}": means[:, k] for k, (level, _) in enumerate(levels)}
+    for kind in ("sum", "max"):
+        columns[f"ndcg_{kind}"] = _ndcg_values(ranking, taxonomy, leaf_of, kind)
+    return [
+        {"query": ranking.ids[q]}
+        | {name: None if np.isnan(v[i]) else float(v[i]) for name, v in columns.items()}
+        for i, q in enumerate(ranking.queries)
+    ]
 
 
 def acc_blind(

@@ -475,6 +475,10 @@ def fit(
                 counts[name] = counts.get(name, 0.0) + scale
         train_means = {name: sums[name] / counts[name] for name in sums}
         val_value = validation_loss(state.model, valid_table, val_instances)
+        if not np.isfinite(val_value.total):
+            raise FloatingPointError(
+                f"non-finite validation loss at epoch {epoch}: {val_value.per_component}"
+            )
         if val_value.total < state.best_val:
             state.best_val = val_value.total
             state.best_params = state.model.clone_params()

@@ -3,6 +3,7 @@ import pytest
 
 from hieremb.dataset import LabeledSample
 from hieremb.datasplit import SplitAssignment
+from hieremb.metrics import Ranking
 from hieremb.taxonomy import parse_taxonomy
 
 
@@ -63,3 +64,26 @@ def manual_split(taxonomy, samples, unseen_names=(), fold_index=0, subset_of=Non
         unseen_leaves=unseen,
         partition=partition,
     )
+
+
+def ranking_of(lists: dict[str, list[str]]) -> Ranking:
+    """A Ranking from explicit candidate lists, best first; each query's
+    list must hold the rest of one shared pool."""
+    query, candidates = next(iter(lists.items()))
+    ids = sorted([query, *candidates])
+    for q, cands in lists.items():
+        assert sorted([q, *cands]) == ids, f"the candidates of {q!r} are not the rest of the pool"
+    position = {sid: i for i, sid in enumerate(ids)}
+    return Ranking(
+        ids=tuple(ids),
+        queries=np.array([position[q] for q in lists]),
+        order=np.array([[position[c] for c in cands] for cands in lists.values()], dtype=np.int32),
+    )
+
+
+def candidate_lists(ranking: Ranking) -> dict[str, list[str]]:
+    """Query id -> candidate ids, best first."""
+    return {
+        ranking.ids[q]: [ranking.ids[c] for c in row]
+        for q, row in zip(ranking.queries, ranking.order)
+    }

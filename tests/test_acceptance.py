@@ -12,7 +12,7 @@ import pytest
 from hieremb.cli import evaluate_model, load_experiment_config, run_experiment
 from hieremb.datasplit import lowest_seen_ancestor, make_fold_splits
 from hieremb.losses import LossConfig
-from hieremb.metrics import RankedList, build_ranked_lists, mnr, ndcg
+from hieremb.metrics import Ranking, build_ranked_lists, mnr, ndcg
 from hieremb.model import (
     AdamState,
     EmbeddingModel,
@@ -27,7 +27,7 @@ from hieremb.sampler import count_node_triples, enumerate_node_triples, instanti
 from hieremb.synthdata import SynthConfig, generate
 from hieremb.taxonomy import parse_taxonomy
 
-from conftest import t0_document
+from conftest import ranking_of, t0_document
 from harness import clustered_samples, grad_check_max_err, train_valid_split
 from oracles import (
     acc_blind_uniform_baseline,
@@ -71,7 +71,7 @@ def test_criterion_2_metric_oracle_equivalence():
         "c3": t0.id_of("b1"),
         "c4": t0.id_of("b1"),
     }
-    worked = mnr([RankedList(query="q", candidates=("c1", "c2", "c3", "c4"))], t0, leaf_of)
+    worked = mnr(ranking_of({"q": ["c1", "c2", "c3", "c4"]}), t0, leaf_of)
     worked_ok = worked == 0.0625
 
     rng = np.random.default_rng(20)
@@ -208,8 +208,9 @@ def test_criterion_5_uniform_depth_ndcg_identity():
         ids = [f"s{i}" for i in range(15)]
         labels = {sid: int(rng.choice(leaves)) for sid in ids}
         embeddings = {sid: rng.normal(size=5) for sid in ids}
-        for rl in build_ranked_lists(embeddings, ids):
-            one = [rl]
+        ranking = build_ranked_lists(embeddings, ids)
+        for i in range(len(ranking)):
+            one = Ranking(ranking.ids, ranking.queries[i : i + 1], ranking.order[i : i + 1])
             a = per_query(one, tax, labels, "sum")
             b = per_query(one, tax, labels, "max")
             consistent = consistent and (a is None) == (b is None)

@@ -1,10 +1,15 @@
+from functools import partial
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hieremb import metrics
 from hieremb.metrics import (
     MetricError,
     MetricsReport,
-    RankedList,
+    Ranking,
     acc_aware,
     acc_blind,
     build_ranked_lists,
@@ -16,7 +21,7 @@ from hieremb.metrics import (
 )
 from hieremb.taxonomy import parse_taxonomy
 
-from conftest import make_samples, manual_split
+from conftest import candidate_lists, make_samples, manual_split, ranking_of
 from oracles import (
     height_diameter_oracle,
     mnr_oracle,
@@ -44,9 +49,12 @@ class TestRankedLists:
     def test_query_excluded_and_sorted(self):
         rng = np.random.default_rng(0)
         embeddings = {f"s{i}": rng.normal(size=4) for i in range(8)}
-        for rl in build_ranked_lists(embeddings):
-            assert rl.query not in rl.candidates
-            assert len(rl.candidates) == 7
+        ranking = build_ranked_lists(embeddings)
+        assert len(ranking) == 8
+        assert ranking.ids == tuple(sorted(embeddings))
+        for query, candidates in candidate_lists(ranking).items():
+            assert query not in candidates
+            assert len(candidates) == 7
 
     def test_descending_similarity(self):
         q = np.array([1.0, 0.0])
@@ -56,25 +64,98 @@ class TestRankedLists:
             "mid": np.array([1.0, 1.0]),
             "near": np.array([1.0, 0.1]),
         }
-        rl = [r for r in build_ranked_lists(embeddings) if r.query == "q"][0]
-        assert rl.candidates == ("near", "mid", "far")
+        assert candidate_lists(build_ranked_lists(embeddings))["q"] == ["near", "mid", "far"]
 
     def test_ties_break_by_ascending_id(self):
         v = np.array([0.5, 0.5])
         embeddings = {name: v.copy() for name in ("d", "b", "a", "c")}
-        rl = [r for r in build_ranked_lists(embeddings) if r.query == "c"][0]
-        assert rl.candidates == ("a", "b", "d")
+        assert candidate_lists(build_ranked_lists(embeddings))["c"] == ["a", "b", "d"]
 
     def test_matches_naive_construction(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             _, ids, _, embeddings = random_instance(rng)
-            lib = {rl.query: list(rl.candidates) for rl in build_ranked_lists(embeddings, ids)}
+            lib = candidate_lists(build_ranked_lists(embeddings, ids))
             assert lib == ranked_lists_oracle(embeddings, ids)
 
     def test_needs_two_samples(self):
         with pytest.raises(MetricError, match="two samples"):
             build_ranked_lists({"only": np.ones(3)})
+
+
+def assert_matches_oracles(tax, ids, leaf_of, embeddings):
+    """Ranking, NDCG, MNR and RP@5 equal the brute-force oracles within 1e-12;
+    where an oracle's mean is empty, the library raises MetricError."""
+    ranking = build_ranked_lists(embeddings, ids)
+    oracle_lists = ranked_lists_oracle(embeddings, ids)
+    assert candidate_lists(ranking) == oracle_lists
+    pairs = [
+        (
+            partial(ndcg, ranking, tax, leaf_of, kind),
+            partial(ndcg_oracle, tax, oracle_lists, leaf_of, kind),
+        )
+        for kind in ("sum", "max")
+    ]
+    pairs.append(
+        (partial(mnr, ranking, tax, leaf_of), partial(mnr_oracle, tax, oracle_lists, leaf_of))
+    )
+    for lib, oracle in pairs:
+        try:
+            expected = oracle()
+        except ZeroDivisionError:
+            with pytest.raises(MetricError):
+                lib()
+        else:
+            assert lib() == pytest.approx(expected, abs=1e-12)
+    if len(ids) > 5:
+        expected = np.mean(
+            [
+                sum(leaf_of[c] == leaf_of[q] for c in cands[:5]) / 5
+                for q, cands in oracle_lists.items()
+            ]
+        )
+        assert rp_at_k(ranking, leaf_of, k=5) == pytest.approx(expected, abs=1e-12)
+
+
+class TestBlockedEvaluation:
+    """Ranking and scoring run one block of query rows at a time; the block
+    size must not change any value."""
+
+    @pytest.mark.parametrize("block_rows", [1, 2])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_small_blocks_match_oracles(self, monkeypatch, block_rows, tied):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            tax, ids, leaf_of, embeddings = random_instance(rng)
+            if tied:
+                # unit rows of 0.5s: every cosine is exactly 1, so ids decide
+                embeddings = {sid: np.full(4, 3.0) for sid in ids}
+            monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_rows * 8 * len(ids))
+            assert_matches_oracles(tax, ids, leaf_of, embeddings)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 24),
+        block_rows=st.integers(1, 24),
+        tie_share=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_random_trees_match_oracles(self, seed, n, block_rows, tie_share):
+        rng = np.random.default_rng(seed)
+        tax = parse_taxonomy(random_tree_doc(rng, max_children=3))
+        leaves = sorted(tax.leaf_ids)
+        ids = [f"s{i:03d}" for i in range(n)]
+        leaf_of = {sid: int(rng.choice(leaves)) for sid in ids}
+        # signed unit axes give exact cosines, so equal axes tie exactly
+        axes = np.vstack([np.eye(3), -np.eye(3)])
+        embeddings = {
+            sid: axes[rng.integers(6)] if rng.random() < tie_share else rng.normal(size=3)
+            for sid in ids
+        }
+        with mock.patch.object(metrics, "_BLOCK_BYTES", block_rows * 8 * n):
+            assert_matches_oracles(tax, ids, leaf_of, embeddings)
 
 
 class TestLeafF1:
@@ -113,7 +194,7 @@ class TestRpAtK:
 
     def test_partial_ratio(self):
         # query q: two of the top five share its leaf
-        ranked = [RankedList(query="q", candidates=tuple(f"c{i}" for i in range(6)))]
+        ranked = ranking_of({"q": [f"c{i}" for i in range(6)]})
         leaf_of = {"q": 1, "c0": 1, "c1": 0, "c2": 1, "c3": 0, "c4": 0, "c5": 1}
         assert rp_at_k(ranked, leaf_of, k=5) == pytest.approx(0.4)
 
@@ -133,7 +214,7 @@ class TestRpAtK:
         assert rp_at_k(ranked, leaf_of, k=5) == pytest.approx(expected)
 
     def test_too_few_candidates_rejected(self):
-        ranked = [RankedList(query="q", candidates=("a", "b"))]
+        ranked = ranking_of({"q": ["a", "b"]})
         with pytest.raises(MetricError, match="at least 5"):
             rp_at_k(ranked, {"q": 0, "a": 0, "b": 0}, k=5)
 
@@ -151,19 +232,19 @@ class TestMnr:
 
     def test_worked_instance(self, t0):
         leaf_of = self.worked_instance(t0)
-        ranked = [RankedList(query="q", candidates=("c1", "c2", "c3", "c4"))]
+        ranked = ranking_of({"q": ["c1", "c2", "c3", "c4"]})
         assert mnr(ranked, t0, leaf_of) == pytest.approx(0.0625, abs=1e-15)
 
     def test_worked_instance_reversed_matches_oracle(self, t0):
         leaf_of = self.worked_instance(t0)
-        reversed_ranked = [RankedList(query="q", candidates=("c4", "c3", "c2", "c1"))]
+        reversed_ranked = ranking_of({"q": ["c4", "c3", "c2", "c1"]})
         expected = mnr_oracle(t0, {"q": ["c4", "c3", "c2", "c1"]}, leaf_of)
         assert expected == pytest.approx(0.6875)
         assert mnr(reversed_ranked, t0, leaf_of) == pytest.approx(expected, abs=1e-15)
 
     def test_best_rank_contributes_zero(self, t0):
         leaf_of = {"q": t0.id_of("a1"), "c1": t0.id_of("a1"), "c2": t0.id_of("b1")}
-        ranked = [RankedList(query="q", candidates=("c1", "c2"))]
+        ranked = ranking_of({"q": ["c1", "c2"]})
         # level 1 (A): c1 at rank 1 -> 0; level 2 (a1): c1 -> 0
         assert mnr(ranked, t0, leaf_of) == 0.0
 
@@ -193,10 +274,7 @@ class TestMnr:
             if not tax.levels_with_multiple_classes():
                 continue
             ranked = build_ranked_lists(embeddings, ids)
-            flipped = [
-                RankedList(query=rl.query, candidates=tuple(reversed(rl.candidates)))
-                for rl in ranked
-            ]
+            flipped = Ranking(ranked.ids, ranked.queries, ranked.order[:, ::-1])
             forward = mnr(ranked, tax, leaf_of)
             backward = mnr(flipped, tax, leaf_of)
             n = len(ids) - 1
@@ -209,7 +287,7 @@ class TestMnr:
 
     def test_level_without_correct_candidates_is_skipped(self, t0):
         leaf_of = {"q": t0.id_of("a1"), "c1": t0.id_of("a2"), "c2": t0.id_of("b1")}
-        ranked = [RankedList(query="q", candidates=("c1", "c2"))]
+        ranked = ranking_of({"q": ["c1", "c2"]})
         # level 2 (a1) has no members among candidates; only level 1 counts
         with pytest.warns(UserWarning, match="skipped"):
             value = mnr(ranked, t0, leaf_of)
@@ -255,14 +333,14 @@ class TestNdcg:
             "c2": t0.id_of("a2"),
             "c3": t0.id_of("b1"),
         }
-        ranked = [RankedList(query="q", candidates=("c1", "c2", "c3"))]
+        ranked = ranking_of({"q": ["c1", "c2", "c3"]})
         assert ndcg(ranked, t0, leaf_of, "sum") == pytest.approx(1.0)
         assert ndcg(ranked, t0, leaf_of, "max") == pytest.approx(1.0)
 
     def test_two_candidate_swap(self, t0):
         # relevances 1 and 0 presented in the wrong order
         leaf_of = {"q": t0.id_of("a1"), "good": t0.id_of("a1"), "bad": t0.id_of("b1")}
-        ranked = [RankedList(query="q", candidates=("bad", "good"))]
+        ranked = ranking_of({"q": ["bad", "good"]})
         assert ndcg(ranked, t0, leaf_of, "max") == pytest.approx(1 / np.log2(3.0))
 
     def test_equal_relevance_permutation_invariance(self, t0):
@@ -272,8 +350,8 @@ class TestNdcg:
             "c2": t0.id_of("a2"),
             "c3": t0.id_of("b1"),
         }
-        a = [RankedList(query="q", candidates=("c1", "c2", "c3"))]
-        b = [RankedList(query="q", candidates=("c2", "c1", "c3"))]
+        a = ranking_of({"q": ["c1", "c2", "c3"]})
+        b = ranking_of({"q": ["c2", "c1", "c3"]})
         for kind in ("sum", "max"):
             assert ndcg(a, t0, leaf_of, kind) == pytest.approx(ndcg(b, t0, leaf_of, kind))
 
@@ -367,7 +445,7 @@ class TestPerQueryDiagnostics:
             "c3": t0.id_of("b1"),
             "c4": t0.id_of("b1"),
         }
-        ranked = [RankedList(query="q", candidates=("c1", "c2", "c3", "c4"))]
+        ranked = ranking_of({"q": ["c1", "c2", "c3", "c4"]})
         rows = per_query_diagnostics(ranked, t0, leaf_of)
         assert len(rows) == 1
         row = rows[0]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,19 @@ class TestFit:
         assert log1 == log2
         for key in m1.params:
             assert np.array_equal(m1.params[key], m2.params[key])
+
+    def test_non_finite_validation_loss_raises(self):
+        # one NaN validation sample makes every validation total NaN, which no
+        # epoch can beat: fit must say so instead of returning initial weights
+        tax, samples, split = synthetic_experiment()
+        bad = partition_samples(samples, split, "valid")[0]
+        samples = [
+            replace(s, features=np.full_like(s.features, np.nan)) if s is bad else s
+            for s in samples
+        ]
+        model_config = ModelConfig(input_dim=8, hidden_dim=16, embedding_dim=8)
+        with pytest.raises(FloatingPointError, match="validation loss at epoch 0"):
+            fit(samples, tax, split, LossConfig(active=frozenset({"PL"})), model_config, 2, seed=6)
 
     def test_best_snapshot_not_worse_than_final(self):
         tax, samples, split = synthetic_experiment()
