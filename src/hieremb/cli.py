@@ -197,7 +197,7 @@ def head_argmax(
     _, logits, _ = model.forward_batch(features_matrix(samples))
     result = {}
     for head in model.layout.class_heads():
-        picks = logits[head.name].argmax(axis=1)
+        picks = logits[:, head.columns].argmax(axis=1)
         result[head.name] = {
             s.id: taxonomy.id_of(head.classes[i]) for s, i in zip(samples, picks)
         }

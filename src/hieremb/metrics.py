@@ -78,10 +78,16 @@ def build_ranked_lists(
     if n < 2:
         raise MetricError("need at least two samples to rank")
     unit, _ = unit_rows(np.stack([embeddings[sid] for sid in ids]))
+    # BLAS may round one dot product differently by its place in the output,
+    # so score the distinct rows once and gather: duplicates then tie exactly
+    distinct, column = np.unique(unit, axis=0, return_inverse=True)
+    column = column.ravel()  # numpy 2.0.0 returns it as a column
     queries = np.arange(n)
     order = np.empty((n, n - 1), dtype=np.int32)
     for rows in _blocks(n, n):
-        full = np.argsort(-(unit[rows] @ unit.T), axis=1, kind="stable")  # stable: ties by id
+        negated = np.take(-(unit[rows] @ distinct.T), column, axis=1)
+        full = np.argsort(negated, axis=1, kind="stable")  # stable: ties by id
+        del negated  # no score block outlives its argsort
         own = queries[rows, None]
         order[rows] = full[full != own].reshape(len(own), n - 1)
     return Ranking(ids=tuple(ids), queries=queries, order=order)
@@ -174,25 +180,31 @@ def mnr(ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int]) -> float:
     return float(np.mean(np.nanmean(means[~unanswered], axis=1)))
 
 
-def relevance(taxonomy: Taxonomy, leaf1: int, leaf2: int, kind: str) -> float:
-    """Tree-distance relevance between two leaves, in [0, 1].
+def relevance_table(taxonomy: Taxonomy, leaves: list[int], kind: str) -> np.ndarray:
+    """Tree-distance relevance between every two of the given leaves, in
+    [0, 1]; a leaf's relevance to itself is 1.
 
     'sum' divides the total leaf-to-LCA edge count by the tree diameter;
     'max' divides the larger of the two by the tree height.
     """
     if kind not in ("sum", "max"):
         raise MetricError(f"unknown relevance kind {kind!r}")
-    if leaf1 == leaf2:
-        return 1.0
+    leaves = np.asarray(leaves)
+    same = leaves[:, None] == leaves[None, :]
+    if same.all():
+        return np.ones(same.shape)
     height, diameter = taxonomy.height_and_diameter()
     if height == 0:
         raise MetricError("degenerate tree: distinct leaves in a height-0 tree")
-    anc = taxonomy.lca(leaf1, leaf2)
-    d1 = taxonomy.depth(leaf1) - taxonomy.depth(anc)
-    d2 = taxonomy.depth(leaf2) - taxonomy.depth(anc)
-    if kind == "sum":
-        return 1.0 - (d1 + d2) / diameter
-    return 1.0 - max(d1, d2) / height
+    # column d - 1: each leaf's ancestor at depth d, or the leaf itself at
+    # depths past its own; distinct leaves agree in exactly columns 1..depth(LCA)
+    paths = [taxonomy.path_to_root(int(leaf))[::-1] for leaf in leaves]
+    ancestors = np.array([path[1:] + path[-1:] * (height + 1 - len(path)) for path in paths])
+    depth = np.array([len(path) - 1 for path in paths])
+    lca_depth = (ancestors[:, None] == ancestors[None, :]).sum(axis=2)
+    d1, d2 = depth[:, None] - lca_depth, depth[None, :] - lca_depth
+    table = 1.0 - ((d1 + d2) / diameter if kind == "sum" else np.maximum(d1, d2) / height)
+    return np.where(same, 1.0, table)
 
 
 def _ndcg_values(
@@ -201,9 +213,7 @@ def _ndcg_values(
     """Each query's DCG over its full list divided by its ideal DCG; NaN when
     every candidate has relevance 0."""
     leaves, leaf_idx, n = _pool_leaves(ranking, leaf_of)
-    gain = np.empty((len(leaves), len(leaves)))
-    for i, j in zip(*np.triu_indices(len(leaves))):
-        gain[i, j] = gain[j, i] = relevance(taxonomy, leaves[i], leaves[j], kind)
+    gain = relevance_table(taxonomy, leaves, kind)
     discounts = 1.0 / np.log2(np.arange(2, n + 2))
     # the candidates are the pool less the query, so the ideal list depends
     # only on the query's leaf: the pool's gains sorted, less the query's 1.0

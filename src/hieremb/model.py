@@ -1,15 +1,17 @@
-"""Feed-forward embedder with per-loss prediction heads.
+"""Feed-forward embedder with fused prediction heads.
 
-Two affine layers with a tanh in between produce the embedding; linear
-heads map it to leaf, per-level, and node-membership logits as required
-by the active loss set. Gradients are computed analytically and applied
-with Adam. Everything is plain numpy and deterministic given a seed.
+Two affine layers with a tanh in between produce the embedding; one linear
+map gives the leaf, per-level, and node-membership logits the active loss
+set needs, each head owning a column segment of it. Every parameter is a
+view into one float64 vector laid out by `param_shapes`; gradients are
+computed analytically into a vector of the same layout and applied with
+Adam. Everything is plain numpy and deterministic given a seed.
 """
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -37,23 +39,77 @@ class ClassificationHead:
     level: int | None
     classes: list[str]  # class node names, pre-order
     class_weights: np.ndarray
+    columns: slice | None = field(default=None, init=False)  # set by HeadLayout
 
 
 @dataclass
 class BinaryHead:
     nodes: list[str]  # non-root node names, pre-order
     node_weights: np.ndarray
+    columns: slice | None = field(default=None, init=False)  # set by HeadLayout
+    name = "binary"
+    # the names HeadLayout reads from every head
+    classes = property(lambda self: self.nodes)
+    class_weights = property(lambda self: self.node_weights)
 
 
 @dataclass
 class HeadLayout:
+    """The model's heads. Each owns a column segment of the fused head
+    matrix, in the order leaf, levels, binary; `width` is the total."""
+
     leaf: ClassificationHead | None
     levels: list[ClassificationHead]
     binary: BinaryHead | None
+    width: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        for head in self.heads():
+            if len(head.class_weights) != len(head.classes):
+                raise ValueError(
+                    f"head {head.name}: expected {len(head.classes)} weights, "
+                    f"found {len(head.class_weights)}"
+                )
+            head.columns = slice(self.width, self.width + len(head.classes))
+            self.width = head.columns.stop
 
     def class_heads(self) -> list[ClassificationHead]:
         heads = [self.leaf] if self.leaf else []
         return heads + list(self.levels)
+
+    def heads(self) -> list[ClassificationHead | BinaryHead]:
+        return self.class_heads() + ([self.binary] if self.binary else [])
+
+    def to_json(self) -> dict:
+        def entry(head):
+            return {"classes": head.classes, "weights": head.class_weights.tolist()}
+
+        return {
+            "leaf": None if self.leaf is None else entry(self.leaf),
+            "levels": [{"level": head.level} | entry(head) for head in self.levels],
+            "binary": None
+            if self.binary is None
+            else {"nodes": self.binary.nodes, "weights": self.binary.node_weights.tolist()},
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "HeadLayout":
+        def head(entry, level=None):
+            return ClassificationHead(
+                name="leaf" if level is None else f"level_{level}",
+                level=level,
+                classes=list(entry["classes"]),
+                class_weights=np.array(entry["weights"], dtype=np.float64),
+            )
+
+        binary = data["binary"]
+        return cls(
+            leaf=None if data["leaf"] is None else head(data["leaf"]),
+            levels=[head(entry, int(entry["level"])) for entry in data["levels"]],
+            binary=None
+            if binary is None
+            else BinaryHead(list(binary["nodes"]), np.array(binary["weights"], dtype=np.float64)),
+        )
 
 
 def build_head_layout(
@@ -122,40 +178,26 @@ def build_target_table(
     pruned: Taxonomy, layout: HeadLayout, samples: list[LabeledSample]
 ) -> TargetTable:
     leaf_ids = sorted(pruned.leaf_ids)
-    per_leaf_class: dict[str, dict[int, int]] = {}
+    # targets are tabulated per leaf, then gathered by each sample's leaf row
+    leaf_row = np.searchsorted(leaf_ids, [pruned.leaf_id_for(s) for s in samples])
+    class_targets = {}
     for head in layout.class_heads():
         column = {name: i for i, name in enumerate(head.classes)}
-        targets = {}
-        for leaf in leaf_ids:
-            if head.level is None:
-                target = leaf
-            else:
-                target = pruned.target_at_level(leaf, head.level)
-            targets[leaf] = column[pruned.name(target)]
-        per_leaf_class[head.name] = targets
-    per_leaf_membership = None
+        targets = [
+            leaf if head.level is None else pruned.target_at_level(leaf, head.level)
+            for leaf in leaf_ids
+        ]
+        per_leaf = np.array([column[pruned.name(t)] for t in targets], dtype=np.intp)
+        class_targets[head.name] = per_leaf[leaf_row]
+    membership = None
     if layout.binary is not None:
         node_ids = [pruned.id_of(name) for name in layout.binary.nodes]
-        per_leaf_membership = {
-            leaf: np.array(
-                [pruned.is_ancestor_or_self(n, leaf) for n in node_ids], dtype=bool
-            )
-            for leaf in leaf_ids
-        }
-
-    ids = [s.id for s in samples]
-    sample_leaves = [pruned.leaf_id_for(s) for s in samples]
-    class_targets = {
-        name: np.array([targets[leaf] for leaf in sample_leaves], dtype=np.intp)
-        for name, targets in per_leaf_class.items()
-    }
-    membership = None
-    if per_leaf_membership is not None:
-        membership = (
-            np.stack([per_leaf_membership[leaf] for leaf in sample_leaves])
-            if samples
-            else np.zeros((0, len(layout.binary.nodes)), dtype=bool)
+        per_leaf = np.array(
+            [[pruned.is_ancestor_or_self(n, leaf) for n in node_ids] for leaf in leaf_ids],
+            dtype=bool,
         )
+        membership = per_leaf[leaf_row]
+    ids = [s.id for s in samples]
     return TargetTable(
         ids=ids,
         index={sid: i for i, sid in enumerate(ids)},
@@ -165,20 +207,36 @@ def build_target_table(
     )
 
 
+def param_shapes(config: ModelConfig, layout: HeadLayout) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter, in its order in the flat vector.
+    `head.W` and `head.b` hold the heads' column segments side by side."""
+    hidden, emb = config.hidden_dim, config.embedding_dim
+    return {
+        "embed.1.W": (config.input_dim, hidden),
+        "embed.1.b": (hidden,),
+        "embed.2.W": (hidden, emb),
+        "embed.2.b": (emb,),
+        "head.W": (emb, layout.width),
+        "head.b": (layout.width,),
+    }
+
+
 class EmbeddingModel:
-    """Embedder plus heads; parameters live in a flat name->array dict."""
+    """Embedder plus fused heads; `params` maps names to views into the one
+    parameter vector `vector`."""
 
     def __init__(
         self,
         config: ModelConfig,
         loss_config: LossConfig,
         layout: HeadLayout,
-        params: dict[str, np.ndarray],
+        vector: np.ndarray,
     ):
         self.config = config
         self.loss_config = loss_config
         self.layout = layout
-        self.params = params
+        self.vector = vector
+        self.params = self.views(vector)
 
     @classmethod
     def initialise(
@@ -186,48 +244,38 @@ class EmbeddingModel:
     ) -> "EmbeddingModel":
         """Deterministic init: weights scaled by 1/sqrt(fan_in), biases zero.
 
-        Parameter creation order is fixed (embedder, leaf, levels, binary) so
-        identical seeds and shapes give identical draws.
+        Draw order is fixed (embedder, then one block per head: leaf, levels,
+        binary) so identical seeds and shapes give identical draws.
         """
+        size = sum(map(prod, param_shapes(config, layout).values()))
+        model = cls(config, loss_config, layout, np.zeros(size))
         rng = np.random.default_rng(seed)
-        params: dict[str, np.ndarray] = {}
+        p = model.params
+        weights = [p["embed.1.W"], p["embed.2.W"]]
+        weights += [p["head.W"][:, head.columns] for head in layout.heads()]
+        for block in weights:
+            block[...] = rng.normal(0.0, 1.0 / np.sqrt(block.shape[0]), size=block.shape)
+        return model
 
-        def affine(prefix: str, fan_in: int, fan_out: int) -> None:
-            params[f"{prefix}.W"] = rng.normal(
-                0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)
-            )
-            params[f"{prefix}.b"] = np.zeros(fan_out)
-
-        affine("embed.1", config.input_dim, config.hidden_dim)
-        affine("embed.2", config.hidden_dim, config.embedding_dim)
-        for head in layout.class_heads():
-            affine(f"head.{head.name}", config.embedding_dim, len(head.classes))
-        if layout.binary is not None:
-            affine("head.binary", config.embedding_dim, len(layout.binary.nodes))
-        return cls(config, loss_config, layout, params)
-
-    def head_names(self) -> list[str]:
-        names = [h.name for h in self.layout.class_heads()]
-        if self.layout.binary is not None:
-            names.append("binary")
-        return names
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into a vector laid out like this model's parameters."""
+        shapes = param_shapes(self.config, self.layout)
+        sizes = [prod(shape) for shape in shapes.values()]
+        if vector.shape != (sum(sizes),):
+            raise ValueError(f"expected {sum(sizes)} parameters, found {vector.size}")
+        parts = np.split(vector, np.cumsum(sizes)[:-1])
+        return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
 
     def forward_batch(self, X: np.ndarray):
+        """Embeddings, fused head logits (`head.columns` picks one head's
+        segment), and hidden activations for a batch of feature rows."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.config.input_dim:
             raise ValueError(f"expected (n, {self.config.input_dim}) input, got {X.shape}")
-        hidden = np.tanh(X @ self.params["embed.1.W"] + self.params["embed.1.b"])
-        emb = hidden @ self.params["embed.2.W"] + self.params["embed.2.b"]
-        logits = {
-            name: emb @ self.params[f"head.{name}.W"] + self.params[f"head.{name}.b"]
-            for name in self.head_names()
-        }
-        return emb, logits, hidden
-
-    def forward(self, x: np.ndarray):
-        """Embedding and per-head logits for a single feature vector."""
-        emb, logits, _ = self.forward_batch(np.atleast_2d(x))
-        return emb[0], {name: l[0] for name, l in logits.items()}
+        p = self.params
+        hidden = np.tanh(X @ p["embed.1.W"] + p["embed.1.b"])
+        emb = hidden @ p["embed.2.W"] + p["embed.2.b"]
+        return emb, emb @ p["head.W"] + p["head.b"], hidden
 
     def embed_all(
         self, samples: list[LabeledSample], batch_size: int = 512
@@ -241,8 +289,18 @@ class EmbeddingModel:
                 result[sample.id] = row
         return result
 
-    def clone_params(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
+    def clone_params(self) -> np.ndarray:
+        return self.vector.copy()
+
+
+def triplet_rows(table: TargetTable, instances: list[TripletInstance]) -> np.ndarray:
+    """Table rows of the instances' anchors, then positives, then negatives."""
+    ids = (
+        [i.anchor_id for i in instances]
+        + [i.positive_id for i in instances]
+        + [i.negative_id for i in instances]
+    )
+    return np.array([table.index[sid] for sid in ids], dtype=np.intp)
 
 
 def batch_loss_and_grads(
@@ -250,8 +308,9 @@ def batch_loss_and_grads(
     table: TargetTable,
     instances: list[TripletInstance] | None,
     rows: np.ndarray | None = None,
-) -> tuple[LossValue, dict[str, np.ndarray]]:
-    """Active-loss total and analytic parameter gradients for one batch.
+) -> tuple[LossValue, np.ndarray]:
+    """Active-loss total and its analytic gradient for one batch, as a
+    vector laid out like `model.vector`.
 
     With `instances`, rows are the stacked anchors, positives, and negatives;
     the triplet term averages over the instances and classification terms over
@@ -259,26 +318,19 @@ def batch_loss_and_grads(
     classification terms apply.
     """
     cfg = model.loss_config
+    layout = model.layout
+    n_triplets = 0
     if instances is not None:
         n_triplets = len(instances)
-        row_ids = (
-            [i.anchor_id for i in instances]
-            + [i.positive_id for i in instances]
-            + [i.negative_id for i in instances]
-        )
-        rows = np.array([table.index[sid] for sid in row_ids], dtype=np.intp)
-    else:
-        n_triplets = 0
-        if rows is None:
-            raise ValueError("either instances or rows must be given")
+        rows = triplet_rows(table, instances)
+    elif rows is None:
+        raise ValueError("either instances or rows must be given")
     X = table.features[rows]
     emb, logits, hidden = model.forward_batch(X)
     n_rows = X.shape[0]
 
     components: dict[str, float] = {}
     grad_emb = np.zeros_like(emb)
-    grads: dict[str, np.ndarray] = {}
-
     if "T" in cfg.active and n_triplets > 0:
         b = n_triplets
         values, ga, gp, gn = losses.triplet_loss_batch(
@@ -289,81 +341,75 @@ def batch_loss_and_grads(
         grad_emb[b : 2 * b] += gp / b
         grad_emb[2 * b :] += gn / b
 
-    def apply_head(head_name: str, grad_logits: np.ndarray) -> None:
-        weight_key = f"head.{head_name}.W"
-        grads[weight_key] = emb.T @ grad_logits
-        grads[f"head.{head_name}.b"] = grad_logits.sum(axis=0)
-        nonlocal grad_emb
-        grad_emb = grad_emb + grad_logits @ model.params[weight_key].T
-
-    if model.layout.leaf is not None:
+    # each head's loss fills its segment of the fused logit gradient
+    grad_logits = np.empty_like(logits)
+    level_total = 0.0
+    for head in layout.class_heads():
         values, grad = losses.softmax_cross_entropy_batch(
-            logits["leaf"], table.class_targets["leaf"][rows], model.layout.leaf.class_weights
+            logits[:, head.columns], table.class_targets[head.name][rows], head.class_weights
         )
-        components["L"] = float(values.mean())
-        apply_head("leaf", grad / n_rows)
-    if model.layout.levels:
-        level_total = np.zeros(n_rows)
-        for head in model.layout.levels:
-            values, grad = losses.softmax_cross_entropy_batch(
-                logits[head.name], table.class_targets[head.name][rows], head.class_weights
-            )
-            level_total += values
-            apply_head(head.name, grad / n_rows)
+        grad_logits[:, head.columns] = grad / n_rows
+        if head is layout.leaf:
+            components["L"] = float(values.mean())
+        else:
+            level_total = level_total + values
+    if layout.levels:
         components["PL"] = float(level_total.mean())
-    if model.layout.binary is not None:
+    if layout.binary is not None:
+        columns = layout.binary.columns
         values, grad = losses.binary_cross_entropy_nodes_batch(
-            logits["binary"], table.binary_membership[rows], model.layout.binary.node_weights
+            logits[:, columns], table.binary_membership[rows], layout.binary.node_weights
         )
         components["B"] = float(values.mean())
-        apply_head("binary", grad / n_rows)
+        grad_logits[:, columns] = grad / n_rows
 
     # "T" may be legitimately absent here (validation rows); fill for combine
     expected = {name for name in cfg.active if name != "T" or "T" in components}
     value = losses.combine(components, active=frozenset(expected))
 
-    grad_hidden = grad_emb @ model.params["embed.2.W"].T
-    grads["embed.2.W"] = hidden.T @ grad_emb
-    grads["embed.2.b"] = grad_emb.sum(axis=0)
+    p = model.params
+    gradient = np.empty_like(model.vector)
+    g = model.views(gradient)
+    g["head.W"][...] = emb.T @ grad_logits
+    g["head.b"][...] = grad_logits.sum(axis=0)
+    grad_emb += grad_logits @ p["head.W"].T
+    grad_hidden = grad_emb @ p["embed.2.W"].T
+    g["embed.2.W"][...] = hidden.T @ grad_emb
+    g["embed.2.b"][...] = grad_emb.sum(axis=0)
     grad_pre = grad_hidden * (1.0 - hidden**2)
-    grads["embed.1.W"] = X.T @ grad_pre
-    grads["embed.1.b"] = grad_pre.sum(axis=0)
-    return value, grads
+    g["embed.1.W"][...] = X.T @ grad_pre
+    g["embed.1.b"][...] = grad_pre.sum(axis=0)
+    return value, gradient
 
 
 @dataclass
 class AdamState:
-    first: dict[str, np.ndarray]
-    second: dict[str, np.ndarray]
+    first: np.ndarray
+    second: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            first={k: np.zeros_like(v) for k, v in params.items()},
-            second={k: np.zeros_like(v) for k, v in params.items()},
-        )
+        size = sum(value.size for value in params.values())
+        return cls(first=np.zeros(size), second=np.zeros(size))
 
 
 def adam_update(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     learning_rate: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
+    """One Adam step on a flat parameter vector, in place."""
     state.step += 1
-    correct1 = 1.0 - beta1**state.step
-    correct2 = 1.0 - beta2**state.step
-    for key in sorted(params):
-        g = grads[key]
-        state.first[key] = beta1 * state.first[key] + (1 - beta1) * g
-        state.second[key] = beta2 * state.second[key] + (1 - beta2) * g**2
-        m_hat = state.first[key] / correct1
-        v_hat = state.second[key] / correct2
-        params[key] -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    state.first = beta1 * state.first + (1 - beta1) * grads
+    state.second = beta2 * state.second + (1 - beta2) * grads**2
+    m_hat = state.first / (1.0 - beta1**state.step)
+    v_hat = state.second / (1.0 - beta2**state.step)
+    params -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
 @dataclass
@@ -372,7 +418,7 @@ class TrainState:
     adam: AdamState
     epoch: int = 0
     best_val: float = np.inf
-    best_params: dict[str, np.ndarray] = field(default_factory=dict)
+    best_params: np.ndarray | None = None
 
 
 def train_step(
@@ -381,12 +427,12 @@ def train_step(
     """One optimiser update on a batch of triplet instances."""
     if not batch:
         raise ValueError("empty batch")
-    value, grads = batch_loss_and_grads(state.model, table, batch)
+    value, gradient = batch_loss_and_grads(state.model, table, batch)
     if not np.isfinite(value.total):
         raise FloatingPointError(
             f"non-finite loss at epoch {state.epoch}: {value.per_component}"
         )
-    adam_update(state.model.params, grads, state.adam, state.model.config.learning_rate)
+    adam_update(state.model.vector, gradient, state.adam, state.model.config.learning_rate)
     return state, value
 
 
@@ -398,20 +444,14 @@ def validation_loss(
     """Classification terms over all validation rows plus the triplet term
     over the fixed validation triplet set."""
     components: dict[str, float] = {}
-    if model.layout.leaf or model.layout.levels or model.layout.binary:
+    if model.layout.heads():
         rows = np.arange(len(table.ids), dtype=np.intp)
         value, _ = batch_loss_and_grads(model, table, instances=None, rows=rows)
         components.update(value.per_component)
     if "T" in model.loss_config.active:
         if val_instances:
             b = len(val_instances)
-            row_ids = (
-                [i.anchor_id for i in val_instances]
-                + [i.positive_id for i in val_instances]
-                + [i.negative_id for i in val_instances]
-            )
-            rows = np.array([table.index[sid] for sid in row_ids], dtype=np.intp)
-            emb, _, _ = model.forward_batch(table.features[rows])
+            emb, _, _ = model.forward_batch(table.features[triplet_rows(table, val_instances)])
             values, _, _, _ = losses.triplet_loss_batch(
                 emb[:b], emb[b : 2 * b], emb[2 * b :], model.loss_config.margin
             )
@@ -492,58 +532,27 @@ def fit(
                 row[f"val_{name}"] = val_value.per_component[name]
         row["val_total"] = val_value.total
         log.append(row)
-    best_model = EmbeddingModel(
-        model.config, model.loss_config, model.layout, state.best_params
-    )
+    best_model = EmbeddingModel(model.config, model.loss_config, layout, state.best_params)
     return best_model, log
 
 
 # -- checkpoint IO -------------------------------------------------------------
 
-CHECKPOINT_FORMAT = "hieremb-checkpoint-v1"
+CHECKPOINT_FORMAT = "hieremb-checkpoint-v2"
 
 
 def save_checkpoint(path: str | Path, model: EmbeddingModel, extra: dict | None = None) -> None:
-    layout = model.layout
+    """The config, the head layout, and the flat parameter vector; shapes
+    follow from the first two (`param_shapes`)."""
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "model": {
-            "input_dim": model.config.input_dim,
-            "hidden_dim": model.config.hidden_dim,
-            "embedding_dim": model.config.embedding_dim,
-            "learning_rate": model.config.learning_rate,
-            "batch_size": model.config.batch_size,
-        },
+        "model": asdict(model.config),
         "loss": {
             "active": sorted(model.loss_config.active),
             "margin": model.loss_config.margin,
         },
-        "layout": {
-            "leaf": None
-            if layout.leaf is None
-            else {
-                "classes": layout.leaf.classes,
-                "weights": [float(w) for w in layout.leaf.class_weights],
-            },
-            "levels": [
-                {
-                    "level": head.level,
-                    "classes": head.classes,
-                    "weights": [float(w) for w in head.class_weights],
-                }
-                for head in layout.levels
-            ],
-            "binary": None
-            if layout.binary is None
-            else {
-                "nodes": layout.binary.nodes,
-                "weights": [float(w) for w in layout.binary.node_weights],
-            },
-        },
-        "params": {
-            key: {"shape": list(value.shape), "data": [float(x) for x in value.ravel()]}
-            for key, value in model.params.items()
-        },
+        "layout": model.layout.to_json(),
+        "params": model.vector.tolist(),
         "extra": extra or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -556,37 +565,14 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingModel, dict]:
         payload = json.load(fh)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    config = ModelConfig(**payload["model"])
-    loss_config = LossConfig(
-        active=frozenset(payload["loss"]["active"]), margin=payload["loss"]["margin"]
-    )
-    lay = payload["layout"]
-    leaf = None
-    if lay["leaf"] is not None:
-        leaf = ClassificationHead(
-            name="leaf",
-            level=None,
-            classes=list(lay["leaf"]["classes"]),
-            class_weights=np.array(lay["leaf"]["weights"]),
+    loss = payload["loss"]
+    try:
+        model = EmbeddingModel(
+            ModelConfig(**payload["model"]),
+            LossConfig(active=frozenset(loss["active"]), margin=loss["margin"]),
+            HeadLayout.from_json(payload["layout"]),
+            np.array(payload["params"], dtype=np.float64),
         )
-    levels = [
-        ClassificationHead(
-            name=f"level_{entry['level']}",
-            level=int(entry["level"]),
-            classes=list(entry["classes"]),
-            class_weights=np.array(entry["weights"]),
-        )
-        for entry in lay["levels"]
-    ]
-    binary = None
-    if lay["binary"] is not None:
-        binary = BinaryHead(
-            nodes=list(lay["binary"]["nodes"]),
-            node_weights=np.array(lay["binary"]["weights"]),
-        )
-    params = {
-        key: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for key, entry in payload["params"].items()
-    }
-    model = EmbeddingModel(config, loss_config, HeadLayout(leaf, levels, binary), params)
-    return model, copy.deepcopy(payload.get("extra", {}))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    return model, payload.get("extra", {})

@@ -89,7 +89,8 @@ def grad_check_max_err(active, seed, dim=8, hidden=16, emb_dim=4, batch=6, step=
         layout,
         seed=[seed, 1],
     )
-    _, grads = batch_loss_and_grads(model, table, batch_instances)
+    _, gradient = batch_loss_and_grads(model, table, batch_instances)
+    grads = model.views(gradient)
 
     worst = 0.0
     for key in sorted(model.params):

@@ -16,7 +16,7 @@ from hieremb.metrics import (
     leaf_f1,
     mnr,
     ndcg,
-    relevance,
+    relevance_table,
     rp_at_k,
 )
 from hieremb.taxonomy import parse_taxonomy
@@ -77,6 +77,25 @@ class TestRankedLists:
             _, ids, _, embeddings = random_instance(rng)
             lib = candidate_lists(build_ranked_lists(embeddings, ids))
             assert lib == ranked_lists_oracle(embeddings, ids)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7, 1000])
+    def test_duplicate_embeddings_tie_in_id_order(self, monkeypatch, block_rows):
+        # a few distinct vectors repeated over the pool: BLAS can round the
+        # same dot product differently by its place in the output, yet
+        # duplicates must tie exactly, so each duplicate set forms one run
+        # of candidates in ascending id order
+        rng = np.random.default_rng(12)
+        for n, dim in [(20, 3), (33, 5), (50, 8), (64, 16), (80, 24), (101, 32)]:
+            base = rng.normal(size=(5, dim))
+            group = rng.integers(5, size=n)
+            ids = [f"s{i:03d}" for i in range(n)]
+            monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_rows * 8 * n)
+            ranking = build_ranked_lists(dict(zip(ids, base[group])), ids)
+            for row in ranking.order:
+                groups = group[row]
+                assert np.count_nonzero(np.diff(groups)) == len(np.unique(groups)) - 1
+                for g in np.unique(groups):
+                    assert np.all(np.diff(row[groups == g]) > 0)
 
     def test_needs_two_samples(self):
         with pytest.raises(MetricError, match="two samples"):
@@ -297,13 +316,13 @@ class TestMnr:
 class TestRelevance:
     def test_same_leaf(self, t0):
         a1 = t0.id_of("a1")
-        assert relevance(t0, a1, a1, "sum") == 1.0
-        assert relevance(t0, a1, a1, "max") == 1.0
+        assert relevance_table(t0, [a1, a1], "sum")[0, 1] == 1.0
+        assert relevance_table(t0, [a1], "max")[0, 0] == 1.0
 
     def test_t0_values(self, t0):
         a1, a2, b1 = t0.id_of("a1"), t0.id_of("a2"), t0.id_of("b1")
-        assert relevance(t0, a1, a2, "sum") == pytest.approx(0.5)
-        assert relevance(t0, a1, b1, "max") == pytest.approx(0.0)
+        assert relevance_table(t0, [a1, a2, b1], "sum")[0, 1] == pytest.approx(0.5)
+        assert relevance_table(t0, [a1, a2, b1], "max")[0, 2] == pytest.approx(0.0)
 
     def test_in_unit_interval_and_matches_oracle(self):
         rng = np.random.default_rng(5)
@@ -311,10 +330,11 @@ class TestRelevance:
             tax = parse_taxonomy(random_tree_doc(rng, max_children=3))
             leaves = sorted(tax.leaf_ids)
             hd = height_diameter_oracle(tax)
+            tables = {kind: relevance_table(tax, leaves, kind) for kind in ("sum", "max")}
             for _ in range(20):
                 l1, l2 = rng.choice(leaves, size=2)
                 for kind in ("sum", "max"):
-                    value = relevance(tax, int(l1), int(l2), kind)
+                    value = tables[kind][leaves.index(l1), leaves.index(l2)]
                     assert 0.0 <= value <= 1.0
                     assert value == pytest.approx(
                         relevance_oracle(tax, int(l1), int(l2), kind, height_diameter=hd)
@@ -322,7 +342,7 @@ class TestRelevance:
 
     def test_unknown_kind(self, t0):
         with pytest.raises(MetricError, match="kind"):
-            relevance(t0, t0.id_of("a1"), t0.id_of("a2"), "avg")
+            relevance_table(t0, [t0.id_of("a1"), t0.id_of("a2")], "avg")
 
 
 class TestNdcg:

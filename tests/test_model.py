@@ -1,10 +1,13 @@
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hieremb.cli import VALID_COMBOS
 from hieremb.datasplit import make_fold_splits, partition_samples
-from hieremb.losses import LossConfig, log_softmax
+from hieremb.losses import LossConfig, combo_name, log_softmax
 from hieremb.model import (
     AdamState,
     EmbeddingModel,
@@ -96,17 +99,18 @@ class TestForward:
             ),
             seed=0,
         )
-        emb, logits = model.forward(np.zeros(16))
-        assert emb.shape == (8,)
-        assert logits == {}
+        emb, logits, _ = model.forward_batch(np.zeros((1, 16)))
+        assert emb.shape == (1, 8)
+        assert logits.shape == (1, 0)
 
     def test_head_logit_shapes(self):
         _, _, _, layout, _, model = five_leaf_problem({"L", "PL", "B"})
-        _, logits = model.forward(np.zeros(8))
-        assert logits["leaf"].shape == (5,)
-        assert logits["level_1"].shape == (3,)
-        assert logits["level_2"].shape == (5,)
-        assert logits["binary"].shape == (8,)
+        _, logits, _ = model.forward_batch(np.zeros((1, 8)))
+        assert logits.shape == (1, 21)
+        assert logits[:, layout.leaf.columns].shape == (1, 5)
+        assert logits[:, layout.levels[0].columns].shape == (1, 3)
+        assert logits[:, layout.levels[1].columns].shape == (1, 5)
+        assert logits[:, layout.binary.columns].shape == (1, 8)
 
     def test_zero_weights_leave_biases(self):
         _, _, _, _, _, model = five_leaf_problem({"L"})
@@ -114,24 +118,25 @@ class TestForward:
             if key.endswith(".W"):
                 model.params[key][:] = 0.0
         model.params["embed.2.b"][:] = 1.25
-        emb1, _ = model.forward(np.zeros(8))
-        emb2, _ = model.forward(np.ones(8) * 9.0)
+        emb1, _, _ = model.forward_batch(np.zeros((1, 8)))
+        emb2, _, _ = model.forward_batch(np.ones((1, 8)) * 9.0)
         assert np.allclose(emb1, 1.25)
         assert np.array_equal(emb1, emb2)
 
     def test_dimension_mismatch(self):
         _, _, _, _, _, model = five_leaf_problem({"L"})
         with pytest.raises(ValueError, match="expected"):
-            model.forward(np.zeros(9))
+            model.forward_batch(np.zeros((1, 9)))
 
     def test_deterministic(self):
         _, _, _, _, _, m1 = five_leaf_problem({"L"})
         _, _, _, _, _, m2 = five_leaf_problem({"L"})
-        x = np.linspace(-1, 1, 8)
-        e1, l1 = m1.forward(x)
-        e2, l2 = m2.forward(x)
+        x = np.linspace(-1, 1, 8)[None]
+        e1, l1, _ = m1.forward_batch(x)
+        e2, l2, _ = m2.forward_batch(x)
         assert np.array_equal(e1, e2)
-        assert np.array_equal(l1["leaf"], l2["leaf"])
+        leaf = m1.layout.leaf.columns
+        assert np.array_equal(l1[:, leaf], l2[:, leaf])
 
 
 class TestGradients:
@@ -160,16 +165,15 @@ class TestTrainStep:
         model = EmbeddingModel.initialise(
             ModelConfig(input_dim=2, hidden_dim=2, embedding_dim=2), config, layout, seed=0
         )
-        model.params["embed.1.W"] = np.eye(2)
-        model.params["embed.2.W"] = np.eye(2)
+        model.params["embed.1.W"][...] = np.eye(2)
+        model.params["embed.2.W"][...] = np.eye(2)
         before = model.clone_params()
         triples = enumerate_node_triples(tax)
         instances = instantiate_epoch(tax, samples, split, triples, epoch_seed=0)
         state = TrainState(model=model, adam=AdamState.for_params(model.params))
         state, value = train_step(state, instances, table)
         assert value.total == 0.0
-        for key in before:
-            assert np.array_equal(before[key], state.model.params[key])
+        assert np.array_equal(before, state.model.vector)
 
     def test_leaf_config_loss_decreases_on_separable_data(self):
         # sanity oracle: a hand-rolled single-layer softmax trainer must also
@@ -283,7 +287,7 @@ class TestFit:
         valid = partition_samples(samples, split, "valid")
         deepest = model.layout.levels[-1]
         _, logits, _ = model.forward_batch(np.stack([s.features for s in valid]))
-        picks = logits[deepest.name].argmax(axis=1)
+        picks = logits[:, deepest.columns].argmax(axis=1)
         accuracy = np.mean(
             [deepest.classes[i] == s.leaf for i, s in zip(picks, valid)]
         )
@@ -344,14 +348,55 @@ class TestCheckpoint:
         assert loaded.layout.binary.nodes == model.layout.binary.nodes
         for key in model.params:
             assert np.array_equal(loaded.params[key], model.params[key])
-        x = np.linspace(-0.5, 0.5, 8)
-        e1, l1 = model.forward(x)
-        e2, l2 = loaded.forward(x)
+        x = np.linspace(-0.5, 0.5, 8)[None]
+        e1, l1, _ = model.forward_batch(x)
+        e2, l2, _ = loaded.forward_batch(x)
         assert np.array_equal(e1, e2)
-        assert all(np.array_equal(l1[k], l2[k]) for k in l1)
+        assert np.array_equal(l1, l2)
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
         with pytest.raises(ValueError, match="checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("combo", VALID_COMBOS, ids=combo_name)
+    def test_round_trip_outputs_bitwise_equal(self, tmp_path, combo):
+        _, samples, _, _, _, model = five_leaf_problem(combo)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, model)
+        loaded, _ = load_checkpoint(path)
+        X = np.stack([s.features for s in samples])
+        for before, after in zip(model.forward_batch(X), loaded.forward_batch(X)):
+            assert np.array_equal(before, after)
+
+    def corrupted(self, tmp_path, edit):
+        _, _, _, _, _, model = five_leaf_problem({"L", "PL", "B", "T"})
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, model)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path, model
+
+    def test_truncated_parameter_vector_rejected(self, tmp_path):
+        path, model = self.corrupted(tmp_path, lambda payload: payload["params"].pop())
+        n = model.vector.size
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected {n} parameters, found {n - 1}")):
+            load_checkpoint(path)
+
+    def test_level_head_missing_a_weight_rejected(self, tmp_path):
+        path, _ = self.corrupted(
+            tmp_path, lambda payload: payload["layout"]["levels"][1]["weights"].pop()
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}: head level_2: expected 5 weights, found 4")):
+            load_checkpoint(path)
+
+    def test_v1_file_rejected(self, tmp_path):
+        def to_v1(payload):
+            payload["format"] = "hieremb-checkpoint-v1"
+            payload["params"] = {"embed.1.W": {"shape": [1], "data": payload["params"][:1]}}
+
+        path, _ = self.corrupted(tmp_path, to_v1)
+        with pytest.raises(ValueError, match="is not a hieremb-checkpoint-v2 file"):
             load_checkpoint(path)
