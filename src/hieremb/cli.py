@@ -31,6 +31,7 @@ from .losses import LossConfig, combo_name, parse_combo
 from .metrics import (
     MetricError,
     MetricsReport,
+    Ranking,
     acc_aware,
     acc_blind,
     build_ranked_lists,
@@ -223,6 +224,18 @@ def evaluate_model(
 ) -> MetricsReport:
     """Test-set metrics (leaf F1, RP@5, MNR, NDCG) or prediction-set metrics
     (LSA accuracies, NDCG), with the candidate pool being the subset itself."""
+    report, _, _ = _evaluate_ranked(model, taxonomy, dataset, split, subset)
+    return report
+
+
+def _evaluate_ranked(
+    model: EmbeddingModel,
+    taxonomy: Taxonomy,
+    dataset: list[LabeledSample],
+    split: SplitAssignment,
+    subset: str,
+) -> tuple[MetricsReport, Ranking, dict[str, int]]:
+    """`evaluate_model`'s report, plus the pool's ranking and leaf ids."""
     if subset not in ("test", "prediction"):
         raise ValueError("subset must be 'test' or 'prediction'")
     samples = partition_samples(dataset, split, subset)
@@ -259,7 +272,7 @@ def evaluate_model(
             )
             if report.acc_blind is not None and report.acc_aware:
                 report.ratio_blind_aware = report.acc_blind / report.acc_aware
-    return report
+    return report, ranked, leaf_of
 
 
 # -- experiment driver ----------------------------------------------------------
@@ -485,12 +498,13 @@ def cmd_evaluate(args) -> None:
     dataset = load_dataset(dataset_path)
     with open(split_path, encoding="utf-8") as fh:
         split = split_from_json(taxonomy, json.load(fh))
-    report = evaluate_model(model, taxonomy, dataset, split, args.set)
+    if args.diagnostics:
+        # the diagnostics reuse the ranking the metrics were computed from
+        report, ranked, leaf_of = _evaluate_ranked(model, taxonomy, dataset, split, args.set)
+    else:
+        report = evaluate_model(model, taxonomy, dataset, split, args.set)
     _write_json(Path(args.out), report.to_json())
     if args.diagnostics:
-        samples = partition_samples(dataset, split, args.set)
-        leaf_of = {s.id: taxonomy.leaf_id_for(s) for s in samples}
-        ranked = build_ranked_lists(model.embed_all(samples), [s.id for s in samples])
         rows = per_query_diagnostics(ranked, taxonomy, leaf_of)
         path = Path(args.diagnostics)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -146,10 +146,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.exp(-np.logaddexp(0.0, -x))
-
-
 def softmax_cross_entropy_batch(
     logits: np.ndarray, targets: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -220,11 +216,18 @@ def binary_cross_entropy_nodes_batch(
     if logits.shape != member.shape or logits.shape[-1] != weights.shape[0]:
         raise ValueError("logits, membership, and weights shapes do not line up")
     n_nodes = logits.shape[-1]
-    pos = np.logaddexp(0.0, -logits)  # -log sigmoid(z)
-    neg = np.logaddexp(0.0, logits)  # -log(1 - sigmoid(z))
-    terms = np.where(member, weights * pos, neg)
+    # softplus with one exp: -log s(z) = max(-z, 0) + log1p(e) and
+    # -log(1 - s(z)) = max(z, 0) + log1p(e), where e = exp(-|z|) <= 1
+    e = np.exp(-np.abs(logits))
+    softplus_tail = np.log1p(e)
+    terms = np.where(
+        member,
+        weights * (np.maximum(-logits, 0.0) + softplus_tail),
+        np.maximum(logits, 0.0) + softplus_tail,
+    )
     values = terms.sum(axis=-1) / n_nodes
-    probs = sigmoid(logits)
+    inverse = 1.0 / (1.0 + e)
+    probs = np.where(logits >= 0, inverse, e * inverse)  # s(z)
     grad = np.where(member, weights * (probs - 1.0), probs) / n_nodes
     return values, grad
 

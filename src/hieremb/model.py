@@ -10,6 +10,7 @@ Adam. Everything is plain numpy and deterministic given a seed.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from math import prod
 from pathlib import Path
@@ -121,12 +122,11 @@ def build_head_layout(
     for every head the count of a class is the number of training samples in
     its subtree.
     """
+    leaf_counts = Counter(pruned.leaf_id_for(sample) for sample in train_samples)
     node_counts = [0] * len(pruned)
-    for sample in train_samples:
-        node = pruned.leaf_id_for(sample)
-        while node is not None:
-            node_counts[node] += 1
-            node = pruned.parent(node)
+    for leaf, count in leaf_counts.items():
+        for node in pruned.path_to_root(leaf):
+            node_counts[node] += count
 
     def weights_for(node_ids: list[int]) -> np.ndarray:
         counts = {nid: node_counts[nid] for nid in node_ids}
@@ -178,24 +178,27 @@ def build_target_table(
     pruned: Taxonomy, layout: HeadLayout, samples: list[LabeledSample]
 ) -> TargetTable:
     leaf_ids = sorted(pruned.leaf_ids)
-    # targets are tabulated per leaf, then gathered by each sample's leaf row
+    # targets are tabulated per leaf from its root-to-leaf path, then
+    # gathered by each sample's leaf row
     leaf_row = np.searchsorted(leaf_ids, [pruned.leaf_id_for(s) for s in samples])
+    paths = [pruned.path_to_root(leaf)[::-1] for leaf in leaf_ids]
     class_targets = {}
     for head in layout.class_heads():
-        column = {name: i for i, name in enumerate(head.classes)}
-        targets = [
-            leaf if head.level is None else pruned.target_at_level(leaf, head.level)
-            for leaf in leaf_ids
-        ]
-        per_leaf = np.array([column[pruned.name(t)] for t in targets], dtype=np.intp)
+        column = {pruned.id_of(name): i for i, name in enumerate(head.classes)}
+        # a level's class is the ancestor-or-self at that depth, or the
+        # leaf itself when it is shallower (`target_at_level`)
+        per_leaf = np.array(
+            [column[path[-1 if head.level is None else min(head.level, len(path) - 1)]]
+             for path in paths],
+            dtype=np.intp,
+        )
         class_targets[head.name] = per_leaf[leaf_row]
     membership = None
     if layout.binary is not None:
-        node_ids = [pruned.id_of(name) for name in layout.binary.nodes]
-        per_leaf = np.array(
-            [[pruned.is_ancestor_or_self(n, leaf) for n in node_ids] for leaf in leaf_ids],
-            dtype=bool,
-        )
+        column = {pruned.id_of(name): i for i, name in enumerate(layout.binary.nodes)}
+        per_leaf = np.zeros((len(leaf_ids), len(column)), dtype=bool)
+        for row, path in enumerate(paths):
+            per_leaf[row, [column[node] for node in path if node in column]] = True
         membership = per_leaf[leaf_row]
     ids = [s.id for s in samples]
     return TargetTable(
@@ -565,14 +568,16 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingModel, dict]:
         payload = json.load(fh)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    loss = payload["loss"]
     try:
+        loss = payload["loss"]
         model = EmbeddingModel(
             ModelConfig(**payload["model"]),
             LossConfig(active=frozenset(loss["active"]), margin=loss["margin"]),
             HeadLayout.from_json(payload["layout"]),
             np.array(payload["params"], dtype=np.float64),
         )
+    except KeyError as err:
+        raise ValueError(f"{path}: missing key {err}") from None
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
     return model, payload.get("extra", {})

@@ -124,18 +124,19 @@ def instantiate_epoch(
             pools[node_id] = cached
         return cached
 
-    rng = np.random.default_rng(epoch_seed)
-    instances = []
+    # All draws of the epoch come from one `integers` call over the
+    # concatenated bounds, which consumes the generator exactly as per-triple
+    # calls would: one uniform draw per node of a distinct-node triple, and
+    # for a same-node pair the draws `choice(n, 2, replace=False)` makes
+    # (Floyd's algorithm: [0, n-1) and [0, n), then a swap draw in [0, 2)).
+    picks = []  # (anchor pool, positive pool or None when same, negative pool)
+    highs: list[int] = []
     for triple in triples:
         anchor_pool = pool(triple.anchor_node)
         negative_pool = pool(triple.negative_node)
-        if triple.anchor_node == triple.positive_node:
-            needed = 2
-            positive_pool = anchor_pool
-        else:
-            needed = 1
-            positive_pool = pool(triple.positive_node)
-        if len(anchor_pool) < needed or not positive_pool or not negative_pool:
+        same = triple.anchor_node == triple.positive_node
+        positive_pool = anchor_pool if same else pool(triple.positive_node)
+        if len(anchor_pool) < 1 + same or not positive_pool or not negative_pool:
             if skip_infeasible:
                 continue
             node = min(
@@ -146,12 +147,22 @@ def instantiate_epoch(
                 f"node {taxonomy.name(node)!r} has too few {subset} samples "
                 f"for triple {tuple(taxonomy.name(n) for n in triple)}"
             )
-        if triple.anchor_node == triple.positive_node:
-            i, j = rng.choice(len(anchor_pool), size=2, replace=False)
-            anchor, positive = anchor_pool[i], anchor_pool[j]
-        else:
-            anchor = anchor_pool[rng.integers(len(anchor_pool))]
-            positive = positive_pool[rng.integers(len(positive_pool))]
-        negative = negative_pool[rng.integers(len(negative_pool))]
-        instances.append(TripletInstance(anchor, positive, negative))
+        n = len(anchor_pool)
+        highs += (n - 1, n, 2) if same else (n, len(positive_pool))
+        highs.append(len(negative_pool))
+        picks.append((anchor_pool, None if same else positive_pool, negative_pool))
+
+    draws = iter(np.random.default_rng(epoch_seed).integers(0, highs).tolist())
+    instances = []
+    for anchor_pool, positive_pool, negative_pool in picks:
+        i, j = next(draws), next(draws)
+        if positive_pool is None:
+            # Floyd: a repeat of the first index becomes the top index
+            if j == i:
+                j = len(anchor_pool) - 1
+            if next(draws) == 0:
+                i, j = j, i
+            positive_pool = anchor_pool
+        negative = negative_pool[next(draws)]
+        instances.append(TripletInstance(anchor_pool[i], positive_pool[j], negative))
     return instances

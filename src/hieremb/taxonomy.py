@@ -200,7 +200,7 @@ class Taxonomy:
         are dropped; the deepest retained level's class set is the leaf set.
         """
         if self._levels_cache is None:
-            height, _ = self.height_and_diameter()
+            height = max(self._depths)
             levels = []
             for level in range(1, height + 1):
                 class_set = [

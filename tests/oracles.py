@@ -220,3 +220,59 @@ def uniform_tree_doc(rng: np.random.Generator, depth=3, min_children=2, max_chil
         return node
 
     return build(0)
+
+
+def instantiate_epoch_oracle(
+    taxonomy, dataset, split, triples, epoch_seed, subset="train", skip_infeasible=False
+):
+    """Per-triple draws: `integers` for each node of a distinct-node triple,
+    `choice(n, 2, replace=False)` for a same-node anchor/positive pair."""
+    from hieremb.sampler import SamplerError, TripletInstance
+
+    by_leaf = {}
+    for sample in dataset:
+        if split.partition.get(sample.id) == subset:
+            by_leaf.setdefault(taxonomy.id_of(sample.leaf), []).append(sample.id)
+
+    pools = {}
+
+    def pool(node):
+        if node not in pools:
+            leaves = leaves_under_oracle(taxonomy, node)
+            pools[node] = sorted(sid for leaf in leaves for sid in by_leaf.get(leaf, ()))
+        return pools[node]
+
+    rng = np.random.default_rng(epoch_seed)
+    instances = []
+    for triple in triples:
+        anchor_pool = pool(triple.anchor_node)
+        negative_pool = pool(triple.negative_node)
+        same = triple.anchor_node == triple.positive_node
+        positive_pool = anchor_pool if same else pool(triple.positive_node)
+        if len(anchor_pool) < (2 if same else 1) or not positive_pool or not negative_pool:
+            if skip_infeasible:
+                continue
+            node = min(triple, key=lambda n: len(pool(n)))
+            raise SamplerError(
+                f"node {taxonomy.name(node)!r} has too few {subset} samples "
+                f"for triple {tuple(taxonomy.name(n) for n in triple)}"
+            )
+        if same:
+            i, j = rng.choice(len(anchor_pool), size=2, replace=False)
+            anchor, positive = anchor_pool[i], anchor_pool[j]
+        else:
+            anchor = anchor_pool[rng.integers(len(anchor_pool))]
+            positive = positive_pool[rng.integers(len(positive_pool))]
+        negative = negative_pool[rng.integers(len(negative_pool))]
+        instances.append(TripletInstance(anchor, positive, negative))
+    return instances
+
+
+def binary_cross_entropy_oracle(logits, membership, weights):
+    """Node-averaged weighted BCE per row and its logit gradient, in the
+    `logaddexp` form: -log s(z) = logaddexp(0, -z), s(z) = exp(-logaddexp(0, -z))."""
+    n_nodes = logits.shape[-1]
+    terms = np.where(membership, weights * np.logaddexp(0.0, -logits), np.logaddexp(0.0, logits))
+    probs = np.exp(-np.logaddexp(0.0, -logits))
+    grad = np.where(membership, weights * (probs - 1.0), probs) / n_nodes
+    return terms.sum(axis=-1) / n_nodes, grad

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from hieremb import cli
 from hieremb.cli import (
     VALID_COMBOS,
     ExperimentConfig,
@@ -17,8 +18,10 @@ from hieremb.cli import (
     run_experiment,
 )
 from hieremb.dataset import save_dataset
+from hieremb.datasplit import partition_samples, split_to_json
 from hieremb.losses import LossConfig
-from hieremb.model import ModelConfig, fit
+from hieremb.metrics import build_ranked_lists, per_query_diagnostics
+from hieremb.model import ModelConfig, fit, save_checkpoint
 from hieremb.synthdata import SynthConfig, generate
 from hieremb.taxonomy import parse_taxonomy, save_taxonomy
 
@@ -128,6 +131,49 @@ class TestEvaluateModel:
             assert report.ratio_blind_aware == pytest.approx(
                 report.acc_blind / report.acc_aware
             )
+
+
+    @pytest.mark.parametrize("subset", ["test", "prediction"])
+    def test_diagnostics_reuse_the_ranking(self, trained, tmp_path, monkeypatch, subset):
+        tax, samples, split, models = trained
+        model = models[frozenset({"PL", "T"})]
+        save_taxonomy(tmp_path / "taxonomy.json", tax)
+        save_dataset(tmp_path / "dataset.jsonl", samples)
+        (tmp_path / "split.json").write_text(json.dumps(split_to_json(tax, split)))
+        save_checkpoint(tmp_path / "checkpoint.json", model)
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_ranked_lists(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_ranked_lists", counted)
+        diag = tmp_path / "diag.csv"
+        main([
+            "evaluate",
+            "--checkpoint", str(tmp_path / "checkpoint.json"),
+            "--taxonomy", str(tmp_path / "taxonomy.json"),
+            "--dataset", str(tmp_path / "dataset.jsonl"),
+            "--split", str(tmp_path / "split.json"),
+            "--set", subset,
+            "--out", str(tmp_path / "metrics.json"),
+            "--diagnostics", str(diag),
+        ])
+        assert len(calls) == 1
+
+        # the same rows as ranking the pool anew and reducing it directly
+        pool = partition_samples(samples, split, subset)
+        leaf_of = {s.id: tax.leaf_id_for(s) for s in pool}
+        ranked = build_ranked_lists(model.embed_all(pool), [s.id for s in pool])
+        expected = [
+            {k: "" if v is None else str(v) for k, v in row.items()}
+            for row in per_query_diagnostics(ranked, tax, leaf_of)
+        ]
+        with open(diag, newline="") as fh:
+            assert list(csv.DictReader(fh)) == expected
+        report = evaluate_model(model, tax, samples, split, subset)
+        assert json.loads((tmp_path / "metrics.json").read_text()) == report.to_json()
 
 
 class TestRunExperiment:

@@ -3,6 +3,7 @@ import pytest
 
 from hieremb.losses import (
     LossConfig,
+    binary_cross_entropy_nodes_batch,
     binary_node_loss,
     class_weights,
     combine,
@@ -16,7 +17,7 @@ from hieremb.losses import (
     triplet_loss,
 )
 
-from oracles import fd_gradient, gradient_rel_error
+from oracles import binary_cross_entropy_oracle, fd_gradient, gradient_rel_error
 
 
 def vectors_with_distances(d_ap, d_an):
@@ -202,6 +203,21 @@ class TestBinaryNodeLoss:
             _, grad = binary_node_loss(logits, member, weights)
             fd = fd_gradient(lambda z: binary_node_loss(z, member, weights)[0], logits)
             assert gradient_rel_error(grad, fd) < 1e-6
+
+    def test_batch_matches_logaddexp_oracle(self):
+        # rows as wide as a wide tree's binary head (~200 nodes): one ulp of
+        # s(z) (1.1e-16) divided by the node count stays below 1e-17
+        rng = np.random.default_rng(10)
+        for scale in (1.0, 10.0, 100.0, 800.0):
+            logits = rng.uniform(-scale, scale, size=(16, 200))
+            logits[0, :4] = [0.0, -0.0, scale, -scale]
+            member = rng.random((16, 200)) < 0.3
+            weights = rng.uniform(0.2, 3.0, size=200)
+            values, grad = binary_cross_entropy_nodes_batch(logits, member, weights)
+            want_values, want_grad = binary_cross_entropy_oracle(logits, member, weights)
+            assert np.isfinite(values).all() and np.isfinite(grad).all()
+            assert np.max(np.abs(values - want_values) / want_values) <= 1e-15
+            assert np.max(np.abs(grad - want_grad)) <= 1e-17
 
 
 class TestPerLevelLoss:

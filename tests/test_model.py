@@ -392,6 +392,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"{path}: head level_2: expected 5 weights, found 4")):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda payload: payload.pop("layout"), "layout"),
+            (lambda payload: payload.pop("params"), "params"),
+            (lambda payload: payload["layout"]["levels"][0].pop("weights"), "weights"),
+        ],
+        ids=["layout", "params", "level-head-weights"],
+    )
+    def test_missing_key_rejected(self, tmp_path, edit, key):
+        path, _ = self.corrupted(tmp_path, edit)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing key '{key}'")):
+            load_checkpoint(path)
+
     def test_v1_file_rejected(self, tmp_path):
         def to_v1(payload):
             payload["format"] = "hieremb-checkpoint-v1"

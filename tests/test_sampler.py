@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hieremb.sampler import (
     SamplerError,
@@ -10,7 +11,7 @@ from hieremb.sampler import (
 from hieremb.taxonomy import parse_taxonomy
 
 from conftest import all_train_split, make_samples
-from oracles import random_tree_doc
+from oracles import instantiate_epoch_oracle, random_tree_doc
 
 
 def named_triples(tax, triples):
@@ -184,3 +185,45 @@ class TestInstantiation:
         )
         for inst in instances:
             assert {inst.anchor_id, inst.positive_id, inst.negative_id} <= valid_ids
+
+
+def outcome(sample_epoch, *args, **kwargs):
+    """The instances, or the SamplerError message."""
+    try:
+        return sample_epoch(*args, **kwargs)
+    except SamplerError as err:
+        return f"SamplerError: {err}"
+
+
+class TestEpochDrawOracle:
+    """One `integers` call per epoch must consume the generator exactly as
+    the per-triple `integers`/`choice(n, 2, replace=False)` calls did, which
+    assumes `choice` without replacement is Floyd's algorithm plus a swap."""
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_per_leaf=st.integers(2, 30),
+        empty_share=st.sampled_from([0.0, 0.1]),
+        valid_share=st.sampled_from([0.0, 0.2, 0.6]),
+    )
+    def test_random_trees_match_per_triple_draws(
+        self, seed, max_per_leaf, empty_share, valid_share
+    ):
+        rng = np.random.default_rng(seed)
+        tax = parse_taxonomy(random_tree_doc(rng))
+        per_leaf = {
+            tax.name(l): 0 if rng.random() < empty_share else int(rng.integers(2, max_per_leaf + 1))
+            for l in tax.leaf_ids
+        }
+        samples = make_samples(tax, per_leaf, seed=seed % 1000)
+        split = all_train_split(tax, samples)
+        for s in samples:
+            if rng.random() < valid_share:
+                split.partition[s.id] = "valid"
+        triples = enumerate_node_triples(tax)
+        for epoch_seed in (seed, [seed, 2]):
+            args = (tax, samples, split, triples, epoch_seed)
+            assert outcome(instantiate_epoch, *args) == outcome(instantiate_epoch_oracle, *args)
+            kwargs = {"subset": "valid", "skip_infeasible": True}
+            assert instantiate_epoch(*args, **kwargs) == instantiate_epoch_oracle(*args, **kwargs)
