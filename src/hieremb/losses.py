@@ -105,9 +105,10 @@ def triplet_loss_batch(
 
     The hinge subgradient at the kink is 0, so satisfied triplets stay inert.
     """
-    ua, na = unit_rows(emb_anchor)
-    up, npos = unit_rows(emb_positive)
-    un, nn = unit_rows(emb_negative)
+    b = len(emb_anchor)
+    unit, norms = unit_rows(np.concatenate([emb_anchor, emb_positive, emb_negative]))
+    ua, up, un = unit[:b], unit[b : 2 * b], unit[2 * b :]
+    na, npos, nn = norms[:b], norms[b : 2 * b], norms[2 * b :]
     sim_ap = (ua * up).sum(axis=1)
     sim_an = (ua * un).sum(axis=1)
     raw = -sim_ap + sim_an + margin  # d_ap - d_an + margin

@@ -10,6 +10,7 @@ Adam. Everything is plain numpy and deterministic given a seed.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from math import prod
@@ -238,6 +239,13 @@ class EmbeddingModel:
         self.config = config
         self.loss_config = loss_config
         self.layout = layout
+        # (name, start, stop, shape) of every parameter in the flat vector
+        self._slots = []
+        stop = 0
+        for name, shape in param_shapes(config, layout).items():
+            start, stop = stop, stop + prod(shape)
+            self._slots.append((name, start, stop, shape))
+        self._size = stop
         self.vector = vector
         self.params = self.views(vector)
 
@@ -262,12 +270,9 @@ class EmbeddingModel:
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Named views into a vector laid out like this model's parameters."""
-        shapes = param_shapes(self.config, self.layout)
-        sizes = [prod(shape) for shape in shapes.values()]
-        if vector.shape != (sum(sizes),):
-            raise ValueError(f"expected {sum(sizes)} parameters, found {vector.size}")
-        parts = np.split(vector, np.cumsum(sizes)[:-1])
-        return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+        if vector.shape != (self._size,):
+            raise ValueError(f"expected {self._size} parameters, found {vector.size}")
+        return {name: vector[start:stop].reshape(shape) for name, start, stop, shape in self._slots}
 
     def forward_batch(self, X: np.ndarray):
         """Embeddings, fused head logits (`head.columns` picks one head's
@@ -306,52 +311,30 @@ def triplet_rows(table: TargetTable, instances: list[TripletInstance]) -> np.nda
     return np.array([table.index[sid] for sid in ids], dtype=np.intp)
 
 
-def batch_loss_and_grads(
-    model: EmbeddingModel,
-    table: TargetTable,
-    instances: list[TripletInstance] | None,
-    rows: np.ndarray | None = None,
-) -> tuple[LossValue, np.ndarray]:
-    """Active-loss total and its analytic gradient for one batch, as a
-    vector laid out like `model.vector`.
+def head_losses(
+    layout: HeadLayout,
+    logits: np.ndarray,
+    class_targets: dict[str, np.ndarray],
+    membership: np.ndarray | None,
+    with_grad: bool = False,
+) -> tuple[dict[str, float], np.ndarray | None]:
+    """Mean L, PL and B values over the rows of the fused logits, and with
+    `with_grad` their gradient with respect to the logits (else None).
 
-    With `instances`, rows are the stacked anchors, positives, and negatives;
-    the triplet term averages over the instances and classification terms over
-    all constituent rows. With explicit `rows` (validation), only
-    classification terms apply.
+    `class_targets` and `membership` hold the rows' targets, laid out like
+    `TargetTable.class_targets` and `TargetTable.binary_membership`.
     """
-    cfg = model.loss_config
-    layout = model.layout
-    n_triplets = 0
-    if instances is not None:
-        n_triplets = len(instances)
-        rows = triplet_rows(table, instances)
-    elif rows is None:
-        raise ValueError("either instances or rows must be given")
-    X = table.features[rows]
-    emb, logits, hidden = model.forward_batch(X)
-    n_rows = X.shape[0]
-
+    n_rows = logits.shape[0]
     components: dict[str, float] = {}
-    grad_emb = np.zeros_like(emb)
-    if "T" in cfg.active and n_triplets > 0:
-        b = n_triplets
-        values, ga, gp, gn = losses.triplet_loss_batch(
-            emb[:b], emb[b : 2 * b], emb[2 * b :], cfg.margin
-        )
-        components["T"] = float(values.mean())
-        grad_emb[:b] += ga / b
-        grad_emb[b : 2 * b] += gp / b
-        grad_emb[2 * b :] += gn / b
-
     # each head's loss fills its segment of the fused logit gradient
-    grad_logits = np.empty_like(logits)
+    grad_logits = np.empty_like(logits) if with_grad else None
     level_total = 0.0
     for head in layout.class_heads():
         values, grad = losses.softmax_cross_entropy_batch(
-            logits[:, head.columns], table.class_targets[head.name][rows], head.class_weights
+            logits[:, head.columns], class_targets[head.name], head.class_weights
         )
-        grad_logits[:, head.columns] = grad / n_rows
+        if with_grad:
+            grad_logits[:, head.columns] = grad / n_rows
         if head is layout.leaf:
             components["L"] = float(values.mean())
         else:
@@ -361,14 +344,50 @@ def batch_loss_and_grads(
     if layout.binary is not None:
         columns = layout.binary.columns
         values, grad = losses.binary_cross_entropy_nodes_batch(
-            logits[:, columns], table.binary_membership[rows], layout.binary.node_weights
+            logits[:, columns], membership, layout.binary.node_weights
         )
         components["B"] = float(values.mean())
-        grad_logits[:, columns] = grad / n_rows
+        if with_grad:
+            grad_logits[:, columns] = grad / n_rows
+    return components, grad_logits
 
-    # "T" may be legitimately absent here (validation rows); fill for combine
-    expected = {name for name in cfg.active if name != "T" or "T" in components}
-    value = losses.combine(components, active=frozenset(expected))
+
+def batch_loss_and_grads(
+    model: EmbeddingModel, table: TargetTable, instances: list[TripletInstance]
+) -> tuple[LossValue, np.ndarray]:
+    """Active-loss total and its analytic gradient for one batch, as a
+    vector laid out like `model.vector`.
+
+    Rows are the stacked anchors, positives, and negatives; the triplet term
+    averages over the instances and classification terms over all rows.
+    """
+    cfg = model.loss_config
+    b = len(instances)
+    rows = triplet_rows(table, instances)
+    X = table.features[rows]
+    emb, logits, hidden = model.forward_batch(X)
+
+    components: dict[str, float] = {}
+    grad_emb = np.zeros_like(emb)
+    if "T" in cfg.active:
+        values, ga, gp, gn = losses.triplet_loss_batch(
+            emb[:b], emb[b : 2 * b], emb[2 * b :], cfg.margin
+        )
+        components["T"] = float(values.mean())
+        grad_emb[:b] += ga / b
+        grad_emb[b : 2 * b] += gp / b
+        grad_emb[2 * b :] += gn / b
+
+    membership = table.binary_membership
+    head_components, grad_logits = head_losses(
+        model.layout,
+        logits,
+        {name: targets[rows] for name, targets in table.class_targets.items()},
+        None if membership is None else membership[rows],
+        with_grad=True,
+    )
+    components.update(head_components)
+    value = losses.combine(components, active=cfg.active)
 
     p = model.params
     gradient = np.empty_like(model.vector)
@@ -406,13 +425,20 @@ def adam_update(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One Adam step on a flat parameter vector, in place."""
+    """One Adam step on a flat parameter vector; the parameters and both
+    moment vectors are updated in place."""
     state.step += 1
-    state.first = beta1 * state.first + (1 - beta1) * grads
-    state.second = beta2 * state.second + (1 - beta2) * grads**2
-    m_hat = state.first / (1.0 - beta1**state.step)
-    v_hat = state.second / (1.0 - beta2**state.step)
-    params -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    state.first *= beta1
+    state.first += (1 - beta1) * grads
+    state.second *= beta2
+    state.second += (1 - beta2) * grads**2
+    step = state.first / (1.0 - beta1**state.step)
+    step *= learning_rate
+    denom = state.second / (1.0 - beta2**state.step)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    params -= step
 
 
 @dataclass
@@ -442,21 +468,23 @@ def train_step(
 def validation_loss(
     model: EmbeddingModel,
     table: TargetTable,
-    val_instances: list[TripletInstance],
+    val_rows: np.ndarray,
 ) -> LossValue:
     """Classification terms over all validation rows plus the triplet term
-    over the fixed validation triplet set."""
-    components: dict[str, float] = {}
-    if model.layout.heads():
-        rows = np.arange(len(table.ids), dtype=np.intp)
-        value, _ = batch_loss_and_grads(model, table, instances=None, rows=rows)
-        components.update(value.per_component)
+    over the fixed validation triplet set, from one forward pass.
+
+    `val_rows` are the table rows of the triplets (`triplet_rows`).
+    """
+    emb, logits, _ = model.forward_batch(table.features)
+    components, _ = head_losses(
+        model.layout, logits, table.class_targets, table.binary_membership
+    )
     if "T" in model.loss_config.active:
-        if val_instances:
-            b = len(val_instances)
-            emb, _, _ = model.forward_batch(table.features[triplet_rows(table, val_instances)])
+        if len(val_rows):
+            b = len(val_rows) // 3
+            triplets = emb[val_rows]
             values, _, _, _ = losses.triplet_loss_batch(
-                emb[:b], emb[b : 2 * b], emb[2 * b :], model.loss_config.margin
+                triplets[:b], triplets[b : 2 * b], triplets[2 * b :], model.loss_config.margin
             )
             components["T"] = float(values.mean())
         else:
@@ -496,6 +524,7 @@ def fit(
             pruned, dataset, split, triples, epoch_seed=[seed, 2],
             subset="valid", skip_infeasible=True,
         )
+    val_rows = triplet_rows(valid_table, val_instances)
     model = EmbeddingModel.initialise(model_config, loss_config, layout, seed=[seed, 1])
     state = TrainState(
         model=model, adam=AdamState.for_params(model.params), best_params=model.clone_params()
@@ -517,7 +546,7 @@ def fit(
                 sums[name] = sums.get(name, 0.0) + comp * scale
                 counts[name] = counts.get(name, 0.0) + scale
         train_means = {name: sums[name] / counts[name] for name in sums}
-        val_value = validation_loss(state.model, valid_table, val_instances)
+        val_value = validation_loss(state.model, valid_table, val_rows)
         if not np.isfinite(val_value.total):
             raise FloatingPointError(
                 f"non-finite validation loss at epoch {epoch}: {val_value.per_component}"
@@ -546,7 +575,8 @@ CHECKPOINT_FORMAT = "hieremb-checkpoint-v2"
 
 def save_checkpoint(path: str | Path, model: EmbeddingModel, extra: dict | None = None) -> None:
     """The config, the head layout, and the flat parameter vector; shapes
-    follow from the first two (`param_shapes`)."""
+    follow from the first two (`param_shapes`). The file is replaced
+    atomically."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "model": asdict(model.config),
@@ -558,9 +588,16 @@ def save_checkpoint(path: str | Path, model: EmbeddingModel, extra: dict | None 
         "params": model.vector.tolist(),
         "extra": extra or {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    text = json.dumps(payload) + "\n"
+    # written beside the target, then renamed onto it, so a failed save
+    # leaves any earlier checkpoint whole
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        partial.write_text(text, encoding="utf-8")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> tuple[EmbeddingModel, dict]:

@@ -161,16 +161,19 @@ class Taxonomy:
     def height_and_diameter(self) -> tuple[int, int]:
         """Longest root-to-leaf path and longest leaf-to-leaf path, in edges."""
         if self._height_diameter_cache is None:
-            leaves = sorted(self.leaf_ids)
-            height = max(self._depths[l] for l in leaves)
+            # children have larger ids than their parents, so one pass in
+            # descending id order sees every subtree before its root; the
+            # longest leaf-to-leaf path bends at the node whose two deepest
+            # child subtrees are longest together
+            below = [0] * len(self._names)  # edges down to the deepest leaf
             diameter = 0
-            for i, l1 in enumerate(leaves):
-                for l2 in leaves[i + 1 :]:
-                    a = self.lca(l1, l2)
-                    diameter = max(
-                        diameter, self._depths[l1] + self._depths[l2] - 2 * self._depths[a]
-                    )
-            self._height_diameter_cache = (height, diameter)
+            for nid in reversed(range(len(self._names))):
+                reach = sorted(below[c] + 1 for c in self._children[nid])
+                if reach:
+                    below[nid] = reach[-1]
+                if len(reach) > 1:
+                    diameter = max(diameter, reach[-1] + reach[-2])
+            self._height_diameter_cache = (below[self.root], diameter)
         return self._height_diameter_cache
 
     def leaves_under(self, node_id: int) -> tuple[int, ...]:

@@ -276,3 +276,64 @@ def binary_cross_entropy_oracle(logits, membership, weights):
     probs = np.exp(-np.logaddexp(0.0, -logits))
     grad = np.where(membership, weights * (probs - 1.0), probs) / n_nodes
     return terms.sum(axis=-1) / n_nodes, grad
+
+
+def leaf_pair_diameter_oracle(tax):
+    """Longest leaf-to-leaf path in edges, over every pair of leaves and
+    their `lca`."""
+    leaves = sorted(tax.leaf_ids)
+    diameter = 0
+    for i, l1 in enumerate(leaves):
+        for l2 in leaves[i + 1 :]:
+            a = tax.lca(l1, l2)
+            diameter = max(diameter, tax.depth(l1) + tax.depth(l2) - 2 * tax.depth(a))
+    return diameter
+
+
+def validation_loss_oracle(model, table, val_instances):
+    """Per-component validation loss in two passes: the heads over every
+    table row, then the triplet term from each triplet's three rows embedded
+    anew. Forward pass, cross-entropies and cosines are written out here
+    from the parameters."""
+
+    def forward(X):
+        p = model.params
+        emb = np.tanh(X @ p["embed.1.W"] + p["embed.1.b"]) @ p["embed.2.W"] + p["embed.2.b"]
+        return emb, emb @ p["head.W"] + p["head.b"]
+
+    def cross_entropy(logits, targets, weights):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        rows = np.arange(len(targets))
+        return -weights[targets] * log_probs[rows, targets]
+
+    layout = model.layout
+    components = {}
+    _, logits = forward(table.features)
+    if layout.leaf is not None:
+        head = layout.leaf
+        components["L"] = cross_entropy(
+            logits[:, head.columns], table.class_targets[head.name], head.class_weights
+        ).mean()
+    if layout.levels:
+        components["PL"] = sum(
+            cross_entropy(logits[:, h.columns], table.class_targets[h.name], h.class_weights)
+            for h in layout.levels
+        ).mean()
+    if layout.binary is not None:
+        values, _ = binary_cross_entropy_oracle(
+            logits[:, layout.binary.columns], table.binary_membership, layout.binary.node_weights
+        )
+        components["B"] = values.mean()
+    if "T" in model.loss_config.active:
+        hinges = []
+        for instance in val_instances:
+            ids = (instance.anchor_id, instance.positive_id, instance.negative_id)
+            a, p, n = forward(table.features[[table.index[sid] for sid in ids]])[0]
+
+            def cosine(u, v):
+                return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+            hinges.append(max(0.0, cosine(a, n) - cosine(a, p) + model.loss_config.margin))
+        components["T"] = float(np.mean(hinges)) if hinges else 0.0
+    return {name: float(value) for name, value in components.items()}

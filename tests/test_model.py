@@ -5,14 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hieremb.model
 from hieremb.cli import VALID_COMBOS
-from hieremb.datasplit import make_fold_splits, partition_samples
+from hieremb.datasplit import make_fold_splits, partition_samples, pruned_seen_taxonomy
 from hieremb.losses import LossConfig, combo_name, log_softmax
 from hieremb.model import (
     AdamState,
     EmbeddingModel,
     ModelConfig,
     TrainState,
+    adam_update,
     batch_loss_and_grads,
     build_head_layout,
     build_target_table,
@@ -20,6 +22,8 @@ from hieremb.model import (
     load_checkpoint,
     save_checkpoint,
     train_step,
+    triplet_rows,
+    validation_loss,
 )
 from hieremb.sampler import enumerate_node_triples, instantiate_epoch
 from hieremb.synthdata import SynthConfig, generate
@@ -27,6 +31,7 @@ from hieremb.taxonomy import parse_taxonomy
 
 from conftest import all_train_split
 from harness import FIVE_LEAF_DOC, clustered_samples, grad_check_max_err, train_valid_split
+from oracles import validation_loss_oracle
 
 
 def five_leaf_problem(active, per_leaf=6, dim=8, seed=0):
@@ -213,6 +218,26 @@ class TestTrainStep:
             train_step(state, [], table)
 
 
+class TestAdam:
+    def test_in_place_update_matches_out_of_place_formula(self):
+        rng = np.random.default_rng(3)
+        params = rng.normal(size=50)
+        state = AdamState(first=np.zeros(50), second=np.zeros(50))
+        expected, first, second = params.copy(), np.zeros(50), np.zeros(50)
+        lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
+        for step in range(1, 6):
+            grads = rng.normal(size=50) * 10.0 ** rng.integers(-6, 3, size=50)
+            adam_update(params, grads, state, lr)
+            first = beta1 * first + (1 - beta1) * grads
+            second = beta2 * second + (1 - beta2) * grads**2
+            m_hat = first / (1.0 - beta1**step)
+            v_hat = second / (1.0 - beta2**step)
+            expected = expected - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert state.step == step
+            for got, want in [(params, expected), (state.first, first), (state.second, second)]:
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
 def synthetic_experiment(seed=0):
     config = SynthConfig(
         depth=3,
@@ -294,6 +319,74 @@ class TestFit:
         assert accuracy > 0.9
 
 
+def validation_problem(active, seed=0):
+    """Valid-partition table, its validation triplets, and a model, built as
+    `fit` builds them."""
+    tax, samples, split = synthetic_experiment()
+    loss_config = LossConfig(active=frozenset(active))
+    pruned = pruned_seen_taxonomy(tax, split)
+    layout = build_head_layout(pruned, partition_samples(samples, split, "train"), loss_config)
+    table = build_target_table(pruned, layout, partition_samples(samples, split, "valid"))
+    instances = instantiate_epoch(
+        pruned, samples, split, enumerate_node_triples(pruned), epoch_seed=[seed, 2],
+        subset="valid", skip_infeasible=True,
+    )
+    model = EmbeddingModel.initialise(
+        ModelConfig(input_dim=8, hidden_dim=16, embedding_dim=8), loss_config, layout, seed=seed
+    )
+    return table, instances, model
+
+
+class TestValidationLoss:
+    @pytest.mark.parametrize("combo", VALID_COMBOS, ids=combo_name)
+    def test_matches_two_pass_oracle(self, combo):
+        table, instances, model = validation_problem(combo)
+        if "T" in combo:
+            assert instances
+        for val_instances in (instances, []):
+            value = validation_loss(model, table, triplet_rows(table, val_instances))
+            expected = validation_loss_oracle(model, table, val_instances)
+            assert set(value.per_component) == set(expected) == set(combo)
+            for name, want in expected.items():
+                assert value.per_component[name] == pytest.approx(want, rel=1e-12, abs=0)
+            assert value.total == pytest.approx(sum(expected.values()), rel=1e-12, abs=0)
+
+    def test_one_forward_pass_and_no_backward_pass_per_call(self, monkeypatch):
+        calls = {"forward_batch": 0, "batch_loss_and_grads": 0}
+        per_call = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def observed(fn):
+            def wrapper(*args, **kwargs):
+                before = dict(calls)
+                result = fn(*args, **kwargs)
+                per_call.append({name: calls[name] - before[name] for name in calls})
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(
+            EmbeddingModel, "forward_batch", counted("forward_batch", EmbeddingModel.forward_batch)
+        )
+        monkeypatch.setattr(
+            hieremb.model,
+            "batch_loss_and_grads",
+            counted("batch_loss_and_grads", hieremb.model.batch_loss_and_grads),
+        )
+        monkeypatch.setattr(hieremb.model, "validation_loss", observed(validation_loss))
+        tax, samples, split = synthetic_experiment()
+        model_config = ModelConfig(input_dim=8, hidden_dim=16, embedding_dim=8)
+        loss_config = LossConfig(active=frozenset({"PL", "B", "T"}))
+        fit(samples, tax, split, loss_config, model_config, 3, seed=5)
+        assert per_call == [{"forward_batch": 1, "batch_loss_and_grads": 0}] * 3
+
+
 class TestFlatTreeReduction:
     def test_leaf_and_per_level_losses_coincide(self):
         tax = parse_taxonomy(
@@ -369,6 +462,28 @@ class TestCheckpoint:
         X = np.stack([s.features for s in samples])
         for before, after in zip(model.forward_batch(X), loaded.forward_batch(X)):
             assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("failure", ["unserialisable-extra", "rename-fails"])
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch, failure):
+        _, _, _, _, _, model = five_leaf_problem({"L", "PL", "B", "T"})
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, model, extra={"fold": 1})
+        before = path.read_bytes()
+        extra = {"fold": 2}
+        if failure == "unserialisable-extra":
+            extra["bad"] = object()
+            error = TypeError
+        else:
+            def refuse(src, dst):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(hieremb.model.os, "replace", refuse)
+            error = OSError
+        with pytest.raises(error):
+            save_checkpoint(path, model, extra=extra)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
 
     def corrupted(self, tmp_path, edit):
         _, _, _, _, _, model = five_leaf_problem({"L", "PL", "B", "T"})

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hieremb.taxonomy import Taxonomy, TaxonomyError, parse_taxonomy
 
@@ -8,6 +9,7 @@ from oracles import (
     depth_oracle,
     height_diameter_oracle,
     lca_oracle,
+    leaf_pair_diameter_oracle,
     leaves_under_oracle,
     random_tree_doc,
     retained_levels_oracle,
@@ -122,6 +124,20 @@ class TestQueries:
                     assert d1 + d2 <= diameter
                     assert max(d1, d2) <= height
 
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_depth=st.integers(1, 6),
+        max_children=st.integers(2, 5),
+        p_leaf=st.floats(0.0, 0.8),
+    )
+    def test_one_pass_diameter_matches_leaf_pair_loop(self, seed, max_depth, max_children, p_leaf):
+        doc = random_tree_doc(np.random.default_rng(seed), max_depth, max_children, p_leaf)
+        tax = parse_taxonomy(doc)
+        height, diameter = tax.height_and_diameter()
+        assert diameter == leaf_pair_diameter_oracle(tax)
+        assert height == max(depth_oracle(tax, l) for l in tax.leaf_ids)
 
 class TestNodeSamples:
     def test_m_mapping_t0(self, t0):
