@@ -21,7 +21,7 @@ from .metrics import MetricsReport, Ranking
 from .model import EmbeddingModel, ModelConfig, fit
 from .sampler import NodeTriple, TripletInstance, count_node_triples, enumerate_node_triples
 from .synthdata import SynthConfig, generate
-from .taxonomy import Taxonomy, TaxonomyError, TaxonomyNode, load_taxonomy, parse_taxonomy
+from .taxonomy import Taxonomy, TaxonomyError, load_taxonomy, parse_taxonomy
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "SynthConfig",
     "Taxonomy",
     "TaxonomyError",
-    "TaxonomyNode",
     "TripletInstance",
     "count_node_triples",
     "enumerate_node_triples",

@@ -140,15 +140,18 @@ def parse_branching(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def config_from_values(values: dict[str, str], overrides: dict | None = None) -> ExperimentConfig:
+    """The experiment config; a key this function does not read is rejected."""
     merged = dict(values)
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = str(value)
+    unread = set(merged)
 
     def take(key, cast, default):
+        unread.discard(key)
         return cast(merged[key]) if key in merged else default
 
-    combos_text = merged.get("combos", "")
+    combos_text = take("combos", str, "")
     combos = (
         tuple(parse_combo(p) for p in combos_text.split(",") if p.strip())
         if combos_text
@@ -165,10 +168,10 @@ def config_from_values(values: dict[str, str], overrides: dict | None = None) ->
         noise=take("synth_noise", float, 0.3),
         seed=take("synth_seed", int, base_seed),
     )
-    return ExperimentConfig(
-        out_dir=merged.get("out", "runs"),
-        taxonomy_path=merged.get("taxonomy"),
-        dataset_path=merged.get("dataset"),
+    config = ExperimentConfig(
+        out_dir=take("out", str, "runs"),
+        taxonomy_path=take("taxonomy", str, None),
+        dataset_path=take("dataset", str, None),
         k_folds=take("k_folds", int, 5),
         combos=combos,
         margin=take("margin", float, 0.3),
@@ -180,11 +183,19 @@ def config_from_values(values: dict[str, str], overrides: dict | None = None) ->
         batch_size=take("batch_size", int, 32),
         synth=synth,
     )
+    if unread:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unread))}")
+    return config
 
 
 def load_experiment_config(path: str | None, overrides: dict | None = None) -> ExperimentConfig:
-    values = read_config_file(path) if path else {}
-    return config_from_values(values, overrides)
+    if not path:
+        return config_from_values({}, overrides)
+    values = read_config_file(path)
+    try:
+        return config_from_values(values, overrides)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 # -- evaluation glue -----------------------------------------------------------

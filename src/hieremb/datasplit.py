@@ -25,11 +25,6 @@ class SplitAssignment:
     unseen_leaves: frozenset[int]
     partition: dict[str, str]
 
-    def ids_in(self, subset: str) -> list[str]:
-        if subset not in SUBSETS:
-            raise SplitError(f"unknown subset {subset!r}")
-        return sorted(sid for sid, name in self.partition.items() if name == subset)
-
 
 def leaf_counts(taxonomy: Taxonomy, dataset: list[LabeledSample]) -> dict[int, int]:
     """Sample count per leaf node id; leaves without samples count 0."""

@@ -76,25 +76,6 @@ def unit_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vectors / norms[:, None], norms
 
 
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Negative cosine similarity, in [-1, 1]."""
-    uu, _ = unit_rows(u)
-    vv, _ = unit_rows(v)
-    if uu.shape != vv.shape:
-        raise ValueError("vectors must have equal length")
-    return float(-(uu * vv).sum())
-
-
-def cosine_distance_grad(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Distance plus its gradients with respect to both inputs."""
-    uu, nu = unit_rows(u)
-    vv, nv = unit_rows(v)
-    sim = (uu * vv).sum()
-    grad_u = -(vv - sim * uu) / nu[:, None]
-    grad_v = -(uu - sim * vv) / nv[:, None]
-    return float(-sim), grad_u[0], grad_v[0]
-
-
 def triplet_loss_batch(
     emb_anchor: np.ndarray,
     emb_positive: np.ndarray,
@@ -119,24 +100,6 @@ def triplet_loss_batch(
     grad_p = scale * -(ua - sim_ap[:, None] * up) / npos[:, None]
     grad_n = scale * (ua - sim_an[:, None] * un) / nn[:, None]
     return values, grad_a, grad_p, grad_n
-
-
-def triplet_loss(
-    emb_anchor: np.ndarray,
-    emb_positive: np.ndarray,
-    emb_negative: np.ndarray,
-    margin: float,
-) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """max(0, d_ap - d_an + margin) for a single triplet, with gradients."""
-    if not margin > 0:
-        raise ValueError(f"margin must be positive, got {margin}")
-    values, ga, gp, gn = triplet_loss_batch(
-        np.atleast_2d(emb_anchor),
-        np.atleast_2d(emb_positive),
-        np.atleast_2d(emb_negative),
-        margin,
-    )
-    return float(values[0]), (ga[0], gp[0], gn[0])
 
 
 # -- classification losses ---------------------------------------------------
@@ -171,38 +134,6 @@ def softmax_cross_entropy_batch(
     return values, grad
 
 
-def multiclass_loss(
-    logits: np.ndarray, target_index: int, weights: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Weighted softmax cross-entropy for one sample."""
-    values, grad = softmax_cross_entropy_batch(
-        np.atleast_2d(logits), np.array([target_index]), weights
-    )
-    return float(values[0]), grad[0]
-
-
-def leaf_loss(
-    logits: np.ndarray, target_leaf: int, weights: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Multi-class loss over the seen-leaf class set."""
-    return multiclass_loss(logits, target_leaf, weights)
-
-
-def per_level_loss(
-    level_heads: list[tuple[np.ndarray, int]], weights: list[np.ndarray]
-) -> tuple[float, list[np.ndarray]]:
-    """Unnormalised sum of the per-level multi-class losses."""
-    if len(level_heads) != len(weights):
-        raise ValueError("one weight vector per level head is required")
-    total = 0.0
-    grads = []
-    for (logits, target), level_weights in zip(level_heads, weights):
-        value, grad = multiclass_loss(logits, target, level_weights)
-        total += value
-        grads.append(grad)
-    return total, grads
-
-
 def binary_cross_entropy_nodes_batch(
     logits: np.ndarray, membership: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -231,16 +162,6 @@ def binary_cross_entropy_nodes_batch(
     probs = np.where(logits >= 0, inverse, e * inverse)  # s(z)
     grad = np.where(member, weights * (probs - 1.0), probs) / n_nodes
     return values, grad
-
-
-def binary_node_loss(
-    logits: np.ndarray, membership: np.ndarray, weights: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Subtree-membership tagging loss over all non-root nodes, one sample."""
-    values, grad = binary_cross_entropy_nodes_batch(
-        np.atleast_2d(logits), np.atleast_2d(membership), weights
-    )
-    return float(values[0]), grad[0]
 
 
 def class_weights(counts: dict) -> dict:

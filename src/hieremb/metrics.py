@@ -140,9 +140,7 @@ def _mean_rank_table(
     leaves, leaf_idx, n = _pool_leaves(ranking, leaf_of)
     # a candidate lies under the query's ancestor at a level exactly when
     # both leaves have the same class there
-    classes = np.array(
-        [[taxonomy.target_at_level(leaf, level) for leaf in leaves] for level, _ in levels]
-    ).reshape(len(levels), len(leaves))
+    classes = taxonomy.leaf_ancestors(leaves)[:, [level for level, _ in levels]].T
     query_leaf = leaf_idx[ranking.queries]
     shifted = np.arange(n) / n  # (rank - 1) / n
     means = np.empty((len(ranking), len(levels)))
@@ -196,12 +194,10 @@ def relevance_table(taxonomy: Taxonomy, leaves: list[int], kind: str) -> np.ndar
     height, diameter = taxonomy.height_and_diameter()
     if height == 0:
         raise MetricError("degenerate tree: distinct leaves in a height-0 tree")
-    # column d - 1: each leaf's ancestor at depth d, or the leaf itself at
-    # depths past its own; distinct leaves agree in exactly columns 1..depth(LCA)
-    paths = [taxonomy.path_to_root(int(leaf))[::-1] for leaf in leaves]
-    ancestors = np.array([path[1:] + path[-1:] * (height + 1 - len(path)) for path in paths])
-    depth = np.array([len(path) - 1 for path in paths])
-    lca_depth = (ancestors[:, None] == ancestors[None, :]).sum(axis=2)
+    # distinct leaves agree in exactly the columns 0..depth(LCA)
+    ancestors = taxonomy.leaf_ancestors(leaves)
+    depth = np.array([taxonomy.depth(leaf) for leaf in leaves])
+    lca_depth = (ancestors[:, None] == ancestors[None, :]).sum(axis=2) - 1
     d1, d2 = depth[:, None] - lca_depth, depth[None, :] - lca_depth
     table = 1.0 - ((d1 + d2) / diameter if kind == "sum" else np.maximum(d1, d2) / height)
     return np.where(same, 1.0, table)
@@ -268,14 +264,11 @@ def acc_blind(
     """
     if not true_leaf:
         raise MetricError("empty prediction set")
+    lifts = taxonomy.leaf_ancestors([predicted_leaf[sid] for sid in true_leaf])
     correct = 0
-    for sid, true in true_leaf.items():
+    for row, true in enumerate(true_leaf.values()):
         lsa = lowest_seen_ancestor(taxonomy, split, true)
-        pred = predicted_leaf[sid]
-        lifted = taxonomy.ancestor_at_depth(
-            pred, min(taxonomy.depth(lsa), taxonomy.depth(pred))
-        )
-        correct += lifted == lsa
+        correct += int(lifts[row, taxonomy.depth(lsa)]) == lsa
     return correct / len(true_leaf)
 
 

@@ -168,7 +168,6 @@ def build_head_layout(
 class TargetTable:
     """Per-sample features and head targets, precomputed for fast batching."""
 
-    ids: list[str]
     index: dict[str, int]
     features: np.ndarray
     class_targets: dict[str, np.ndarray]  # head name -> (n,) class index
@@ -179,32 +178,29 @@ def build_target_table(
     pruned: Taxonomy, layout: HeadLayout, samples: list[LabeledSample]
 ) -> TargetTable:
     leaf_ids = sorted(pruned.leaf_ids)
-    # targets are tabulated per leaf from its root-to-leaf path, then
-    # gathered by each sample's leaf row
+    # targets are tabulated per leaf from its classes at every tree level,
+    # then gathered by each sample's leaf row
     leaf_row = np.searchsorted(leaf_ids, [pruned.leaf_id_for(s) for s in samples])
-    paths = [pruned.path_to_root(leaf)[::-1] for leaf in leaf_ids]
+    ancestors = pruned.leaf_ancestors(leaf_ids)
+
+    def column_of(names: list[str]) -> np.ndarray:  # node id -> head column
+        column = np.full(len(pruned), -1, dtype=np.intp)
+        column[[pruned.id_of(name) for name in names]] = np.arange(len(names))
+        return column
+
     class_targets = {}
     for head in layout.class_heads():
-        column = {pruned.id_of(name): i for i, name in enumerate(head.classes)}
-        # a level's class is the ancestor-or-self at that depth, or the
-        # leaf itself when it is shallower (`target_at_level`)
-        per_leaf = np.array(
-            [column[path[-1 if head.level is None else min(head.level, len(path) - 1)]]
-             for path in paths],
-            dtype=np.intp,
-        )
-        class_targets[head.name] = per_leaf[leaf_row]
+        level = ancestors[:, -1 if head.level is None else head.level]
+        class_targets[head.name] = column_of(head.classes)[level][leaf_row]
     membership = None
     if layout.binary is not None:
-        column = {pruned.id_of(name): i for i, name in enumerate(layout.binary.nodes)}
-        per_leaf = np.zeros((len(leaf_ids), len(column)), dtype=bool)
-        for row, path in enumerate(paths):
-            per_leaf[row, [column[node] for node in path if node in column]] = True
+        # a leaf is a member of every non-root node on its root path
+        per_leaf = np.zeros((len(leaf_ids), len(layout.binary.nodes)), dtype=bool)
+        rows = np.arange(len(leaf_ids))[:, None]
+        per_leaf[rows, column_of(layout.binary.nodes)[ancestors[:, 1:]]] = True
         membership = per_leaf[leaf_row]
-    ids = [s.id for s in samples]
     return TargetTable(
-        ids=ids,
-        index={sid: i for i, sid in enumerate(ids)},
+        index={s.id: i for i, s in enumerate(samples)},
         features=features_matrix(samples),
         class_targets=class_targets,
         binary_membership=membership,
@@ -509,6 +505,8 @@ def fit(
     lowest validation total are returned. The validation triplet set is
     sampled once up front with a fixed derived seed.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     train_samples = partition_samples(dataset, split, "train")
     valid_samples = partition_samples(dataset, split, "valid")
     if not train_samples or not valid_samples:

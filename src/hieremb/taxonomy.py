@@ -9,26 +9,15 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .dataset import LabeledSample
 
 
 class TaxonomyError(ValueError):
     """Invalid tree document or invalid structural query."""
-
-
-@dataclass(frozen=True)
-class TaxonomyNode:
-    node_id: int
-    name: str
-    parent: int | None
-    children: tuple[int, ...]
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 class Taxonomy:
@@ -74,15 +63,6 @@ class Taxonomy:
             and self._parents == other._parents
         )
 
-    def node(self, node_id: int) -> TaxonomyNode:
-        self._check_id(node_id)
-        return TaxonomyNode(
-            node_id=node_id,
-            name=self._names[node_id],
-            parent=self._parents[node_id],
-            children=self._children[node_id],
-        )
-
     def name(self, node_id: int) -> str:
         self._check_id(node_id)
         return self._names[node_id]
@@ -92,9 +72,6 @@ class Taxonomy:
             return self._name_to_id[name]
         except KeyError:
             raise TaxonomyError(f"unknown node name {name!r}") from None
-
-    def has_name(self, name: str) -> bool:
-        return name in self._name_to_id
 
     def parent(self, node_id: int) -> int | None:
         self._check_id(node_id)
@@ -133,23 +110,6 @@ class Taxonomy:
             descendant = self._parents[descendant]
         return descendant == ancestor
 
-    def node_distance(self, descendant: int, ancestor: int) -> int:
-        """Edge count on the path from a descendant up to one of its ancestors."""
-        if not self.is_ancestor_or_self(ancestor, descendant):
-            raise TaxonomyError(
-                f"{self._names[ancestor]!r} is not an ancestor of {self._names[descendant]!r}"
-            )
-        return self._depths[descendant] - self._depths[ancestor]
-
-    def ancestor_at_depth(self, node_id: int, depth: int) -> int:
-        """Ancestor-or-self of the node at the requested depth."""
-        self._check_id(node_id)
-        if not 0 <= depth <= self._depths[node_id]:
-            raise TaxonomyError(f"node {self._names[node_id]!r} has no ancestor at depth {depth}")
-        while self._depths[node_id] > depth:
-            node_id = self._parents[node_id]
-        return node_id
-
     def path_to_root(self, node_id: int) -> list[int]:
         """Nodes from the argument up to and including the root."""
         self._check_id(node_id)
@@ -157,6 +117,17 @@ class Taxonomy:
         while self._parents[path[-1]] is not None:
             path.append(self._parents[path[-1]])
         return path
+
+    def leaf_ancestors(self, leaves: list[int]) -> np.ndarray:
+        """(len(leaves), height + 1) ids whose column d is each leaf's class at
+        tree level d: its ancestor at depth d, or the leaf itself past its own
+        depth. Column 0 is the root and the last column the leaf."""
+        width = max(self._depths) + 1
+        table = np.empty((len(leaves), width), dtype=np.intp)
+        for row, leaf in enumerate(leaves):
+            path = self.path_to_root(leaf)[::-1]
+            table[row] = path + path[-1:] * (width - len(path))
+        return table
 
     def height_and_diameter(self) -> tuple[int, int]:
         """Longest root-to-leaf path and longest leaf-to-leaf path, in edges."""
@@ -203,45 +174,14 @@ class Taxonomy:
         are dropped; the deepest retained level's class set is the leaf set.
         """
         if self._levels_cache is None:
-            height = max(self._depths)
+            classes = self.leaf_ancestors(sorted(self.leaf_ids))
             levels = []
-            for level in range(1, height + 1):
-                class_set = [
-                    nid
-                    for nid in range(len(self._names))
-                    if self._depths[nid] == level
-                    or (self._depths[nid] < level and not self._children[nid])
-                ]
+            for level in range(1, classes.shape[1]):
+                class_set = sorted(set(classes[:, level].tolist()))
                 if len(class_set) > 1:
                     levels.append((level, class_set))
             self._levels_cache = levels
         return [(level, list(ids)) for level, ids in self._levels_cache]
-
-    def target_at_level(self, leaf: int, level: int) -> int:
-        """Class of a leaf at a retained level: its ancestor-or-self there.
-
-        Leaves shallower than the level act as their own class (min-depth rule).
-        """
-        self._check_id(leaf)
-        if not self.is_leaf(leaf):
-            raise TaxonomyError(f"{self._names[leaf]!r} is not a leaf")
-        retained = {lv for lv, _ in self.levels_with_multiple_classes()}
-        if level not in retained:
-            raise TaxonomyError(f"level {level} is not a classification level")
-        return self.ancestor_at_depth(leaf, min(level, self._depths[leaf]))
-
-    def node_samples(self, dataset: list[LabeledSample], node_id: int) -> set[str]:
-        """Ids of samples whose leaf label lies in the node's subtree."""
-        self._check_id(node_id)
-        wanted = set(self.leaves_under(node_id))
-        result = set()
-        for sample in dataset:
-            leaf_id = self._name_to_id.get(sample.leaf)
-            if leaf_id is None or self._children[leaf_id]:
-                raise TaxonomyError(f"sample {sample.id!r} has unknown leaf label {sample.leaf!r}")
-            if leaf_id in wanted:
-                result.add(sample.id)
-        return result
 
     def leaf_id_for(self, sample: LabeledSample) -> int:
         leaf_id = self._name_to_id.get(sample.leaf)

@@ -77,6 +77,14 @@ class TestConfigParsing:
         pinned = load_experiment_config(str(path), {"seed": 9, "synth_seed": 4})
         assert pinned.synth.seed == 4
 
+    def test_unknown_key_rejected(self, tmp_path):
+        # a misspelt key used to be ignored, leaving its default in force
+        path = write_config(tmp_path / "exp.cfg", {"epoch": "1"})
+        with pytest.raises(ValueError, match=r"exp\.cfg: unknown config keys: epoch$"):
+            load_experiment_config(str(path))
+        with pytest.raises(ValueError, match="unknown config keys: colour, epoch$"):
+            config_from_values({"epochs": "1", "epoch": "1", "colour": "red"})
+
     def test_invalid_combo_rejected(self):
         with pytest.raises(ValueError, match="six supported"):
             config_from_values({"combos": "B"})
@@ -207,6 +215,12 @@ class TestRunExperiment:
         run_experiment(config)
         second = (tmp_path / "runs" / "aggregate.csv").read_bytes()
         assert first == second
+
+    def test_zero_epochs_writes_no_checkpoint(self, tmp_path):
+        cfg_path = write_config(tmp_path / "exp.cfg", {"epochs": "0", "combos": "L"})
+        with pytest.raises(ValueError, match="epochs must be at least 1"):
+            main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
+        assert not list(tmp_path.glob("runs/**/checkpoint.json"))
 
 
 class TestSubcommandPipeline:

@@ -4,18 +4,14 @@ import pytest
 from hieremb.losses import (
     LossConfig,
     binary_cross_entropy_nodes_batch,
-    binary_node_loss,
     class_weights,
     combine,
     combo_name,
-    cosine_distance,
-    cosine_distance_grad,
-    leaf_loss,
-    multiclass_loss,
     parse_combo,
-    per_level_loss,
-    triplet_loss,
+    softmax_cross_entropy_batch,
+    triplet_loss_batch,
 )
+from hieremb.model import ClassificationHead, HeadLayout, head_losses
 
 from oracles import binary_cross_entropy_oracle, fd_gradient, gradient_rel_error
 
@@ -32,36 +28,26 @@ def vectors_with_distances(d_ap, d_an):
 
 class TestCosineDistance:
     def test_reference_points(self):
-        u = np.array([0.3, -1.2, 0.5])
-        assert cosine_distance(u, u) == pytest.approx(-1.0)
-        assert cosine_distance(u, -u) == pytest.approx(1.0)
-        assert cosine_distance(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == pytest.approx(0.0)
+        # with the negative equal to the anchor (distance -1) and a margin of
+        # 3 the hinge is active: value = d(anchor, positive) + 1 + 3
+        u = np.array([[0.3, -1.2, 0.5]])
+        for positive, distance in [(u, -1.0), (-u, 1.0)]:
+            values, _, _, _ = triplet_loss_batch(u, positive, u, margin=3.0)
+            assert values[0] - 4.0 == pytest.approx(distance)
+        x, y = np.array([[1.0, 0.0]]), np.array([[0.0, 2.0]])
+        values, _, _, _ = triplet_loss_batch(x, y, x, margin=3.0)
+        assert values[0] - 4.0 == pytest.approx(0.0)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="dead embedding"):
-            cosine_distance(np.zeros(3), np.ones(3))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
-            cosine_distance(np.ones(3), np.ones(4))
-
-    def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            u = rng.normal(size=6)
-            v = rng.normal(size=6)
-            _, gu, gv = cosine_distance_grad(u, v)
-            fd_u = fd_gradient(lambda x: cosine_distance(x, v), u)
-            fd_v = fd_gradient(lambda x: cosine_distance(u, x), v)
-            assert gradient_rel_error(gu, fd_u) < 1e-6
-            assert gradient_rel_error(gv, fd_v) < 1e-6
+            triplet_loss_batch(np.zeros((1, 3)), np.ones((1, 3)), np.ones((1, 3)), margin=0.3)
 
 
 class TestTripletLoss:
     def test_inactive_hinge(self):
         a, p, n = vectors_with_distances(0.2, 0.9)
-        value, grads = triplet_loss(a, p, n, margin=0.3)
-        assert value == 0.0
+        values, *grads = triplet_loss_batch(a[None], p[None], n[None], margin=0.3)
+        assert values[0] == 0.0
         for g in grads:
             assert np.all(g == 0.0)
 
@@ -69,140 +55,150 @@ class TestTripletLoss:
         rng = np.random.default_rng(1)
         a = rng.normal(size=4)
         p = rng.normal(size=4)
-        value, _ = triplet_loss(a, p, p.copy(), margin=0.3)
-        assert value == pytest.approx(0.3)
+        values, _, _, _ = triplet_loss_batch(a[None], p[None], p[None].copy(), margin=0.3)
+        assert values[0] == pytest.approx(0.3)
 
     def test_hand_evaluated_hinge(self):
         a, p, n = vectors_with_distances(0.5, 0.4)
-        value, _ = triplet_loss(a, p, n, margin=0.3)
-        assert value == pytest.approx(0.4)
+        values, _, _, _ = triplet_loss_batch(a[None], p[None], n[None], margin=0.3)
+        assert values[0] == pytest.approx(0.4)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
-        a, p, n = rng.normal(size=(3, 5))
-        base, _ = triplet_loss(a, p, n, margin=0.3)
+        a, p, n = rng.normal(size=(3, 1, 5))
+        base, _, _, _ = triplet_loss_batch(a, p, n, margin=0.3)
         for c in (0.01, 3.0, 250.0):
-            scaled, _ = triplet_loss(c * a, p, n, margin=0.3)
-            assert scaled == pytest.approx(base, abs=1e-12)
+            scaled, _, _, _ = triplet_loss_batch(c * a, p, n, margin=0.3)
+            assert scaled[0] == pytest.approx(base[0], abs=1e-12)
 
     def test_value_range(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            a, p, n = rng.normal(size=(3, 4))
-            value, _ = triplet_loss(a, p, n, margin=0.3)
-            assert 0.0 <= value <= 2.0 + 0.3
+            a, p, n = rng.normal(size=(3, 1, 4))
+            values, _, _, _ = triplet_loss_batch(a, p, n, margin=0.3)
+            assert 0.0 <= values[0] <= 2.0 + 0.3
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
+
+        def cosine(u, v):
+            return u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+
+        def value(a, p, n):
+            return triplet_loss_batch(a[None], p[None], n[None], 0.3)[0][0]
+
         checked = 0
         while checked < 10:
             a, p, n = rng.normal(size=(3, 5))
-            raw = cosine_distance(a, p) - cosine_distance(a, n) + 0.3
+            raw = -cosine(a, p) + cosine(a, n) + 0.3
             if abs(raw) < 1e-2:  # keep clear of the hinge kink
                 continue
             checked += 1
-            _, (ga, gp, gn) = triplet_loss(a, p, n, margin=0.3)
+            _, ga, gp, gn = triplet_loss_batch(a[None], p[None], n[None], margin=0.3)
             for vec, grad, f in [
-                (a, ga, lambda x: triplet_loss(x, p, n, 0.3)[0]),
-                (p, gp, lambda x: triplet_loss(a, x, n, 0.3)[0]),
-                (n, gn, lambda x: triplet_loss(a, p, x, 0.3)[0]),
+                (a, ga[0], lambda x: value(x, p, n)),
+                (p, gp[0], lambda x: value(a, x, n)),
+                (n, gn[0], lambda x: value(a, p, x)),
             ]:
                 assert gradient_rel_error(grad, fd_gradient(f, vec)) < 1e-5
-
-    def test_margin_validation(self):
-        with pytest.raises(ValueError, match="margin"):
-            triplet_loss(np.ones(3), np.ones(3), np.ones(3), margin=0.0)
 
 
 class TestMulticlassLoss:
     def test_uniform_logits(self):
-        value, _ = multiclass_loss(np.zeros(4), 2, np.ones(4))
-        assert value == pytest.approx(np.log(4.0))
+        values, _ = softmax_cross_entropy_batch(np.zeros((1, 4)), [2], np.ones(4))
+        assert values[0] == pytest.approx(np.log(4.0))
 
     def test_perfect_prediction_limit(self):
-        logits = np.array([40.0, 0.0, 0.0])
-        value, _ = multiclass_loss(logits, 0, np.ones(3))
-        assert value == pytest.approx(0.0, abs=1e-12)
+        logits = np.array([[40.0, 0.0, 0.0]])
+        values, _ = softmax_cross_entropy_batch(logits, [0], np.ones(3))
+        assert values[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_weight_linearity(self):
-        logits = np.array([0.3, -0.8, 1.1])
+        logits = np.array([[0.3, -0.8, 1.1]])
         w1 = np.ones(3)
-        v1, g1 = multiclass_loss(logits, 1, w1)
-        v2, g2 = multiclass_loss(logits, 1, 2.0 * w1)
-        assert v2 == pytest.approx(2 * v1)
+        v1, g1 = softmax_cross_entropy_batch(logits, [1], w1)
+        v2, g2 = softmax_cross_entropy_batch(logits, [1], 2.0 * w1)
+        assert v2[0] == pytest.approx(2 * v1[0])
         assert np.allclose(g2, 2 * g1)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
-        logits = rng.normal(size=6)
-        v1, _ = multiclass_loss(logits, 3, np.ones(6))
-        v2, _ = multiclass_loss(logits + 123.4, 3, np.ones(6))
-        assert v1 == pytest.approx(v2)
+        logits = rng.normal(size=(1, 6))
+        v1, _ = softmax_cross_entropy_batch(logits, [3], np.ones(6))
+        v2, _ = softmax_cross_entropy_batch(logits + 123.4, [3], np.ones(6))
+        assert v1[0] == pytest.approx(v2[0])
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            multiclass_loss(np.zeros(3), 3, np.ones(3))
+            softmax_cross_entropy_batch(np.zeros((1, 3)), [3], np.ones(3))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             logits = rng.normal(size=5)
             weights = rng.uniform(0.5, 2.0, size=5)
-            _, grad = multiclass_loss(logits, 2, weights)
-            fd = fd_gradient(lambda z: multiclass_loss(z, 2, weights)[0], logits)
-            assert gradient_rel_error(grad, fd) < 1e-6
+            _, grad = softmax_cross_entropy_batch(logits[None], [2], weights)
+            fd = fd_gradient(
+                lambda z: softmax_cross_entropy_batch(z[None], [2], weights)[0][0], logits
+            )
+            assert gradient_rel_error(grad[0], fd) < 1e-6
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            logits = rng.normal(size=4) * 3
-            value, _ = multiclass_loss(logits, int(rng.integers(4)), np.ones(4))
-            assert value >= 0.0
+            logits = rng.normal(size=(1, 4)) * 3
+            values, _ = softmax_cross_entropy_batch(logits, [int(rng.integers(4))], np.ones(4))
+            assert values[0] >= 0.0
 
 
 class TestBinaryNodeLoss:
     def test_logit_zero_is_ln2(self):
-        value, _ = binary_node_loss(np.zeros(5), np.zeros(5, dtype=bool), np.ones(5))
-        assert value == pytest.approx(np.log(2.0))
-        value, _ = binary_node_loss(np.zeros(5), np.ones(5, dtype=bool), np.ones(5))
-        assert value == pytest.approx(np.log(2.0))
+        for member in (np.zeros((1, 5), dtype=bool), np.ones((1, 5), dtype=bool)):
+            values, _ = binary_cross_entropy_nodes_batch(np.zeros((1, 5)), member, np.ones(5))
+            assert values[0] == pytest.approx(np.log(2.0))
 
     def test_perfect_prediction_limit(self):
-        member = np.array([True, False, True])
+        member = np.array([[True, False, True]])
         logits = np.where(member, 50.0, -50.0)
-        value, _ = binary_node_loss(logits, member, np.ones(3))
-        assert value == pytest.approx(0.0, abs=1e-12)
+        values, _ = binary_cross_entropy_nodes_batch(logits, member, np.ones(3))
+        assert values[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_averages_over_nodes(self):
         # one wrong node out of five contributes its term / 5
-        member = np.zeros(5, dtype=bool)
-        logits = np.array([0.0, -50.0, -50.0, -50.0, -50.0])
-        value, _ = binary_node_loss(logits, member, np.ones(5))
-        assert value == pytest.approx(np.log(2.0) / 5, abs=1e-12)
+        member = np.zeros((1, 5), dtype=bool)
+        logits = np.array([[0.0, -50.0, -50.0, -50.0, -50.0]])
+        values, _ = binary_cross_entropy_nodes_batch(logits, member, np.ones(5))
+        assert values[0] == pytest.approx(np.log(2.0) / 5, abs=1e-12)
 
     def test_positive_term_weighting(self):
-        member = np.array([True])
-        v1, _ = binary_node_loss(np.array([0.7]), member, np.array([1.0]))
-        v2, _ = binary_node_loss(np.array([0.7]), member, np.array([3.0]))
-        assert v2 == pytest.approx(3 * v1)
+        logit = np.array([[0.7]])
+        member = np.array([[True]])
+        v1, _ = binary_cross_entropy_nodes_batch(logit, member, np.array([1.0]))
+        v2, _ = binary_cross_entropy_nodes_batch(logit, member, np.array([3.0]))
+        assert v2[0] == pytest.approx(3 * v1[0])
         # negative term is unweighted
-        v3, _ = binary_node_loss(np.array([0.7]), ~member, np.array([1.0]))
-        v4, _ = binary_node_loss(np.array([0.7]), ~member, np.array([3.0]))
-        assert v3 == pytest.approx(v4)
+        v3, _ = binary_cross_entropy_nodes_batch(logit, ~member, np.array([1.0]))
+        v4, _ = binary_cross_entropy_nodes_batch(logit, ~member, np.array([3.0]))
+        assert v3[0] == pytest.approx(v4[0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="line up"):
-            binary_node_loss(np.zeros(3), np.zeros(4, dtype=bool), np.ones(3))
+            binary_cross_entropy_nodes_batch(
+                np.zeros((1, 3)), np.zeros((1, 4), dtype=bool), np.ones(3)
+            )
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             logits = rng.normal(size=7)
-            member = rng.random(7) < 0.5
+            member = rng.random((1, 7)) < 0.5
             weights = rng.uniform(0.5, 2.0, size=7)
-            _, grad = binary_node_loss(logits, member, weights)
-            fd = fd_gradient(lambda z: binary_node_loss(z, member, weights)[0], logits)
-            assert gradient_rel_error(grad, fd) < 1e-6
+            _, grad = binary_cross_entropy_nodes_batch(logits[None], member, weights)
+            fd = fd_gradient(
+                lambda z: binary_cross_entropy_nodes_batch(z[None], member, weights)[0][0],
+                logits,
+            )
+            assert gradient_rel_error(grad[0], fd) < 1e-6
 
     def test_batch_matches_logaddexp_oracle(self):
         # rows as wide as a wide tree's binary head (~200 nodes): one ulp of
@@ -221,26 +217,27 @@ class TestBinaryNodeLoss:
 
 
 class TestPerLevelLoss:
+    # PL over a two-level layout: level_1 has classes {A, B}, level_2 {a, b, c}
+    layout = HeadLayout(
+        leaf=None,
+        levels=[
+            ClassificationHead("level_1", 1, ["A", "B"], np.ones(2)),
+            ClassificationHead("level_2", 2, ["a", "b", "c"], np.ones(3)),
+        ],
+        binary=None,
+    )
+
     def test_sum_over_levels(self):
-        heads = [(np.array([0.0, 0.0]), 0), (np.array([0.0, 0.0, 0.0]), 2)]
-        weights = [np.ones(2), np.ones(3)]
-        value, grads = per_level_loss(heads, weights)
-        assert value == pytest.approx(np.log(2.0) + np.log(3.0))
-        assert len(grads) == 2
+        targets = {"level_1": np.array([0]), "level_2": np.array([2])}
+        components, grad = head_losses(self.layout, np.zeros((1, 5)), targets, None, True)
+        assert components["PL"] == pytest.approx(np.log(2.0) + np.log(3.0))
+        assert grad.shape == (1, 5)
 
     def test_all_heads_perfect(self):
-        heads = [(np.array([60.0, 0.0]), 0), (np.array([0.0, 60.0, 0.0]), 1)]
-        value, _ = per_level_loss(heads, [np.ones(2), np.ones(3)])
-        assert value == pytest.approx(0.0, abs=1e-12)
-
-    def test_head_weight_mismatch(self):
-        with pytest.raises(ValueError, match="per level"):
-            per_level_loss([(np.zeros(2), 0)], [])
-
-    def test_leaf_loss_is_multiclass(self):
-        logits = np.array([0.2, -0.4, 1.0])
-        weights = np.array([1.5, 0.5, 1.0])
-        assert leaf_loss(logits, 1, weights)[0] == multiclass_loss(logits, 1, weights)[0]
+        logits = np.array([[60.0, 0.0, 0.0, 60.0, 0.0]])
+        targets = {"level_1": np.array([0]), "level_2": np.array([1])}
+        components, _ = head_losses(self.layout, logits, targets, None)
+        assert components["PL"] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestClassWeights:

@@ -29,9 +29,15 @@ from hieremb.sampler import enumerate_node_triples, instantiate_epoch
 from hieremb.synthdata import SynthConfig, generate
 from hieremb.taxonomy import parse_taxonomy
 
-from conftest import all_train_split
+from conftest import all_train_split, make_samples
 from harness import FIVE_LEAF_DOC, clustered_samples, grad_check_max_err, train_valid_split
-from oracles import validation_loss_oracle
+from oracles import (
+    ancestor_at_depth_oracle,
+    depth_oracle,
+    path_from_root,
+    random_tree_doc,
+    validation_loss_oracle,
+)
 
 
 def five_leaf_problem(active, per_leaf=6, dim=8, seed=0):
@@ -90,6 +96,29 @@ class TestTargets:
                 n for n, m in zip(layout.binary.nodes, table.binary_membership[i]) if m
             ]
             assert member_names == [parent, sample.leaf]
+
+    def test_targets_on_random_trees_with_shallow_leaves(self):
+        # a leaf shallower than a level is its own class there
+        rng = np.random.default_rng(12)
+        shallow_seen = 0
+        for _ in range(30):
+            tax = parse_taxonomy(random_tree_doc(rng, max_depth=5, p_leaf=0.5))
+            samples = make_samples(tax, {tax.name(l): 2 for l in tax.leaf_ids})
+            layout = build_head_layout(tax, samples, LossConfig(frozenset({"L", "PL", "B"})))
+            table = build_target_table(tax, layout, samples)
+            for i, sample in enumerate(samples):
+                leaf = tax.id_of(sample.leaf)
+                depth = depth_oracle(tax, leaf)
+                assert layout.leaf.classes[table.class_targets["leaf"][i]] == sample.leaf
+                for head in layout.levels:
+                    want = ancestor_at_depth_oracle(tax, leaf, min(head.level, depth))
+                    assert head.classes[table.class_targets[head.name][i]] == tax.name(want)
+                    shallow_seen += head.level > depth
+                row = table.binary_membership[i]
+                members = {n for n, m in zip(layout.binary.nodes, row) if m}
+                assert members == {tax.name(n) for n in path_from_root(tax, leaf)[1:]}
+            assert table.binary_membership.shape == (len(samples), len(tax) - 1)
+        assert shallow_seen > 0
 
 
 class TestForward:
@@ -255,18 +284,13 @@ def synthetic_experiment(seed=0):
 
 
 class TestFit:
-    def test_zero_epochs_returns_initialised_model(self):
+    def test_zero_epochs_rejected(self, monkeypatch):
+        # untrained initial weights are never returned as a trained model
         tax, samples, split = synthetic_experiment()
         model_config = ModelConfig(input_dim=8, hidden_dim=16, embedding_dim=8)
-        model, log = fit(
-            samples, tax, split, LossConfig(active=frozenset({"L"})), model_config, 0, seed=4
-        )
-        assert log == []
-        reference = EmbeddingModel.initialise(
-            model_config, model.loss_config, model.layout, seed=[4, 1]
-        )
-        for key in reference.params:
-            assert np.array_equal(reference.params[key], model.params[key])
+        monkeypatch.setattr(hieremb.model, "build_head_layout", None)  # nothing is built
+        with pytest.raises(ValueError, match="epochs must be at least 1, got 0"):
+            fit(samples, tax, split, LossConfig(active=frozenset({"L"})), model_config, 0, seed=4)
 
     def test_deterministic(self):
         tax, samples, split = synthetic_experiment()

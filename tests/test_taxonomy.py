@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from hieremb.taxonomy import Taxonomy, TaxonomyError, parse_taxonomy
 
-from conftest import make_samples, t0_document
+from conftest import t0_document
 from oracles import (
+    ancestor_at_depth_oracle,
     depth_oracle,
     height_diameter_oracle,
     lca_oracle,
@@ -51,9 +52,6 @@ class TestParse:
     def test_parse_is_deterministic(self):
         doc = t0_document()
         assert parse_taxonomy(doc) == parse_taxonomy(t0_document())
-        a = parse_taxonomy(doc)
-        b = parse_taxonomy(doc)
-        assert [a.node(i) for i in range(len(a))] == [b.node(i) for i in range(len(b))]
 
 
 class TestQueries:
@@ -67,13 +65,6 @@ class TestQueries:
         assert t0.depth(t0.root) == 0
         assert t0.depth(t0.id_of("A")) == 1
         assert t0.depth(t0.id_of("a1")) == 2
-
-    def test_node_distance(self, t0):
-        assert t0.node_distance(t0.id_of("a1"), t0.id_of("A")) == 1
-        assert t0.node_distance(t0.id_of("A"), t0.id_of("A")) == 0
-        assert t0.node_distance(t0.id_of("b1"), t0.root) == 2
-        with pytest.raises(TaxonomyError, match="not an ancestor"):
-            t0.node_distance(t0.id_of("a1"), t0.id_of("B"))
 
     def test_invalid_id(self, t0):
         with pytest.raises(TaxonomyError, match="invalid node id"):
@@ -119,8 +110,8 @@ class TestQueries:
             for l1 in leaves:
                 for l2 in leaves:
                     a = tax.lca(l1, l2)
-                    d1 = tax.node_distance(l1, a)
-                    d2 = tax.node_distance(l2, a)
+                    d1 = tax.depth(l1) - tax.depth(a)
+                    d2 = tax.depth(l2) - tax.depth(a)
                     assert d1 + d2 <= diameter
                     assert max(d1, d2) <= height
 
@@ -138,42 +129,6 @@ class TestQueries:
         height, diameter = tax.height_and_diameter()
         assert diameter == leaf_pair_diameter_oracle(tax)
         assert height == max(depth_oracle(tax, l) for l in tax.leaf_ids)
-
-class TestNodeSamples:
-    def test_m_mapping_t0(self, t0):
-        samples = make_samples(t0, {"a1": 2, "a2": 3})
-        assert len(t0.node_samples(samples, t0.id_of("A"))) == 5
-        assert t0.node_samples(samples, t0.id_of("a1")) == {
-            s.id for s in samples if s.leaf == "a1"
-        }
-        assert len(t0.node_samples(samples, t0.root)) == len(samples)
-
-    def test_unknown_leaf_rejected(self, t0):
-        samples = make_samples(t0, {"a1": 1})
-        bad = [samples[0].__class__(id="x", leaf="nope", features=samples[0].features)]
-        with pytest.raises(TaxonomyError, match="unknown leaf"):
-            t0.node_samples(bad, t0.root)
-        internal = [samples[0].__class__(id="x", leaf="A", features=samples[0].features)]
-        with pytest.raises(TaxonomyError, match="unknown leaf"):
-            t0.node_samples(internal, t0.root)
-
-    def test_children_partition_samples(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            tax = parse_taxonomy(random_tree_doc(rng))
-            per_leaf = {tax.name(l): int(rng.integers(1, 4)) for l in tax.leaf_ids}
-            samples = make_samples(tax, per_leaf)
-            for node in range(len(tax)):
-                if tax.is_leaf(node):
-                    continue
-                union = set()
-                total = 0
-                for child in tax.children(node):
-                    bucket = tax.node_samples(samples, child)
-                    total += len(bucket)
-                    union |= bucket
-                assert union == tax.node_samples(samples, node)
-                assert total == len(union)  # disjoint
 
 
 class TestLevels:
@@ -222,10 +177,9 @@ class TestLevels:
 
     def test_target_at_level(self, t0):
         a1 = t0.id_of("a1")
-        assert t0.target_at_level(a1, 1) == t0.id_of("A")
-        assert t0.target_at_level(a1, 2) == a1
-        with pytest.raises(TaxonomyError, match="not a classification level"):
-            t0.target_at_level(a1, 3)
+        targets = t0.leaf_ancestors([a1])
+        assert targets[0, 1] == t0.id_of("A")
+        assert targets[0, 2] == a1
 
     def test_shallow_leaf_targets_itself(self):
         doc = {
@@ -240,19 +194,41 @@ class TestLevels:
         }
         tax = parse_taxonomy(doc)
         shallow = tax.id_of("shallow")
+        targets = tax.leaf_ancestors([shallow])
         for level, classes in tax.levels_with_multiple_classes():
-            assert tax.target_at_level(shallow, level) == shallow
+            assert targets[0, level] == shallow
             assert shallow in classes
 
     def test_every_sample_has_one_target_per_level(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             tax = parse_taxonomy(random_tree_doc(rng))
+            leaves = sorted(tax.leaf_ids)
+            targets = tax.leaf_ancestors(leaves)
             for level, classes in tax.levels_with_multiple_classes():
                 class_set = set(classes)
-                for leaf in tax.leaf_ids:
-                    target = tax.target_at_level(leaf, level)
+                for row, leaf in enumerate(leaves):
+                    target = targets[row, level]
                     assert target in class_set
                     # the target is the only class on the leaf's root path
                     path = set(tax.path_to_root(leaf))
                     assert class_set & path == {target}
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_depth=st.integers(1, 6),
+        max_children=st.integers(2, 5),
+        p_leaf=st.floats(0.0, 0.8),
+    )
+    def test_leaf_ancestors_match_path_oracle(self, seed, max_depth, max_children, p_leaf):
+        doc = random_tree_doc(np.random.default_rng(seed), max_depth, max_children, p_leaf)
+        tax = parse_taxonomy(doc)
+        leaves = sorted(tax.leaf_ids)
+        height = max(depth_oracle(tax, l) for l in leaves)
+        table = tax.leaf_ancestors(leaves)
+        assert table.shape == (len(leaves), height + 1)
+        for row, leaf in enumerate(leaves):
+            depth = depth_oracle(tax, leaf)
+            for d in range(height + 1):
+                assert table[row, d] == ancestor_at_depth_oracle(tax, leaf, min(d, depth))
