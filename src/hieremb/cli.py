@@ -13,18 +13,18 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabeledSample, features_matrix, load_dataset, save_dataset
+from .dataset import LabeledSample, atomic_open, features_matrix, load_dataset, save_dataset
 from .datasplit import (
     SplitAssignment,
+    load_split,
     make_fold_splits,
     partition_samples,
     pruned_seen_taxonomy,
-    split_from_json,
     split_to_json,
 )
 from .losses import LossConfig, combo_name, parse_combo
@@ -71,6 +71,9 @@ AGGREGATE_COLUMNS = (
     ("prediction", "ratio_blind_aware", "pred_ratio"),
     ("prediction", "ndcg_sum", "pred_ndcg"),
 )
+AGGREGATE_HEADER = ["combo"] + [column for _, _, column in AGGREGATE_COLUMNS]
+
+RP_K = 5  # the k of the test set's leaf RP@k; a test pool needs k + 1 samples
 
 
 @dataclass
@@ -83,10 +86,7 @@ class ExperimentConfig:
     margin: float = 0.3
     epochs: int = 50
     seed: int = 0
-    hidden_dim: int = 64
-    embedding_dim: int = 32
-    learning_rate: float = 1e-3
-    batch_size: int = 32
+    model: ModelConfig = field(default_factory=ModelConfig)  # input_dim is set from the data
     synth: SynthConfig = field(default_factory=SynthConfig)
 
     def __post_init__(self):
@@ -95,15 +95,6 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{combo_name(combo)!r} is not one of the six supported combinations"
                 )
-
-    def model_config(self, input_dim: int) -> ModelConfig:
-        return ModelConfig(
-            input_dim=input_dim,
-            hidden_dim=self.hidden_dim,
-            embedding_dim=self.embedding_dim,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-        )
 
 
 # -- config file ---------------------------------------------------------------
@@ -139,8 +130,17 @@ def parse_branching(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(parse_int_range(part.strip()) for part in text.split(",") if part.strip())
 
 
+# config values parsed otherwise than by the type of their field's default
+FIELD_PARSERS = {"branching": parse_branching, "samples_per_leaf": parse_int_range}
+
+
 def config_from_values(values: dict[str, str], overrides: dict | None = None) -> ExperimentConfig:
-    """The experiment config; a key this function does not read is rejected."""
+    """The experiment config; a key this function does not read is rejected.
+
+    Every `ModelConfig` field but `input_dim` is a key of its own name, and
+    every `SynthConfig` field one named `synth_<field>`; both take their
+    defaults from the dataclass, except that the synth seed follows the
+    base seed."""
     merged = dict(values)
     for key, value in (overrides or {}).items():
         if value is not None:
@@ -158,16 +158,15 @@ def config_from_values(values: dict[str, str], overrides: dict | None = None) ->
         else VALID_COMBOS
     )
     base_seed = take("seed", int, 0)
-    synth = SynthConfig(
-        depth=take("synth_depth", int, 4),
-        branching=take("synth_branching", parse_branching, ((3, 4),)),
-        samples_per_leaf=take("synth_samples_per_leaf", parse_int_range, (20, 40)),
-        feature_dim=take("synth_feature_dim", int, 32),
-        offset_scale=take("synth_offset_scale", float, 1.0),
-        decay=take("synth_decay", float, 0.6),
-        noise=take("synth_noise", float, 0.3),
-        seed=take("synth_seed", int, base_seed),
-    )
+
+    def from_fields(cls, prefix: str, **defaults):
+        return cls(**{
+            f.name: take(prefix + f.name, FIELD_PARSERS.get(f.name, type(f.default)),
+                         defaults.get(f.name, f.default))
+            for f in fields(cls)
+            if f.name != "input_dim"
+        })
+
     config = ExperimentConfig(
         out_dir=take("out", str, "runs"),
         taxonomy_path=take("taxonomy", str, None),
@@ -177,11 +176,8 @@ def config_from_values(values: dict[str, str], overrides: dict | None = None) ->
         margin=take("margin", float, 0.3),
         epochs=take("epochs", int, 50),
         seed=base_seed,
-        hidden_dim=take("hidden_dim", int, 64),
-        embedding_dim=take("embedding_dim", int, 32),
-        learning_rate=take("learning_rate", float, 1e-3),
-        batch_size=take("batch_size", int, 32),
-        synth=synth,
+        model=from_fields(ModelConfig, ""),
+        synth=from_fields(SynthConfig, "synth_", seed=base_seed),
     )
     if unread:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unread))}")
@@ -202,28 +198,17 @@ def load_experiment_config(path: str | None, overrides: dict | None = None) -> E
 
 
 def head_argmax(
-    model: EmbeddingModel, taxonomy: Taxonomy, samples: list[LabeledSample]
+    model: EmbeddingModel, taxonomy: Taxonomy, samples: list[LabeledSample], logits: np.ndarray
 ) -> dict[str, dict[str, int]]:
     """Per classification head, the argmax class of every sample, as node
-    ids of the given (full) taxonomy."""
-    _, logits, _ = model.forward_batch(features_matrix(samples))
+    ids of the given (full) taxonomy; `logits` are the samples' fused head
+    logits, one row per sample."""
     result = {}
     for head in model.layout.class_heads():
+        class_ids = [taxonomy.id_of(name) for name in head.classes]
         picks = logits[:, head.columns].argmax(axis=1)
-        result[head.name] = {
-            s.id: taxonomy.id_of(head.classes[i]) for s, i in zip(samples, picks)
-        }
+        result[head.name] = {s.id: class_ids[i] for s, i in zip(samples, picks)}
     return result
-
-
-def leaf_prediction_head(model: EmbeddingModel):
-    """The head that predicts leaves: the leaf head, else the deepest level
-    head (whose class set is the full leaf set)."""
-    if model.layout.leaf is not None:
-        return model.layout.leaf
-    if model.layout.levels:
-        return model.layout.levels[-1]
-    return None
 
 
 def evaluate_model(
@@ -235,8 +220,7 @@ def evaluate_model(
 ) -> MetricsReport:
     """Test-set metrics (leaf F1, RP@5, MNR, NDCG) or prediction-set metrics
     (LSA accuracies, NDCG), with the candidate pool being the subset itself."""
-    report, _, _ = _evaluate_ranked(model, taxonomy, dataset, split, subset)
-    return report
+    return _evaluate_ranked(model, taxonomy, dataset, split, subset)[0]
 
 
 def _evaluate_ranked(
@@ -253,10 +237,17 @@ def _evaluate_ranked(
     if not samples:
         raise MetricError(f"the {subset} partition is empty")
     leaf_of = {s.id: taxonomy.leaf_id_for(s) for s in samples}
-    embeddings = model.embed_all(samples)
-    ranked = build_ranked_lists(embeddings, [s.id for s in samples])
-    predictions = head_argmax(model, taxonomy, samples)
-    leaf_head = leaf_prediction_head(model)
+    # one forward pass; only the embeddings are kept through the ranking,
+    # where the memory peaks
+    embeddings, logits = model.forward_batch(features_matrix(samples))[:2]
+    predictions = head_argmax(model, taxonomy, samples, logits)
+    del logits
+    ids = [s.id for s in samples]
+    ranked = build_ranked_lists(dict(zip(ids, embeddings)), ids)
+    # leaves are predicted by the leaf head, else by the deepest level head,
+    # whose class set is the full leaf set
+    layout = model.layout
+    leaf_head = layout.leaf or (layout.levels[-1] if layout.levels else None)
     leaf_preds = predictions.get(leaf_head.name) if leaf_head else None
 
     report = MetricsReport()
@@ -264,19 +255,17 @@ def _evaluate_ranked(
     report.ndcg_max = ndcg(ranked, taxonomy, leaf_of, "max")
     if subset == "test":
         report.mnr = mnr(ranked, taxonomy, leaf_of)
-        report.leaf_rp_at_5 = rp_at_k(ranked, leaf_of, k=5)
+        report.leaf_rp_at_5 = rp_at_k(ranked, leaf_of, k=RP_K)
         if leaf_preds is not None:
             report.leaf_f1 = leaf_f1(leaf_preds, leaf_of, sorted(split.seen_leaves))
     else:
         if leaf_preds is not None:
             report.acc_blind = acc_blind(leaf_preds, leaf_of, taxonomy, split)
-        if model.layout.levels:
-            level_predictions = {
-                head.level: predictions[head.name] for head in model.layout.levels
-            }
+        if layout.levels:
+            level_predictions = {head.level: predictions[head.name] for head in layout.levels}
             level_classes = {
                 head.level: {taxonomy.id_of(name) for name in head.classes}
-                for head in model.layout.levels
+                for head in layout.levels
             }
             report.acc_aware = acc_aware(
                 level_predictions, level_classes, leaf_of, taxonomy, split
@@ -290,23 +279,18 @@ def _evaluate_ranked(
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_log_csv(path: Path, log: list[dict]) -> None:
-    columns: list[str] = []
-    for row in log:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+    """One header line, then one line per row; the csv module writes floats
+    by `repr` and None as an empty field."""
+    with atomic_open(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
-        for row in log:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+        writer.writerows(rows)
 
 
 def load_experiment_data(config: ExperimentConfig) -> tuple[Taxonomy, list[LabeledSample]]:
@@ -318,17 +302,39 @@ def load_experiment_data(config: ExperimentConfig) -> tuple[Taxonomy, list[Label
     return generate(config.synth)
 
 
-def train_fold_combo(
+def train_cell(
     taxonomy: Taxonomy,
     dataset: list[LabeledSample],
     split: SplitAssignment,
     config: ExperimentConfig,
     combo: frozenset[str],
+    out: Path,
+    extra: dict | None = None,
 ) -> tuple[EmbeddingModel, list[dict]]:
+    """Train one fold x combination cell and write its `checkpoint.json`,
+    whose extra record is fold, combo and seed followed by `extra`, and its
+    per-epoch `log.csv` under `out`."""
     fold_seed = config.seed + split.fold_index
     loss_config = LossConfig(active=combo, margin=config.margin)
-    model_config = config.model_config(input_dim=len(dataset[0].features))
-    return fit(dataset, taxonomy, split, loss_config, model_config, config.epochs, fold_seed)
+    model_config = replace(config.model, input_dim=len(dataset[0].features))
+    model, log = fit(dataset, taxonomy, split, loss_config, model_config, config.epochs, fold_seed)
+    cell = {"fold": split.fold_index, "combo": combo_name(combo), "seed": fold_seed}
+    save_checkpoint(out / "checkpoint.json", model, extra=cell | (extra or {}))
+    _write_csv(out / "log.csv", list(dict.fromkeys(key for row in log for key in row)), log)
+    return model, log
+
+
+def check_pool_sizes(splits: list[SplitAssignment]) -> None:
+    """Reject, before any training, a fold whose test pool is too small for
+    RP@k or whose prediction pool is too small to rank."""
+    for split in splits:
+        for subset, needed in (("test", RP_K + 1), ("prediction", 2)):
+            count = sum(1 for name in split.partition.values() if name == subset)
+            if count < needed:
+                raise MetricError(
+                    f"fold {split.fold_index}: the {subset} partition holds {count} "
+                    f"samples; its metrics need at least {needed}"
+                )
 
 
 def _format_cell(values: list[float]) -> str:
@@ -363,54 +369,31 @@ def aggregate_rows(
     return rows
 
 
-def write_aggregate_csv(path: Path, rows: list[dict[str, str]]) -> None:
-    columns = ["combo"] + [column for _, _, column in AGGREGATE_COLUMNS]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:
     """Full pipeline: split, train, and evaluate every fold x combination,
     then aggregate into a Table-style CSV. Returns the aggregate rows."""
     out = Path(config.out_dir)
     taxonomy, dataset = load_experiment_data(config)
-    if not config.dataset_path:
-        data_dir = out / "data"
-        data_dir.mkdir(parents=True, exist_ok=True)
-        save_taxonomy(data_dir / "taxonomy.json", taxonomy)
-        save_dataset(data_dir / "dataset.jsonl", dataset)
     splits = make_fold_splits(taxonomy, dataset, config.k_folds, config.seed)
+    check_pool_sizes(splits)
+    if not config.dataset_path:
+        save_taxonomy(out / "data" / "taxonomy.json", taxonomy)
+        save_dataset(out / "data" / "dataset.jsonl", dataset)
     reports: dict[tuple[int, str], dict[str, MetricsReport]] = {}
     combo_names = [combo_name(c) for c in config.combos]
     for split in splits:
         fold_dir = out / f"fold_{split.fold_index}"
         _write_json(fold_dir / "split.json", split_to_json(taxonomy, split))
-        for combo in config.combos:
-            name = combo_name(combo)
+        for combo, name in zip(config.combos, combo_names):
             run_dir = fold_dir / name
-            run_dir.mkdir(parents=True, exist_ok=True)
-            model, log = train_fold_combo(taxonomy, dataset, split, config, combo)
-            save_checkpoint(
-                run_dir / "checkpoint.json",
-                model,
-                extra={
-                    "fold": split.fold_index,
-                    "combo": name,
-                    "seed": config.seed + split.fold_index,
-                },
-            )
-            _write_log_csv(run_dir / "log.csv", log)
+            model, _ = train_cell(taxonomy, dataset, split, config, combo, run_dir)
             entry = {}
             for subset in ("test", "prediction"):
-                report = evaluate_model(model, taxonomy, dataset, split, subset)
-                _write_json(run_dir / f"{subset}.json", report.to_json())
-                entry[subset] = report
+                entry[subset] = evaluate_model(model, taxonomy, dataset, split, subset)
+                _write_json(run_dir / f"{subset}.json", entry[subset].to_json())
             reports[(split.fold_index, name)] = entry
     rows = aggregate_rows(reports, combo_names)
-    write_aggregate_csv(out / "aggregate.csv", rows)
+    _write_csv(out / "aggregate.csv", AGGREGATE_HEADER, rows)
     return rows
 
 
@@ -420,7 +403,6 @@ def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:
 def cmd_gen_data(args) -> None:
     config = load_experiment_config(args.config, {"seed": args.seed})
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     taxonomy, dataset = generate(config.synth)
     save_taxonomy(out / "taxonomy.json", taxonomy)
     save_dataset(out / "dataset.jsonl", dataset)
@@ -434,7 +416,6 @@ def cmd_split(args) -> None:
     dataset = load_dataset(args.dataset)
     splits = make_fold_splits(taxonomy, dataset, args.folds, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for split in splits:
         _write_json(out / f"split_fold_{split.fold_index}.json", split_to_json(taxonomy, split))
     print(f"wrote {len(splits)} fold splits under {out}")
@@ -443,14 +424,12 @@ def cmd_split(args) -> None:
 def cmd_sample_triplets(args) -> None:
     taxonomy = load_taxonomy(args.taxonomy)
     dataset = load_dataset(args.dataset)
-    with open(args.split, encoding="utf-8") as fh:
-        split = split_from_json(taxonomy, json.load(fh))
+    split = load_split(args.split, taxonomy)
     pruned = pruned_seen_taxonomy(taxonomy, split)
     triples = enumerate_node_triples(pruned)
     instances = instantiate_epoch(pruned, dataset, split, triples, args.epoch_seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
+    with atomic_open(out) as fh:
         for triple, inst in zip(triples, instances):
             fh.write(
                 json.dumps(
@@ -475,55 +454,36 @@ def cmd_train(args) -> None:
     overrides = {"seed": args.seed, "taxonomy": args.taxonomy, "dataset": args.dataset}
     config = load_experiment_config(args.config, overrides)
     taxonomy, dataset = load_experiment_data(config)
-    with open(args.split, encoding="utf-8") as fh:
-        split = split_from_json(taxonomy, json.load(fh))
-    if split.fold_index != args.fold:
-        split = replace(split, fold_index=args.fold)
+    split = replace(load_split(args.split, taxonomy), fold_index=args.fold)
     combo = parse_combo(args.losses)
     if combo not in VALID_COMBOS:
         raise SystemExit(f"unsupported loss combination {args.losses!r}")
-    model, log = train_fold_combo(taxonomy, dataset, split, config, combo)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    extra = {"fold": args.fold, "combo": combo_name(combo), "seed": config.seed + args.fold}
+    paths = None
     if config.taxonomy_path:
-        extra["taxonomy"] = config.taxonomy_path
-        extra["dataset"] = config.dataset_path
-        extra["split"] = args.split
-    save_checkpoint(out / "checkpoint.json", model, extra=extra)
-    _write_log_csv(out / "log.csv", log)
-    final = log[-1]["val_total"] if log else float("nan")
+        paths = {"taxonomy": config.taxonomy_path, "dataset": config.dataset_path, "split": args.split}
+    out = Path(args.out)
+    _, log = train_cell(taxonomy, dataset, split, config, combo, out, paths)
     print(f"trained {combo_name(combo)} fold {args.fold}: "
-          f"final validation loss {final:.4f}; wrote {out / 'checkpoint.json'}")
+          f"final validation loss {log[-1]['val_total']:.4f}; wrote {out / 'checkpoint.json'}")
 
 
 def cmd_evaluate(args) -> None:
     model, extra = load_checkpoint(args.checkpoint)
-    taxonomy_path = args.taxonomy or extra.get("taxonomy")
-    dataset_path = args.dataset or extra.get("dataset")
-    split_path = args.split or extra.get("split")
-    for label, value in [("taxonomy", taxonomy_path), ("dataset", dataset_path), ("split", split_path)]:
+    paths = {key: getattr(args, key) or extra.get(key) for key in ("taxonomy", "dataset", "split")}
+    for label, value in paths.items():
         if not value:
             raise SystemExit(f"--{label} required (checkpoint does not record a {label} path)")
-    taxonomy = load_taxonomy(taxonomy_path)
-    dataset = load_dataset(dataset_path)
-    with open(split_path, encoding="utf-8") as fh:
-        split = split_from_json(taxonomy, json.load(fh))
-    if args.diagnostics:
+    taxonomy = load_taxonomy(paths["taxonomy"])
+    dataset = load_dataset(paths["dataset"])
+    split = load_split(paths["split"], taxonomy)
+    if not args.diagnostics:
+        report = evaluate_model(model, taxonomy, dataset, split, args.set)
+    else:
         # the diagnostics reuse the ranking the metrics were computed from
         report, ranked, leaf_of = _evaluate_ranked(model, taxonomy, dataset, split, args.set)
-    else:
-        report = evaluate_model(model, taxonomy, dataset, split, args.set)
-    _write_json(Path(args.out), report.to_json())
-    if args.diagnostics:
         rows = per_query_diagnostics(ranked, taxonomy, leaf_of)
-        path = Path(args.diagnostics)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+        _write_csv(Path(args.diagnostics), list(rows[0]), rows)
+    _write_json(Path(args.out), report.to_json())
     print(f"wrote {args.set} metrics to {args.out}")
 
 
@@ -531,19 +491,17 @@ def cmd_report(args) -> None:
     runs = Path(args.runs)
     reports: dict[tuple[int, str], dict[str, MetricsReport]] = {}
     combo_names: list[str] = []
-    fold_dirs = sorted(
-        (d for d in runs.iterdir() if d.is_dir() and d.name.startswith("fold_")),
-        key=lambda d: int(d.name.split("_", 1)[1]),
+    folds = sorted(
+        (int(d.name.split("_", 1)[1]), d)
+        for d in runs.iterdir() if d.is_dir() and d.name.startswith("fold_")
     )
-    for fold_dir in fold_dirs:
-        fold = int(fold_dir.name.split("_", 1)[1])
+    for fold, fold_dir in folds:
         for run_dir in sorted(d for d in fold_dir.iterdir() if d.is_dir()):
             entry = {}
             for subset in ("test", "prediction"):
                 path = run_dir / f"{subset}.json"
                 if path.exists():
-                    with open(path, encoding="utf-8") as fh:
-                        entry[subset] = MetricsReport.from_json(json.load(fh))
+                    entry[subset] = MetricsReport.from_json(json.loads(path.read_text("utf-8")))
             if entry:
                 reports[(fold, run_dir.name)] = entry
                 if run_dir.name not in combo_names:
@@ -551,7 +509,7 @@ def cmd_report(args) -> None:
     known = [combo_name(c) for c in VALID_COMBOS]
     combo_names.sort(key=lambda n: (known.index(n) if n in known else len(known), n))
     rows = aggregate_rows(reports, combo_names)
-    write_aggregate_csv(Path(args.out), rows)
+    _write_csv(Path(args.out), AGGREGATE_HEADER, rows)
     print(f"wrote aggregate of {len(reports)} runs to {args.out}")
 
 

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,9 +61,26 @@ def load_dataset(path: str | Path) -> list[LabeledSample]:
     return samples
 
 
+@contextmanager
+def atomic_open(path: str | Path):
+    """A text file to write `path` through. The text goes to a sibling
+    `<name>.partial` file that is renamed onto `path` only if the block
+    completes, so a failed write leaves any earlier file whole and no
+    partial file behind. Missing parent directories are created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
 def save_dataset(path: str | Path, samples: list[LabeledSample]) -> None:
     """Write samples as JSON Lines; float values round-trip exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for s in samples:
             record = {"id": s.id, "leaf": s.leaf, "features": [float(x) for x in s.features]}
             fh.write(json.dumps(record) + "\n")

@@ -1,7 +1,9 @@
 """Seen/unseen leaf folds and train/valid/test/prediction sample partitions."""
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -191,6 +193,18 @@ def split_from_json(taxonomy: Taxonomy, data: dict) -> SplitAssignment:
         unseen_leaves=unseen,
         partition=partition,
     )
+
+
+def load_split(path: str | Path, taxonomy: Taxonomy) -> SplitAssignment:
+    """Read a split file written from `split_to_json`; any fault in it is a
+    `SplitError` that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return split_from_json(taxonomy, json.load(fh))
+    except KeyError as err:
+        raise SplitError(f"{path}: missing key {err}") from None
+    except (ValueError, TypeError, AttributeError) as err:
+        raise SplitError(f"{path}: {err}") from None
 
 
 def partition_samples(

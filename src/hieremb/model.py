@@ -10,7 +10,6 @@ Adam. Everything is plain numpy and deterministic given a seed.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from math import prod
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
-from .dataset import LabeledSample, features_matrix
+from .dataset import LabeledSample, atomic_open, features_matrix
 from .datasplit import SplitAssignment, partition_samples, pruned_seen_taxonomy
 from .losses import LossConfig, LossValue
 from .sampler import TripletInstance, enumerate_node_triples, instantiate_epoch
@@ -277,21 +276,14 @@ class EmbeddingModel:
         if X.ndim != 2 or X.shape[1] != self.config.input_dim:
             raise ValueError(f"expected (n, {self.config.input_dim}) input, got {X.shape}")
         p = self.params
-        hidden = np.tanh(X @ p["embed.1.W"] + p["embed.1.b"])
-        emb = hidden @ p["embed.2.W"] + p["embed.2.b"]
-        return emb, emb @ p["head.W"] + p["head.b"], hidden
-
-    def embed_all(
-        self, samples: list[LabeledSample], batch_size: int = 512
-    ) -> dict[str, np.ndarray]:
-        """Embeddings for every sample, batched deterministically."""
-        result: dict[str, np.ndarray] = {}
-        for start in range(0, len(samples), batch_size):
-            chunk = samples[start : start + batch_size]
-            emb, _, _ = self.forward_batch(features_matrix(chunk))
-            for sample, row in zip(chunk, emb):
-                result[sample.id] = row
-        return result
+        hidden = X @ p["embed.1.W"]  # biases and tanh in place: one array per layer
+        hidden += p["embed.1.b"]
+        np.tanh(hidden, out=hidden)
+        emb = hidden @ p["embed.2.W"]
+        emb += p["embed.2.b"]
+        logits = emb @ p["head.W"]
+        logits += p["head.b"]
+        return emb, logits, hidden
 
     def clone_params(self) -> np.ndarray:
         return self.vector.copy()
@@ -574,7 +566,7 @@ CHECKPOINT_FORMAT = "hieremb-checkpoint-v2"
 def save_checkpoint(path: str | Path, model: EmbeddingModel, extra: dict | None = None) -> None:
     """The config, the head layout, and the flat parameter vector; shapes
     follow from the first two (`param_shapes`). The file is replaced
-    atomically."""
+    atomically (`atomic_open`)."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "model": asdict(model.config),
@@ -586,16 +578,8 @@ def save_checkpoint(path: str | Path, model: EmbeddingModel, extra: dict | None 
         "params": model.vector.tolist(),
         "extra": extra or {},
     }
-    text = json.dumps(payload) + "\n"
-    # written beside the target, then renamed onto it, so a failed save
-    # leaves any earlier checkpoint whole
-    path = Path(path)
-    partial = path.with_name(path.name + ".partial")
-    try:
-        partial.write_text(text, encoding="utf-8")
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(payload) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[EmbeddingModel, dict]:

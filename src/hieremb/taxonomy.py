@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabeledSample
+from .dataset import LabeledSample, atomic_open
 
 
 class TaxonomyError(ValueError):
@@ -245,6 +245,6 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
 
 
 def save_taxonomy(path: str | Path, taxonomy: Taxonomy) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(taxonomy.to_document(), fh, indent=2)
         fh.write("\n")

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +19,10 @@ from hieremb.cli import (
     read_config_file,
     run_experiment,
 )
-from hieremb.dataset import save_dataset
-from hieremb.datasplit import partition_samples, split_to_json
+from hieremb.dataset import features_matrix, save_dataset
+from hieremb.datasplit import SplitError, partition_samples, split_to_json
 from hieremb.losses import LossConfig
-from hieremb.metrics import build_ranked_lists, per_query_diagnostics
+from hieremb.metrics import MetricError, build_ranked_lists, per_query_diagnostics
 from hieremb.model import ModelConfig, fit, save_checkpoint
 from hieremb.synthdata import SynthConfig, generate
 from hieremb.taxonomy import parse_taxonomy, save_taxonomy
@@ -84,6 +86,20 @@ class TestConfigParsing:
             load_experiment_config(str(path))
         with pytest.raises(ValueError, match="unknown config keys: colour, epoch$"):
             config_from_values({"epochs": "1", "epoch": "1", "colour": "red"})
+
+    def test_defaults_come_from_the_dataclasses(self):
+        config = config_from_values({})
+        assert config == ExperimentConfig()
+        assert config.model == ModelConfig()
+        assert config.synth == SynthConfig(seed=0)
+
+    def test_readme_sample_config_is_accepted(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        sample = re.search(r"with `experiment.cfg`:\n\n```ini\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "experiment.cfg"
+        path.write_text(sample)
+        # and its values are the defaults
+        assert load_experiment_config(str(path)) == ExperimentConfig()
 
     def test_invalid_combo_rejected(self):
         with pytest.raises(ValueError, match="six supported"):
@@ -173,7 +189,9 @@ class TestEvaluateModel:
         # the same rows as ranking the pool anew and reducing it directly
         pool = partition_samples(samples, split, subset)
         leaf_of = {s.id: tax.leaf_id_for(s) for s in pool}
-        ranked = build_ranked_lists(model.embed_all(pool), [s.id for s in pool])
+        ids = [s.id for s in pool]
+        embeddings, _, _ = model.forward_batch(features_matrix(pool))
+        ranked = build_ranked_lists(dict(zip(ids, embeddings)), ids)
         expected = [
             {k: "" if v is None else str(v) for k, v in row.items()}
             for row in per_query_diagnostics(ranked, tax, leaf_of)
@@ -221,6 +239,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="epochs must be at least 1"):
             main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
         assert not list(tmp_path.glob("runs/**/checkpoint.json"))
+
+    def test_too_small_fold_fails_before_writing(self, tmp_path):
+        # fold 1 of this tree holds 4 test samples, too few for RP@5; the
+        # run used to train and write cells before finding that out
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(
+            "synth_depth = 3\nsynth_branching = 2-3,2-3\nsynth_samples_per_leaf = 8-30\n"
+            "synth_feature_dim = 8\nk_folds = 3\nepochs = 1\nseed = 1\ncombos = L\n"
+            "hidden_dim = 16\nembedding_dim = 8\n"
+        )
+        with pytest.raises(
+            MetricError, match="fold 1: the test partition holds 4 samples; its metrics need at least 6"
+        ):
+            main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
+        assert not (tmp_path / "runs").exists()
 
 
 class TestSubcommandPipeline:
@@ -284,6 +317,15 @@ class TestSubcommandPipeline:
             "--fold", "0", "--losses", "PL+T",
             "--out", str(run_dir),
         ])
+        # the staged cell is run's cell: the same log, and the same checkpoint
+        # but for the data paths echoed into it
+        auto_dir = tmp_path / "auto" / "fold_0" / "PL+T"
+        assert (run_dir / "log.csv").read_bytes() == (auto_dir / "log.csv").read_bytes()
+        staged = json.loads((run_dir / "checkpoint.json").read_text())
+        assert staged["extra"].pop("taxonomy") == str(data_dir / "taxonomy.json")
+        assert staged["extra"].pop("dataset") == str(data_dir / "dataset.jsonl")
+        assert staged["extra"].pop("split") == str(splits_dir / "split_fold_0.json")
+        assert staged == json.loads((auto_dir / "checkpoint.json").read_text())
         for subset in ("test", "prediction"):
             main([
                 "evaluate",
@@ -294,7 +336,7 @@ class TestSubcommandPipeline:
                 "--set", subset,
                 "--out", str(run_dir / f"{subset}.json"),
             ])
-            auto = (tmp_path / "auto" / "fold_0" / "PL+T" / f"{subset}.json").read_bytes()
+            auto = (auto_dir / f"{subset}.json").read_bytes()
             manual = (run_dir / f"{subset}.json").read_bytes()
             assert auto == manual
 
@@ -343,3 +385,31 @@ class TestSubcommandPipeline:
             assert set(payload["partition"].values()) <= {
                 "train", "valid", "test", "prediction"
             }
+
+    @pytest.mark.parametrize("command", ["sample-triplets", "train"])
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"fold": 0, "unseen": [], "partition": {}}', "missing key 'seen'"),
+            ('{"fold": 0, "seen": ["a1"', "Expecting"),
+            ("[]", "list indices must be"),
+        ],
+        ids=["missing-key", "truncated", "not-an-object"],
+    )
+    def test_bad_split_file_is_named(self, tmp_path, command, text, error):
+        tax = parse_taxonomy(t0_document())
+        save_taxonomy(tmp_path / "taxonomy.json", tax)
+        save_dataset(tmp_path / "dataset.jsonl", make_samples(tax, {"a1": 10}, dim=4))
+        split = tmp_path / "split.json"
+        split.write_text(text)
+        argv = [
+            command,
+            "--taxonomy", str(tmp_path / "taxonomy.json"),
+            "--dataset", str(tmp_path / "dataset.jsonl"),
+            "--split", str(split),
+            "--out", str(tmp_path / "out"),
+        ]
+        if command == "train":
+            argv += ["--fold", "0", "--losses", "L"]
+        with pytest.raises(SplitError, match=re.escape(f"{split}: {error}")):
+            main(argv)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hieremb.dataset import LabeledSample, load_dataset, save_dataset
+import hieremb.dataset
+from hieremb.dataset import LabeledSample, atomic_open, load_dataset, save_dataset
 
 
 def write_records(path, records):
@@ -49,3 +50,34 @@ def test_non_finite_features_name_line_and_sample(tmp_path, bad):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"d\.jsonl:3: sample 's1' has non-finite features"):
         load_dataset(path)
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failure", ["block-raises", "rename-fails"])
+def test_failed_atomic_write_keeps_earlier_bytes(tmp_path, monkeypatch, failure):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"earlier\n")
+    if failure == "rename-fails":
+        def refuse(src, dst):
+            raise Interrupted
+
+        monkeypatch.setattr(hieremb.dataset.os, "replace", refuse)
+    with pytest.raises(Interrupted):
+        with atomic_open(path) as fh:
+            fh.write("later\n")
+            if failure == "block-raises":
+                raise Interrupted
+    assert path.read_bytes() == b"earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_atomic_write_creates_parents_and_replaces(tmp_path):
+    path = tmp_path / "a" / "b" / "out.csv"
+    for text in ("first\n", "second\n"):
+        with atomic_open(path) as fh:
+            fh.write(text)
+    assert path.read_bytes() == b"second\n"
+    assert [p.name for p in path.parent.iterdir()] == ["out.csv"]

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hieremb.dataset
 import hieremb.model
 from hieremb.cli import VALID_COMBOS
 from hieremb.datasplit import make_fold_splits, partition_samples, pruned_seen_taxonomy
@@ -171,6 +172,13 @@ class TestForward:
         assert np.array_equal(e1, e2)
         leaf = m1.layout.leaf.columns
         assert np.array_equal(l1[:, leaf], l2[:, leaf])
+
+    def test_pure_function_of_features(self):
+        # a row's outputs do not depend on the other rows of the batch
+        _, samples, _, _, _, model = five_leaf_problem({"L", "PL", "B"})
+        X = np.stack([s.features for s in samples])
+        for out in model.forward_batch(np.vstack([X, X[:1]])):
+            assert np.array_equal(out[-1], out[0])
 
 
 class TestGradients:
@@ -433,24 +441,6 @@ class TestFlatTreeReduction:
             assert np.array_equal(model_l.params[kl], model_pl.params[kpl])
 
 
-class TestEmbedAll:
-    def test_embeddings_for_every_sample(self):
-        _, samples, _, _, _, model = five_leaf_problem({"L"})
-        embeddings = model.embed_all(samples)
-        assert set(embeddings) == {s.id for s in samples}
-        assert all(v.shape == (4,) for v in embeddings.values())
-
-    def test_pure_function_of_features(self):
-        _, samples, _, _, _, model = five_leaf_problem({"L"})
-        twin = samples[0].__class__(id="copy", leaf=samples[0].leaf, features=samples[0].features)
-        embeddings = model.embed_all(samples + [twin])
-        assert np.array_equal(embeddings["copy"], embeddings[samples[0].id])
-
-    def test_empty_input(self):
-        _, _, _, _, _, model = five_leaf_problem({"L"})
-        assert model.embed_all([]) == {}
-
-
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         _, _, _, _, _, model = five_leaf_problem({"L", "PL", "B", "T"})
@@ -501,7 +491,7 @@ class TestCheckpoint:
             def refuse(src, dst):
                 raise OSError("disk full")
 
-            monkeypatch.setattr(hieremb.model.os, "replace", refuse)
+            monkeypatch.setattr(hieremb.dataset.os, "replace", refuse)
             error = OSError
         with pytest.raises(error):
             save_checkpoint(path, model, extra=extra)
