@@ -491,10 +491,14 @@ def cmd_report(args) -> None:
     runs = Path(args.runs)
     reports: dict[tuple[int, str], dict[str, MetricsReport]] = {}
     combo_names: list[str] = []
-    folds = sorted(
-        (int(d.name.split("_", 1)[1]), d)
-        for d in runs.iterdir() if d.is_dir() and d.name.startswith("fold_")
-    )
+    folds = []
+    for d in runs.iterdir():
+        if d.is_dir() and d.name.startswith("fold_"):
+            index = d.name.removeprefix("fold_")
+            if not (index.isascii() and index.isdigit()):
+                raise ValueError(f"{d.name!r} in {runs} is not a fold_<number> directory")
+            folds.append((int(index), d))
+    folds.sort()
     for fold, fold_dir in folds:
         for run_dir in sorted(d for d in fold_dir.iterdir() if d.is_dir()):
             entry = {}

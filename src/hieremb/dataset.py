@@ -82,7 +82,8 @@ def save_dataset(path: str | Path, samples: list[LabeledSample]) -> None:
     """Write samples as JSON Lines; float values round-trip exactly."""
     with atomic_open(path) as fh:
         for s in samples:
-            record = {"id": s.id, "leaf": s.leaf, "features": [float(x) for x in s.features]}
+            features = np.asarray(s.features, dtype=np.float64).tolist()
+            record = {"id": s.id, "leaf": s.leaf, "features": features}
             fh.write(json.dumps(record) + "\n")
 
 

@@ -87,11 +87,15 @@ def triplet_loss_batch(
     The hinge subgradient at the kink is 0, so satisfied triplets stay inert.
     """
     b = len(emb_anchor)
-    unit, norms = unit_rows(np.concatenate([emb_anchor, emb_positive, emb_negative]))
+    unit = np.concatenate([emb_anchor, emb_positive, emb_negative])
+    norms = np.sqrt(np.einsum("ij,ij->i", unit, unit))
+    if np.any(norms == 0):
+        raise ValueError("zero embedding vector (dead embedding)")
+    unit /= norms[:, None]
     ua, up, un = unit[:b], unit[b : 2 * b], unit[2 * b :]
     na, npos, nn = norms[:b], norms[b : 2 * b], norms[2 * b :]
-    sim_ap = (ua * up).sum(axis=1)
-    sim_an = (ua * un).sum(axis=1)
+    sim_ap = np.einsum("ij,ij->i", ua, up)
+    sim_an = np.einsum("ij,ij->i", ua, un)
     raw = -sim_ap + sim_an + margin  # d_ap - d_an + margin
     active = raw > 0
     values = np.where(active, raw, 0.0)
@@ -105,33 +109,50 @@ def triplet_loss_batch(
 # -- classification losses ---------------------------------------------------
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def softmax_cross_entropy_batch(
-    logits: np.ndarray, targets: np.ndarray, weights: np.ndarray
+    logits: np.ndarray, targets: np.ndarray, weights: np.ndarray | list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted cross-entropy per row of (n, C) logits, plus logit gradients.
+    """Weighted cross-entropy per row and head of (n, C) logits, plus logit
+    gradients.
 
-    Each row's loss and gradient are scaled by the weight of its true class.
+    The columns split into consecutive heads, one per array in `weights` and
+    as wide as it; `targets` (n, heads) holds each row's class index within
+    every head, and the values come back as (n, heads). One weight array with
+    (n,) targets is the one-head case, with (n,) values. Each row's loss and
+    gradient in a head are scaled by the weight of its true class there.
+    Every head's log-sum-exp comes from one segmented pass over the columns.
     """
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.intp)
-    weights = np.asarray(weights, dtype=np.float64)
-    n, n_classes = logits.shape
-    if weights.shape != (n_classes,):
-        raise ValueError(f"expected {n_classes} class weights, got {weights.shape}")
-    if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
+    one_head = targets.ndim == 1
+    if one_head:
+        targets, weights = targets[:, None], [weights]
+    weights = [np.asarray(w, dtype=np.float64) for w in weights]
+    n, n_columns = logits.shape
+    widths = np.array([w.size for w in weights], dtype=np.intp)
+    if any(w.ndim != 1 for w in weights) or widths.sum() != n_columns or not widths.all():
+        got = weights[0].shape if one_head else [w.shape for w in weights]
+        raise ValueError(f"expected {n_columns} class weights, got {got}")
+    if targets.shape != (n, len(weights)):
+        raise ValueError(f"expected ({n}, {len(weights)}) targets, got {targets.shape}")
+    if targets.size and ((targets < 0) | (targets >= widths)).any():
         raise ValueError("target index out of range")
-    log_probs = log_softmax(logits)
+    starts = np.cumsum(widths) - widths
+    head_of = np.repeat(np.arange(len(weights)), widths)  # column -> head
+    # work column-major, (C, n): each head's reductions then run over whole
+    # contiguous rows of n values
+    true_columns = (targets + starts).T
     rows = np.arange(n)
-    w = weights[targets]
-    values = -w * log_probs[rows, targets]
-    grad = w[:, None] * np.exp(log_probs)
-    grad[rows, targets] -= w
-    return values, grad
+    w = np.concatenate(weights)[true_columns]  # (heads, n) true-class weights
+    log_probs = logits.T.copy()  # C order
+    log_probs -= np.maximum.reduceat(log_probs, starts, axis=0)[head_of]
+    grad = np.exp(log_probs)
+    log_probs -= np.log(np.add.reduceat(grad, starts, axis=0))[head_of]
+    values = -w * log_probs[true_columns, rows]
+    np.exp(log_probs, out=grad)
+    grad *= w[head_of]
+    grad[true_columns, rows] -= w
+    return (values[0] if one_head else values.T), grad.T
 
 
 def binary_cross_entropy_nodes_batch(

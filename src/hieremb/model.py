@@ -21,7 +21,7 @@ from . import losses
 from .dataset import LabeledSample, atomic_open, features_matrix
 from .datasplit import SplitAssignment, partition_samples, pruned_seen_taxonomy
 from .losses import LossConfig, LossValue
-from .sampler import TripletInstance, enumerate_node_triples, instantiate_epoch
+from .sampler import TripletInstance, enumerate_node_triples, instantiate_epoch, triplet_pools
 from .taxonomy import Taxonomy
 
 
@@ -316,19 +316,22 @@ def head_losses(
     components: dict[str, float] = {}
     # each head's loss fills its segment of the fused logit gradient
     grad_logits = np.empty_like(logits) if with_grad else None
-    level_total = 0.0
-    for head in layout.class_heads():
+    heads = layout.class_heads()
+    if heads:
+        # the class heads lead the fused columns: one segmented kernel call
+        columns = slice(0, heads[-1].columns.stop)
         values, grad = losses.softmax_cross_entropy_batch(
-            logits[:, head.columns], class_targets[head.name], head.class_weights
+            logits[:, columns],
+            np.stack([class_targets[head.name] for head in heads], axis=1),
+            [head.class_weights for head in heads],
         )
+        if layout.leaf is not None:
+            components["L"] = float(values[:, 0].mean())
+        if layout.levels:
+            level_values = values[:, 1:] if layout.leaf is not None else values
+            components["PL"] = float(level_values.sum(axis=1).mean())
         if with_grad:
-            grad_logits[:, head.columns] = grad / n_rows
-        if head is layout.leaf:
-            components["L"] = float(values.mean())
-        else:
-            level_total = level_total + values
-    if layout.levels:
-        components["PL"] = float(level_total.mean())
+            np.divide(grad, n_rows, out=grad_logits[:, columns])
     if layout.binary is not None:
         columns = layout.binary.columns
         values, grad = losses.binary_cross_entropy_nodes_batch(
@@ -356,15 +359,14 @@ def batch_loss_and_grads(
     emb, logits, hidden = model.forward_batch(X)
 
     components: dict[str, float] = {}
-    grad_emb = np.zeros_like(emb)
+    triplet_grad = None
     if "T" in cfg.active:
         values, ga, gp, gn = losses.triplet_loss_batch(
             emb[:b], emb[b : 2 * b], emb[2 * b :], cfg.margin
         )
         components["T"] = float(values.mean())
-        grad_emb[:b] += ga / b
-        grad_emb[b : 2 * b] += gp / b
-        grad_emb[2 * b :] += gn / b
+        triplet_grad = np.concatenate([ga, gp, gn])
+        triplet_grad /= b
 
     membership = table.binary_membership
     head_components, grad_logits = head_losses(
@@ -382,7 +384,9 @@ def batch_loss_and_grads(
     g = model.views(gradient)
     g["head.W"][...] = emb.T @ grad_logits
     g["head.b"][...] = grad_logits.sum(axis=0)
-    grad_emb += grad_logits @ p["head.W"].T
+    grad_emb = grad_logits @ p["head.W"].T
+    if triplet_grad is not None:
+        grad_emb += triplet_grad
     grad_hidden = grad_emb @ p["embed.2.W"].T
     g["embed.2.W"][...] = hidden.T @ grad_emb
     g["embed.2.b"][...] = grad_emb.sum(axis=0)
@@ -508,6 +512,8 @@ def fit(
     train_table = build_target_table(pruned, layout, train_samples)
     valid_table = build_target_table(pruned, layout, valid_samples)
     triples = enumerate_node_triples(pruned)
+    # the training pools are the same every epoch; infeasible triples raise here
+    pools = triplet_pools(pruned, dataset, split, triples)
     val_instances: list[TripletInstance] = []
     if "T" in loss_config.active:
         val_instances = instantiate_epoch(
@@ -523,7 +529,7 @@ def fit(
     for epoch in range(epochs):
         state.epoch = epoch
         epoch_seed = seed + epoch
-        instances = instantiate_epoch(pruned, dataset, split, triples, epoch_seed)
+        instances = instantiate_epoch(pruned, dataset, split, triples, epoch_seed, pools=pools)
         order = np.random.default_rng([epoch_seed, 1]).permutation(len(instances))
         shuffled = [instances[i] for i in order]
         sums: dict[str, float] = {}

@@ -1,8 +1,9 @@
 """Offline triplet mining from the label tree.
 
-Node-level triples are enumerated once per tree; concrete sample triplets
-are drawn once per epoch, so the per-epoch triplet count is fixed by the
-tree structure, not the dataset size.
+Node-level triples are enumerated once per tree and their sample pools
+built once per fit; concrete sample triplets are drawn once per epoch, so
+the per-epoch triplet count and work are fixed by the tree structure, not
+the dataset size.
 """
 from __future__ import annotations
 
@@ -85,6 +86,87 @@ def count_node_triples(taxonomy: Taxonomy) -> int:
     return total
 
 
+class TripletPools(NamedTuple):
+    """Everything an epoch's draw needs that does not change within a fit.
+
+    `ids` holds every used node's sample ids, each node's run sorted by id;
+    the per-triple arrays below cover only the feasible triples, in triple
+    order. Draw k of the epoch is uniform in [0, highs[k]).
+    """
+
+    subset: str
+    skip_infeasible: bool
+    triples: tuple[NodeTriple, ...]
+    ids: np.ndarray  # object array of sample ids, one run per node
+    highs: np.ndarray  # (draws,) exclusive bound of every draw
+    first_draw: np.ndarray  # (kept,) index of each triple's first draw
+    same: np.ndarray  # (kept,) bool, anchor and positive from one node
+    starts: np.ndarray  # (kept, 3) where each node's run begins in `ids`
+
+
+def triplet_pools(
+    taxonomy: Taxonomy,
+    dataset: list[LabeledSample],
+    split: SplitAssignment,
+    triples: list[NodeTriple],
+    subset: str = "train",
+    skip_infeasible: bool = False,
+) -> TripletPools:
+    """The sample pools and draw bounds of `instantiate_epoch`, built once.
+
+    Nodes are resolved against `taxonomy` (normally the pruned seen tree) and
+    only samples in the `subset` partition are pooled. A triple whose nodes
+    have too few samples raises `SamplerError` unless `skip_infeasible`,
+    which drops it (used for validation triplet sets, where single-sample
+    nodes are legitimate).
+    """
+    by_leaf: dict[int, list[str]] = {}
+    for sample in dataset:
+        if split.partition.get(sample.id) == subset:
+            by_leaf.setdefault(taxonomy.leaf_id_for(sample), []).append(sample.id)
+
+    nodes = np.array(triples, dtype=np.intp).reshape(-1, 3)
+    used = np.flatnonzero(np.bincount(nodes.ravel(), minlength=len(taxonomy)))
+    runs = [
+        sorted(sid for leaf in taxonomy.leaves_under(int(node)) for sid in by_leaf.get(leaf, ()))
+        for node in used
+    ]
+    size = np.zeros(len(taxonomy), dtype=np.int64)
+    start = np.zeros(len(taxonomy), dtype=np.int64)
+    size[used] = [len(run) for run in runs]
+    start[used] = np.cumsum(size[used]) - size[used]
+
+    anchor, positive, negative = size[nodes].T
+    same = nodes[:, 0] == nodes[:, 1]
+    feasible = (anchor >= 1 + same) & (positive > 0) & (negative > 0)
+    if not skip_infeasible and not feasible.all():
+        triple = triples[int(np.argmin(feasible))]
+        node = min(triple, key=lambda n: size[n])
+        raise SamplerError(
+            f"node {taxonomy.name(node)!r} has too few {subset} samples "
+            f"for triple {tuple(taxonomy.name(n) for n in triple)}"
+        )
+    nodes, same = nodes[feasible], same[feasible]
+    anchor, positive, negative = anchor[feasible], positive[feasible], negative[feasible]
+
+    # A distinct-node triple takes one draw per node. A same-node pair takes
+    # the draws `choice(n, 2, replace=False)` makes (Floyd's algorithm:
+    # [0, n-1) and [0, n), then a swap draw in [0, 2)) before the negative.
+    per_triple = 3 + same
+    first_draw = np.cumsum(per_triple) - per_triple
+    highs = np.empty(int(per_triple.sum()), dtype=np.int64)
+    highs[first_draw] = anchor - same
+    highs[first_draw + 1] = np.where(same, anchor, positive)
+    highs[first_draw + 2] = np.where(same, 2, negative)
+    highs[first_draw[same] + 3] = negative[same]
+
+    ids = np.empty(int(size.sum()), dtype=object)
+    ids[:] = [sid for run in runs for sid in run]
+    return TripletPools(
+        subset, skip_infeasible, tuple(triples), ids, highs, first_draw, same, start[nodes]
+    )
+
+
 def instantiate_epoch(
     taxonomy: Taxonomy,
     dataset: list[LabeledSample],
@@ -93,76 +175,42 @@ def instantiate_epoch(
     epoch_seed: int | list[int],
     subset: str = "train",
     skip_infeasible: bool = False,
+    pools: TripletPools | None = None,
 ) -> list[TripletInstance]:
     """Draw one concrete sample triplet per node triple.
 
     Anchor and positive come from the same node without replacement when the
     triple says so, otherwise independently from their own nodes; negatives
-    are uniform over their node. All draws use one generator seeded by
-    `epoch_seed`, so the whole epoch is reproducible.
+    are uniform over their node. All draws of the epoch come from one
+    `integers` call of a generator seeded by `epoch_seed`, which consumes it
+    exactly as one `integers` call per node, or one `choice(n, 2,
+    replace=False)` per same-node pair, would; so the epoch is reproducible.
 
-    Nodes are resolved against `taxonomy` (normally the pruned seen tree) and
-    only samples in the requested partition subset are drawn. A node with no
-    usable sample raises unless `skip_infeasible`, which silently drops that
-    triple (used for validation triplet sets, where single-sample nodes are
-    legitimate).
+    `pools` are the epoch-invariant pools from `triplet_pools`, built for the
+    same triples, `subset` and `skip_infeasible`; without them they are built
+    from the other arguments (see `triplet_pools` for infeasible triples).
     """
-    in_subset = [s for s in dataset if split.partition.get(s.id) == subset]
-    by_leaf: dict[int, list[str]] = {}
-    for sample in in_subset:
-        by_leaf.setdefault(taxonomy.leaf_id_for(sample), []).append(sample.id)
-
-    pools: dict[int, list[str]] = {}
-
-    def pool(node_id: int) -> list[str]:
-        cached = pools.get(node_id)
-        if cached is None:
-            ids: list[str] = []
-            for leaf in taxonomy.leaves_under(node_id):
-                ids.extend(by_leaf.get(leaf, ()))
-            cached = sorted(ids)
-            pools[node_id] = cached
-        return cached
-
-    # All draws of the epoch come from one `integers` call over the
-    # concatenated bounds, which consumes the generator exactly as per-triple
-    # calls would: one uniform draw per node of a distinct-node triple, and
-    # for a same-node pair the draws `choice(n, 2, replace=False)` makes
-    # (Floyd's algorithm: [0, n-1) and [0, n), then a swap draw in [0, 2)).
-    picks = []  # (anchor pool, positive pool or None when same, negative pool)
-    highs: list[int] = []
-    for triple in triples:
-        anchor_pool = pool(triple.anchor_node)
-        negative_pool = pool(triple.negative_node)
-        same = triple.anchor_node == triple.positive_node
-        positive_pool = anchor_pool if same else pool(triple.positive_node)
-        if len(anchor_pool) < 1 + same or not positive_pool or not negative_pool:
-            if skip_infeasible:
-                continue
-            node = min(
-                (triple.anchor_node, triple.positive_node, triple.negative_node),
-                key=lambda n: len(pool(n)),
-            )
-            raise SamplerError(
-                f"node {taxonomy.name(node)!r} has too few {subset} samples "
-                f"for triple {tuple(taxonomy.name(n) for n in triple)}"
-            )
-        n = len(anchor_pool)
-        highs += (n - 1, n, 2) if same else (n, len(positive_pool))
-        highs.append(len(negative_pool))
-        picks.append((anchor_pool, None if same else positive_pool, negative_pool))
-
-    draws = iter(np.random.default_rng(epoch_seed).integers(0, highs).tolist())
-    instances = []
-    for anchor_pool, positive_pool, negative_pool in picks:
-        i, j = next(draws), next(draws)
-        if positive_pool is None:
-            # Floyd: a repeat of the first index becomes the top index
-            if j == i:
-                j = len(anchor_pool) - 1
-            if next(draws) == 0:
-                i, j = j, i
-            positive_pool = anchor_pool
-        negative = negative_pool[next(draws)]
-        instances.append(TripletInstance(anchor_pool[i], positive_pool[j], negative))
-    return instances
+    if pools is None:
+        pools = triplet_pools(taxonomy, dataset, split, triples, subset, skip_infeasible)
+    elif (pools.subset, pools.skip_infeasible) != (subset, skip_infeasible) or (
+        pools.triples != tuple(triples)
+    ):
+        raise ValueError(
+            f"pools built for subset={pools.subset!r}, skip_infeasible="
+            f"{pools.skip_infeasible} and {len(pools.triples)} triples cannot draw "
+            f"subset={subset!r}, skip_infeasible={skip_infeasible} over {len(triples)} triples"
+        )
+    draws = np.random.default_rng(epoch_seed).integers(0, pools.highs)
+    first, same, starts = pools.first_draw, pools.same, pools.starts
+    i, j = draws[first], draws[first + 1]
+    # Floyd: a repeat of the first index becomes the top index n - 1 (the
+    # second draw's bound is n), and the pair is swapped when the swap draw is 0
+    j = np.where(same & (j == i), pools.highs[first + 1] - 1, j)
+    swap = same & (draws[first + 2] == 0)
+    anchor = np.where(swap, j, i) + starts[:, 0]
+    positive = np.where(swap, i, j) + starts[:, 1]
+    negative = draws[first + 2 + same] + starts[:, 2]
+    ids = pools.ids
+    return list(
+        map(TripletInstance, ids[anchor].tolist(), ids[positive].tolist(), ids[negative].tolist())
+    )

@@ -256,6 +256,20 @@ class TestRunExperiment:
         assert not (tmp_path / "runs").exists()
 
 
+class TestReport:
+    def test_stray_fold_directory_is_named(self, tmp_path):
+        runs = tmp_path / "runs"
+        (runs / "fold_0" / "L").mkdir(parents=True)
+        (runs / "fold_old").mkdir()
+        (runs / "fold_notes.txt").write_text("a file, not a fold\n")
+        out = tmp_path / "aggregate.csv"
+        with pytest.raises(
+            ValueError, match=re.escape(f"'fold_old' in {runs} is not a fold_<number> directory")
+        ):
+            main(["report", "--runs", str(runs), "--out", str(out)])
+        assert not out.exists()
+
+
 class TestSubcommandPipeline:
     def test_t0_triplet_dump(self, tmp_path):
         tax = parse_taxonomy(t0_document())

@@ -25,6 +25,18 @@ def test_round_trip(tmp_path):
         assert np.array_equal(a.features, b.features)
 
 
+def test_saved_bytes_for_extreme_values(tmp_path):
+    # the smallest subnormal, negative zero, a huge and an inexact value are
+    # written as the shortest repr that reads back to the same float
+    values = np.array([5e-324, -0.0, 1e308, 1 / 3])
+    save_dataset(tmp_path / "d.jsonl", [LabeledSample("s0", "a1", values)])
+    assert (tmp_path / "d.jsonl").read_bytes() == (
+        b'{"id": "s0", "leaf": "a1", "features": [5e-324, -0.0, 1e+308, 0.3333333333333333]}\n'
+    )
+    (loaded,) = load_dataset(tmp_path / "d.jsonl")
+    assert loaded.features.tobytes() == values.tobytes()
+
+
 def test_ragged_features_name_line_and_sample(tmp_path):
     path = tmp_path / "d.jsonl"
     write_records(path, [record("s0", [1.0, 2.0]), record("s1", [1.0, 2.0]), record("s2", [1.0])])

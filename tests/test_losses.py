@@ -151,6 +151,61 @@ class TestMulticlassLoss:
             assert values[0] >= 0.0
 
 
+class TestSegmentedSoftmax:
+    """Several heads side by side in one call must score like one call per
+    head; only the order of each head's exponential sum may differ."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_one_call_per_head(self, seed):
+        rng = np.random.default_rng(seed)
+        widths = rng.integers(1, 41, size=int(rng.integers(1, 6)))
+        n = int(rng.integers(1, 50))
+        logits = rng.normal(scale=3.0, size=(n, widths.sum()))
+        extreme = rng.random(logits.shape) < 0.2
+        logits[extreme] = rng.choice([-800.0, 800.0], size=extreme.sum())
+        weights = [rng.uniform(0.2, 3.0, size=w) for w in widths]
+        targets = np.stack([rng.integers(0, w, size=n) for w in widths], axis=1)
+        values, grad = softmax_cross_entropy_batch(logits, targets, weights)
+        assert values.shape == (n, len(widths)) and grad.shape == logits.shape
+        stops = np.cumsum(widths)
+        for k, (start, stop) in enumerate(zip(stops - widths, stops)):
+            want_values, want_grad = softmax_cross_entropy_batch(
+                logits[:, start:stop], targets[:, k], weights[k]
+            )
+            assert want_values.shape == (n,)
+            np.testing.assert_allclose(values[:, k], want_values, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(grad[:, start:stop], want_grad, rtol=1e-12, atol=1e-15)
+
+    def test_per_head_formula(self):
+        rng = np.random.default_rng(20)
+        widths = [2, 1, 5]
+        logits = rng.normal(size=(7, 8))
+        weights = [rng.uniform(0.5, 2.0, size=w) for w in widths]
+        targets = np.stack([rng.integers(0, w, size=7) for w in widths], axis=1)
+        values, grad = softmax_cross_entropy_batch(logits, targets, weights)
+        rows = np.arange(7)
+        for k, (start, stop) in enumerate([(0, 2), (2, 3), (3, 8)]):
+            z = logits[:, start:stop]
+            probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+            w = weights[k][targets[:, k]]
+            np.testing.assert_allclose(values[:, k], -w * np.log(probs[rows, targets[:, k]]))
+            onehot = np.eye(stop - start)[targets[:, k]]
+            np.testing.assert_allclose(grad[:, start:stop], w[:, None] * (probs - onehot), atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (4, 1), (3, 5)])
+    def test_logits_left_unchanged(self, shape):
+        logits = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+        before = logits.copy()
+        softmax_cross_entropy_batch(logits, np.zeros(shape[0], dtype=int), np.ones(shape[1]))
+        assert np.array_equal(logits, before)
+
+    def test_head_widths_must_cover_the_columns(self):
+        with pytest.raises(ValueError, match="expected 5 class weights"):
+            softmax_cross_entropy_batch(np.zeros((1, 5)), [[0, 0]], [np.ones(2), np.ones(2)])
+        with pytest.raises(ValueError, match="out of range"):
+            softmax_cross_entropy_batch(np.zeros((1, 5)), [[0, 3]], [np.ones(2), np.ones(3)])
+
+
 class TestBinaryNodeLoss:
     def test_logit_zero_is_ln2(self):
         for member in (np.zeros((1, 5), dtype=bool), np.ones((1, 5), dtype=bool)):

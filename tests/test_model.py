@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import hieremb.dataset
+import hieremb.losses
 import hieremb.model
+import hieremb.sampler
 from hieremb.cli import VALID_COMBOS
 from hieremb.datasplit import make_fold_splits, partition_samples, pruned_seen_taxonomy
-from hieremb.losses import LossConfig, combo_name, log_softmax
+from hieremb.losses import LossConfig, combo_name
 from hieremb.model import (
     AdamState,
     EmbeddingModel,
@@ -230,7 +232,9 @@ class TestTrainStep:
         b = np.zeros(5)
         oracle_losses = []
         for _ in range(30):
-            logp = log_softmax(X @ W + b)
+            z = X @ W + b
+            z -= z.max(axis=1, keepdims=True)
+            logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
             oracle_losses.append(-logp[np.arange(len(y)), y].mean())
             probs = np.exp(logp)
             probs[np.arange(len(y)), y] -= 1
@@ -247,6 +251,22 @@ class TestTrainStep:
             state, value = train_step(state, instances, table)
             step_losses.append(value.total)
         assert step_losses[-1] < step_losses[0]
+
+    def test_one_softmax_call_scores_every_class_head(self, monkeypatch):
+        tax, samples, split, layout, table, model = five_leaf_problem({"L", "PL"})
+        assert len(layout.class_heads()) >= 3
+        calls = []
+        kernel = hieremb.losses.softmax_cross_entropy_batch
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(hieremb.losses, "softmax_cross_entropy_batch", counted)
+        instances = instantiate_epoch(tax, samples, split, enumerate_node_triples(tax), epoch_seed=0)
+        state = TrainState(model=model, adam=AdamState.for_params(model.params))
+        train_step(state, instances[:4], table)
+        assert calls == [(12, layout.width)]
 
     def test_empty_batch_rejected(self):
         _, _, _, _, table, model = five_leaf_problem({"L"})
@@ -309,6 +329,26 @@ class TestFit:
         assert log1 == log2
         for key in m1.params:
             assert np.array_equal(m1.params[key], m2.params[key])
+
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_training_pools_built_once_per_fit(self, monkeypatch, epochs):
+        subsets = []
+
+        def counted(build):
+            def wrapper(*args, **kwargs):
+                pools = build(*args, **kwargs)
+                subsets.append(pools.subset)
+                return pools
+
+            return wrapper
+
+        for module in (hieremb.model, hieremb.sampler):
+            monkeypatch.setattr(module, "triplet_pools", counted(module.triplet_pools))
+        tax, samples, split = synthetic_experiment()
+        model_config = ModelConfig(input_dim=8, hidden_dim=16, embedding_dim=8)
+        loss_config = LossConfig(active=frozenset({"PL", "T"}))
+        fit(samples, tax, split, loss_config, model_config, epochs, seed=5)
+        assert subsets.count("train") == 1
 
     def test_non_finite_validation_loss_raises(self):
         # one NaN validation sample makes every validation total NaN, which no

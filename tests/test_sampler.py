@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hieremb.sampler import (
     count_node_triples,
     enumerate_node_triples,
     instantiate_epoch,
+    triplet_pools,
 )
 from hieremb.taxonomy import parse_taxonomy
 
@@ -227,3 +230,47 @@ class TestEpochDrawOracle:
             assert outcome(instantiate_epoch, *args) == outcome(instantiate_epoch_oracle, *args)
             kwargs = {"subset": "valid", "skip_infeasible": True}
             assert instantiate_epoch(*args, **kwargs) == instantiate_epoch_oracle(*args, **kwargs)
+
+        # one set of pools drawn from over several epochs
+        for kwargs in ({}, {"subset": "valid", "skip_infeasible": True}):
+            try:
+                pools = triplet_pools(tax, samples, split, triples, **kwargs)
+            except SamplerError:
+                continue  # the oracle raises the same error, checked above
+            for epoch_seed in range(seed % 1000, seed % 1000 + 4):
+                args = (tax, samples, split, triples, epoch_seed)
+                drawn = instantiate_epoch(*args, **kwargs, pools=pools)
+                assert drawn == instantiate_epoch_oracle(*args, **kwargs)
+
+
+class TestPools:
+    def problem(self, t0):
+        samples = make_samples(t0, {"a1": 6, "a2": 6, "b1": 6})
+        split = all_train_split(t0, samples)
+        for s in samples[::3]:
+            split.partition[s.id] = "valid"
+        return samples, split, enumerate_node_triples(t0)
+
+    def test_pools_of_another_subset_rejected(self, t0):
+        samples, split, triples = self.problem(t0)
+        pools = triplet_pools(t0, samples, split, triples, subset="valid")
+        with pytest.raises(ValueError, match="pools built for subset='valid'"):
+            instantiate_epoch(t0, samples, split, triples, epoch_seed=0, pools=pools)
+        pools = triplet_pools(t0, samples, split, triples, skip_infeasible=True)
+        with pytest.raises(ValueError, match="skip_infeasible=True"):
+            instantiate_epoch(t0, samples, split, triples, epoch_seed=0, pools=pools)
+
+    def test_pools_of_another_triple_list_rejected(self, t0):
+        samples, split, triples = self.problem(t0)
+        pools = triplet_pools(t0, samples, split, triples[:-1])
+        with pytest.raises(ValueError, match="4 triples cannot draw"):
+            instantiate_epoch(t0, samples, split, triples, epoch_seed=0, pools=pools)
+
+    def test_infeasible_triple_raises_when_pools_are_built(self, t0):
+        samples, split, triples = self.problem(t0)
+        for s in samples:
+            if s.leaf == "b1":
+                split.partition[s.id] = "test"
+        message = "node 'B' has too few train samples for triple ('a1', 'a2', 'B')"
+        with pytest.raises(SamplerError, match=re.escape(message)):
+            triplet_pools(t0, samples, split, triples)
