@@ -67,53 +67,54 @@ def combine(components: dict[str, float], active: frozenset[str] | None = None) 
 # -- embedding-space losses --------------------------------------------------
 
 
-def unit_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalise; a zero row means a dead embedding and is an error."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    norms = np.linalg.norm(vectors, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("zero embedding vector (dead embedding)")
-    return vectors / norms[:, None], norms
-
-
 def triplet_loss_batch(
-    emb_anchor: np.ndarray,
-    emb_positive: np.ndarray,
-    emb_negative: np.ndarray,
-    margin: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-triplet hinge values and gradients for (B, E) embedding blocks.
+    emb: np.ndarray, margin: float, rows: np.ndarray | None = None, with_grad: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-triplet hinge values on cosine distance, and with `with_grad`
+    their gradient with respect to the triplet rows (else None).
 
-    The hinge subgradient at the kink is 0, so satisfied triplets stay inert.
+    The triplets are the rows of `emb`, or its `rows` when given, as three
+    equal consecutive parts: B anchors, B positives, then B negatives. They
+    are gathered into one working copy, and the (3B, E) gradient follows the
+    same layout. The hinge subgradient at the kink is 0, so satisfied
+    triplets stay inert.
     """
-    b = len(emb_anchor)
-    unit = np.concatenate([emb_anchor, emb_positive, emb_negative])
+    unit = np.array(emb, dtype=np.float64) if rows is None else emb[rows]
+    b, rest = divmod(len(unit), 3)
+    if rest:
+        raise ValueError(f"{len(unit)} triplet rows do not split into three equal parts")
     norms = np.sqrt(np.einsum("ij,ij->i", unit, unit))
     if np.any(norms == 0):
         raise ValueError("zero embedding vector (dead embedding)")
     unit /= norms[:, None]
     ua, up, un = unit[:b], unit[b : 2 * b], unit[2 * b :]
-    na, npos, nn = norms[:b], norms[b : 2 * b], norms[2 * b :]
     sim_ap = np.einsum("ij,ij->i", ua, up)
     sim_an = np.einsum("ij,ij->i", ua, un)
     raw = -sim_ap + sim_an + margin  # d_ap - d_an + margin
     active = raw > 0
     values = np.where(active, raw, 0.0)
+    if not with_grad:
+        return values, None
+    na, npos, nn = norms[:b, None], norms[b : 2 * b, None], norms[2 * b :, None]
     scale = active.astype(np.float64)[:, None]
-    grad_a = scale * ((un - up) + (sim_ap - sim_an)[:, None] * ua) / na[:, None]
-    grad_p = scale * -(ua - sim_ap[:, None] * up) / npos[:, None]
-    grad_n = scale * (ua - sim_an[:, None] * un) / nn[:, None]
-    return values, grad_a, grad_p, grad_n
+    grad = np.empty_like(unit)
+    grad[:b] = scale * ((un - up) + (sim_ap - sim_an)[:, None] * ua) / na
+    grad[b : 2 * b] = scale * -(ua - sim_ap[:, None] * up) / npos
+    grad[2 * b :] = scale * (ua - sim_an[:, None] * un) / nn
+    return values, grad
 
 
 # -- classification losses ---------------------------------------------------
 
 
 def softmax_cross_entropy_batch(
-    logits: np.ndarray, targets: np.ndarray, weights: np.ndarray | list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted cross-entropy per row and head of (n, C) logits, plus logit
-    gradients.
+    logits: np.ndarray,
+    targets: np.ndarray,
+    weights: np.ndarray | list[np.ndarray],
+    with_grad: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Weighted cross-entropy per row and head of (n, C) logits, and with
+    `with_grad` the logit gradients (else None).
 
     The columns split into consecutive heads, one per array in `weights` and
     as wide as it; `targets` (n, heads) holds each row's class index within
@@ -146,19 +147,23 @@ def softmax_cross_entropy_batch(
     w = np.concatenate(weights)[true_columns]  # (heads, n) true-class weights
     log_probs = logits.T.copy()  # C order
     log_probs -= np.maximum.reduceat(log_probs, starts, axis=0)[head_of]
-    grad = np.exp(log_probs)
+    grad = np.exp(log_probs)  # the gradient's buffer holds the exponentials first
     log_probs -= np.log(np.add.reduceat(grad, starts, axis=0))[head_of]
     values = -w * log_probs[true_columns, rows]
+    values = values[0] if one_head else values.T
+    if not with_grad:
+        return values, None
     np.exp(log_probs, out=grad)
     grad *= w[head_of]
     grad[true_columns, rows] -= w
-    return (values[0] if one_head else values.T), grad.T
+    return values, grad.T
 
 
 def binary_cross_entropy_nodes_batch(
-    logits: np.ndarray, membership: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node-averaged weighted binary cross-entropy per row, plus gradients.
+    logits: np.ndarray, membership: np.ndarray, weights: np.ndarray, with_grad: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Node-averaged weighted binary cross-entropy per row, and with
+    `with_grad` the logit gradients (else None).
 
     Rows are samples, columns are the non-root tree nodes; the class weight
     multiplies the positive (member) term only.
@@ -179,6 +184,8 @@ def binary_cross_entropy_nodes_batch(
         np.maximum(logits, 0.0) + softplus_tail,
     )
     values = terms.sum(axis=-1) / n_nodes
+    if not with_grad:
+        return values, None
     inverse = 1.0 / (1.0 + e)
     probs = np.where(logits >= 0, inverse, e * inverse)  # s(z)
     grad = np.where(member, weights * (probs - 1.0), probs) / n_nodes

@@ -13,7 +13,6 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .datasplit import SplitAssignment, lowest_seen_ancestor
-from .losses import unit_rows
 from .taxonomy import Taxonomy
 
 
@@ -56,7 +55,9 @@ class Ranking:
 
     ids: tuple[str, ...]
     queries: np.ndarray  # (q,) pool positions
-    order: np.ndarray  # (q, len(ids) - 1) int32 pool positions
+    # (q, len(ids) - 1) pool positions in the smallest unsigned dtype that
+    # holds them: uint16 up to 65,536 members, 11.5 MB at 2,400
+    order: np.ndarray
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -77,19 +78,36 @@ def build_ranked_lists(
     n = len(ids)
     if n < 2:
         raise MetricError("need at least two samples to rank")
-    unit, _ = unit_rows(np.stack([embeddings[sid] for sid in ids]))
+    vectors = np.stack([np.asarray(embeddings[sid], dtype=np.float64) for sid in ids])
+    norms = np.linalg.norm(vectors, axis=1)
+    dead = ~(np.isfinite(norms) & (norms > 0))
+    if dead.any():
+        raise MetricError(
+            f"sample {ids[np.argmax(dead)]!r} has a zero or non-finite embedding "
+            "(dead embedding)"
+        )
+    unit = vectors / norms[:, None]
     # BLAS may round one dot product differently by its place in the output,
     # so score the distinct rows once and gather: duplicates then tie exactly
     distinct, column = np.unique(unit, axis=0, return_inverse=True)
     column = column.ravel()  # numpy 2.0.0 returns it as a column
     queries = np.arange(n)
-    order = np.empty((n, n - 1), dtype=np.int32)
+    order = np.empty((n, n - 1), dtype=np.min_scalar_type(n - 1))
     for rows in _blocks(n, n):
-        negated = np.take(-(unit[rows] @ distinct.T), column, axis=1)
-        full = np.argsort(negated, axis=1, kind="stable")  # stable: ties by id
-        del negated  # no score block outlives its argsort
-        own = queries[rows, None]
-        order[rows] = full[full != own].reshape(len(own), n - 1)
+        scores = np.take(unit[rows] @ distinct.T, column, axis=1)
+        np.negative(scores, out=scores)  # ascending is best first
+        own = queries[rows]
+        scores[np.arange(len(own)), own] = -np.inf  # each query sorts first, then is cut
+        full = np.argsort(scores, axis=1)  # numpy's fastest sort: ties in any order
+        # only a row whose sorted scores hold two equal neighbours needs the
+        # stable sort that puts tied candidates in ascending id order
+        ranked = np.sort(scores, axis=1)
+        tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        del ranked
+        if tied.any():
+            full[tied] = np.argsort(scores[tied], axis=1, kind="stable")
+        del scores  # no score block outlives its sort
+        order[rows] = full[:, 1:]
     return Ranking(ids=tuple(ids), queries=queries, order=order)
 
 

@@ -324,6 +324,7 @@ def head_losses(
             logits[:, columns],
             np.stack([class_targets[head.name] for head in heads], axis=1),
             [head.class_weights for head in heads],
+            with_grad,
         )
         if layout.leaf is not None:
             components["L"] = float(values[:, 0].mean())
@@ -335,7 +336,7 @@ def head_losses(
     if layout.binary is not None:
         columns = layout.binary.columns
         values, grad = losses.binary_cross_entropy_nodes_batch(
-            logits[:, columns], membership, layout.binary.node_weights
+            logits[:, columns], membership, layout.binary.node_weights, with_grad
         )
         components["B"] = float(values.mean())
         if with_grad:
@@ -361,11 +362,8 @@ def batch_loss_and_grads(
     components: dict[str, float] = {}
     triplet_grad = None
     if "T" in cfg.active:
-        values, ga, gp, gn = losses.triplet_loss_batch(
-            emb[:b], emb[b : 2 * b], emb[2 * b :], cfg.margin
-        )
+        values, triplet_grad = losses.triplet_loss_batch(emb, cfg.margin, with_grad=True)
         components["T"] = float(values.mean())
-        triplet_grad = np.concatenate([ga, gp, gn])
         triplet_grad /= b
 
     membership = table.binary_membership
@@ -473,11 +471,7 @@ def validation_loss(
     )
     if "T" in model.loss_config.active:
         if len(val_rows):
-            b = len(val_rows) // 3
-            triplets = emb[val_rows]
-            values, _, _, _ = losses.triplet_loss_batch(
-                triplets[:b], triplets[b : 2 * b], triplets[2 * b :], model.loss_config.margin
-            )
+            values, _ = losses.triplet_loss_batch(emb, model.loss_config.margin, val_rows)
             components["T"] = float(values.mean())
         else:
             components["T"] = 0.0

@@ -16,6 +16,13 @@ from hieremb.model import ClassificationHead, HeadLayout, head_losses
 from oracles import binary_cross_entropy_oracle, fd_gradient, gradient_rel_error
 
 
+def triplet(a, p, n, margin, with_grad=False):
+    """Hinge values, and with `with_grad` the anchor, positive and negative
+    gradients, of (B, E) blocks stacked the way the kernel takes them."""
+    values, grad = triplet_loss_batch(np.concatenate([a, p, n]), margin, with_grad=with_grad)
+    return (values, *np.split(grad, 3)) if with_grad else values
+
+
 def vectors_with_distances(d_ap, d_an):
     """2-D embeddings whose cosine distances to the anchor are as given."""
     anchor = np.array([1.0, 0.0])
@@ -32,21 +39,21 @@ class TestCosineDistance:
         # 3 the hinge is active: value = d(anchor, positive) + 1 + 3
         u = np.array([[0.3, -1.2, 0.5]])
         for positive, distance in [(u, -1.0), (-u, 1.0)]:
-            values, _, _, _ = triplet_loss_batch(u, positive, u, margin=3.0)
+            values = triplet(u, positive, u, margin=3.0)
             assert values[0] - 4.0 == pytest.approx(distance)
         x, y = np.array([[1.0, 0.0]]), np.array([[0.0, 2.0]])
-        values, _, _, _ = triplet_loss_batch(x, y, x, margin=3.0)
+        values = triplet(x, y, x, margin=3.0)
         assert values[0] - 4.0 == pytest.approx(0.0)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="dead embedding"):
-            triplet_loss_batch(np.zeros((1, 3)), np.ones((1, 3)), np.ones((1, 3)), margin=0.3)
+            triplet(np.zeros((1, 3)), np.ones((1, 3)), np.ones((1, 3)), margin=0.3)
 
 
 class TestTripletLoss:
     def test_inactive_hinge(self):
         a, p, n = vectors_with_distances(0.2, 0.9)
-        values, *grads = triplet_loss_batch(a[None], p[None], n[None], margin=0.3)
+        values, *grads = triplet(a[None], p[None], n[None], margin=0.3, with_grad=True)
         assert values[0] == 0.0
         for g in grads:
             assert np.all(g == 0.0)
@@ -55,27 +62,27 @@ class TestTripletLoss:
         rng = np.random.default_rng(1)
         a = rng.normal(size=4)
         p = rng.normal(size=4)
-        values, _, _, _ = triplet_loss_batch(a[None], p[None], p[None].copy(), margin=0.3)
+        values = triplet(a[None], p[None], p[None].copy(), margin=0.3)
         assert values[0] == pytest.approx(0.3)
 
     def test_hand_evaluated_hinge(self):
         a, p, n = vectors_with_distances(0.5, 0.4)
-        values, _, _, _ = triplet_loss_batch(a[None], p[None], n[None], margin=0.3)
+        values = triplet(a[None], p[None], n[None], margin=0.3)
         assert values[0] == pytest.approx(0.4)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
         a, p, n = rng.normal(size=(3, 1, 5))
-        base, _, _, _ = triplet_loss_batch(a, p, n, margin=0.3)
+        base = triplet(a, p, n, margin=0.3)
         for c in (0.01, 3.0, 250.0):
-            scaled, _, _, _ = triplet_loss_batch(c * a, p, n, margin=0.3)
+            scaled = triplet(c * a, p, n, margin=0.3)
             assert scaled[0] == pytest.approx(base[0], abs=1e-12)
 
     def test_value_range(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             a, p, n = rng.normal(size=(3, 1, 4))
-            values, _, _, _ = triplet_loss_batch(a, p, n, margin=0.3)
+            values = triplet(a, p, n, margin=0.3)
             assert 0.0 <= values[0] <= 2.0 + 0.3
 
     def test_gradients_match_finite_differences(self):
@@ -85,7 +92,7 @@ class TestTripletLoss:
             return u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
 
         def value(a, p, n):
-            return triplet_loss_batch(a[None], p[None], n[None], 0.3)[0][0]
+            return triplet(a[None], p[None], n[None], 0.3)[0]
 
         checked = 0
         while checked < 10:
@@ -94,7 +101,7 @@ class TestTripletLoss:
             if abs(raw) < 1e-2:  # keep clear of the hinge kink
                 continue
             checked += 1
-            _, ga, gp, gn = triplet_loss_batch(a[None], p[None], n[None], margin=0.3)
+            _, ga, gp, gn = triplet(a[None], p[None], n[None], margin=0.3, with_grad=True)
             for vec, grad, f in [
                 (a, ga[0], lambda x: value(x, p, n)),
                 (p, gp[0], lambda x: value(a, x, n)),
@@ -116,8 +123,8 @@ class TestMulticlassLoss:
     def test_weight_linearity(self):
         logits = np.array([[0.3, -0.8, 1.1]])
         w1 = np.ones(3)
-        v1, g1 = softmax_cross_entropy_batch(logits, [1], w1)
-        v2, g2 = softmax_cross_entropy_batch(logits, [1], 2.0 * w1)
+        v1, g1 = softmax_cross_entropy_batch(logits, [1], w1, with_grad=True)
+        v2, g2 = softmax_cross_entropy_batch(logits, [1], 2.0 * w1, with_grad=True)
         assert v2[0] == pytest.approx(2 * v1[0])
         assert np.allclose(g2, 2 * g1)
 
@@ -137,7 +144,7 @@ class TestMulticlassLoss:
         for _ in range(10):
             logits = rng.normal(size=5)
             weights = rng.uniform(0.5, 2.0, size=5)
-            _, grad = softmax_cross_entropy_batch(logits[None], [2], weights)
+            _, grad = softmax_cross_entropy_batch(logits[None], [2], weights, with_grad=True)
             fd = fd_gradient(
                 lambda z: softmax_cross_entropy_batch(z[None], [2], weights)[0][0], logits
             )
@@ -165,12 +172,12 @@ class TestSegmentedSoftmax:
         logits[extreme] = rng.choice([-800.0, 800.0], size=extreme.sum())
         weights = [rng.uniform(0.2, 3.0, size=w) for w in widths]
         targets = np.stack([rng.integers(0, w, size=n) for w in widths], axis=1)
-        values, grad = softmax_cross_entropy_batch(logits, targets, weights)
+        values, grad = softmax_cross_entropy_batch(logits, targets, weights, with_grad=True)
         assert values.shape == (n, len(widths)) and grad.shape == logits.shape
         stops = np.cumsum(widths)
         for k, (start, stop) in enumerate(zip(stops - widths, stops)):
             want_values, want_grad = softmax_cross_entropy_batch(
-                logits[:, start:stop], targets[:, k], weights[k]
+                logits[:, start:stop], targets[:, k], weights[k], with_grad=True
             )
             assert want_values.shape == (n,)
             np.testing.assert_allclose(values[:, k], want_values, rtol=1e-12, atol=1e-15)
@@ -182,7 +189,7 @@ class TestSegmentedSoftmax:
         logits = rng.normal(size=(7, 8))
         weights = [rng.uniform(0.5, 2.0, size=w) for w in widths]
         targets = np.stack([rng.integers(0, w, size=7) for w in widths], axis=1)
-        values, grad = softmax_cross_entropy_batch(logits, targets, weights)
+        values, grad = softmax_cross_entropy_batch(logits, targets, weights, with_grad=True)
         rows = np.arange(7)
         for k, (start, stop) in enumerate([(0, 2), (2, 3), (3, 8)]):
             z = logits[:, start:stop]
@@ -248,7 +255,9 @@ class TestBinaryNodeLoss:
             logits = rng.normal(size=7)
             member = rng.random((1, 7)) < 0.5
             weights = rng.uniform(0.5, 2.0, size=7)
-            _, grad = binary_cross_entropy_nodes_batch(logits[None], member, weights)
+            _, grad = binary_cross_entropy_nodes_batch(
+                logits[None], member, weights, with_grad=True
+            )
             fd = fd_gradient(
                 lambda z: binary_cross_entropy_nodes_batch(z[None], member, weights)[0][0],
                 logits,
@@ -264,11 +273,59 @@ class TestBinaryNodeLoss:
             logits[0, :4] = [0.0, -0.0, scale, -scale]
             member = rng.random((16, 200)) < 0.3
             weights = rng.uniform(0.2, 3.0, size=200)
-            values, grad = binary_cross_entropy_nodes_batch(logits, member, weights)
+            values, grad = binary_cross_entropy_nodes_batch(
+                logits, member, weights, with_grad=True
+            )
             want_values, want_grad = binary_cross_entropy_oracle(logits, member, weights)
             assert np.isfinite(values).all() and np.isfinite(grad).all()
             assert np.max(np.abs(values - want_values) / want_values) <= 1e-15
             assert np.max(np.abs(grad - want_grad)) <= 1e-17
+
+
+class TestValuesWithoutGradients:
+    """A kernel asked for no gradient returns None in its place, and values
+    bitwise equal to those it returns alongside a gradient."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_softmax(self, seed):
+        rng = np.random.default_rng(seed)
+        widths = rng.integers(1, 9, size=3)
+        logits = rng.normal(scale=4.0, size=(11, widths.sum()))
+        weights = [rng.uniform(0.2, 3.0, size=w) for w in widths]
+        targets = np.stack([rng.integers(0, w, size=11) for w in widths], axis=1)
+        values, grad = softmax_cross_entropy_batch(logits, targets, weights, with_grad=True)
+        bare, none = softmax_cross_entropy_batch(logits, targets, weights)
+        assert grad is not None and none is None
+        assert bare.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_binary(self, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=5.0, size=(9, 13))
+        member = rng.random(logits.shape) < 0.4
+        weights = rng.uniform(0.2, 3.0, size=13)
+        values, grad = binary_cross_entropy_nodes_batch(logits, member, weights, with_grad=True)
+        bare, none = binary_cross_entropy_nodes_batch(logits, member, weights)
+        assert grad is not None and none is None
+        assert bare.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_triplet_rows_gathered_once(self, seed):
+        # the triplets as rows of a larger embedding matrix score like the
+        # same triplets stacked, with or without a gradient
+        rng = np.random.default_rng(seed)
+        emb = rng.normal(size=(20, 6))
+        rows = rng.integers(0, 20, size=3 * 7)
+        before = emb.copy()
+        values, grad = triplet_loss_batch(emb[rows], 0.3, with_grad=True)
+        bare, none = triplet_loss_batch(emb, 0.3, rows)
+        assert grad.shape == (21, 6) and none is None
+        assert bare.tobytes() == values.tobytes()
+        assert np.array_equal(emb, before)
+
+    def test_triplet_rows_must_split_in_three(self):
+        with pytest.raises(ValueError, match="three equal parts"):
+            triplet_loss_batch(np.ones((4, 3)), 0.3)
 
 
 class TestPerLevelLoss:

@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 from unittest import mock
 
@@ -100,6 +101,96 @@ class TestRankedLists:
     def test_needs_two_samples(self):
         with pytest.raises(MetricError, match="two samples"):
             build_ranked_lists({"only": np.ones(3)})
+
+
+def stable_order(embeddings, ids):
+    """The order matrix with every argsort stable: what re-sorting only the
+    tied rows must reproduce bit for bit."""
+    argsort = np.argsort
+
+    def stable(a, axis=-1, kind=None, order=None):
+        return argsort(a, axis=axis, kind="stable")
+
+    with mock.patch.object(np, "argsort", stable):
+        return build_ranked_lists(embeddings, ids).order
+
+
+def tie_pool(rng, n):
+    """Random vectors mixed with duplicates, with distinct vectors whose
+    cosines to the first axis are equal, and with vectors orthogonal to it
+    (cosines of +0.0 or -0.0)."""
+    special = np.array(
+        [
+            [1.0, 0.0, 0.0],
+            [1.0, 1.0, 0.0],
+            [1.0, -1.0, 0.0],
+            [1.0, 0.0, 1.0],
+            [2.0, 0.0, -2.0],
+            [0.0, 1.0, 0.0],
+            [-0.0, -1.0, 0.0],
+            [0.0, -0.0, 3.0],
+        ]
+    )
+    base = np.vstack([special, rng.normal(size=(4, 3))])
+    ids = [f"s{i:03d}" for i in range(n)]
+    return ids, dict(zip(ids, base[rng.integers(len(base), size=n)]))
+
+
+class TestTieRepair:
+    """Each block is sorted with numpy's default argsort; only rows whose
+    sorted scores hold an exact tie are re-sorted stably, so the order
+    matrix equals an all-stable sort's."""
+
+    @pytest.mark.parametrize("block", ["1", "3", "n"])
+    def test_matches_stable_oracle(self, monkeypatch, block):
+        rng = np.random.default_rng(31)
+        for n in (5, 12, 40, 97):
+            ids, embeddings = tie_pool(rng, n)
+            block_rows = n if block == "n" else int(block)
+            monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_rows * 8 * n)
+            with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+                order = build_ranked_lists(embeddings, ids).order
+            assert any(c.kwargs.get("kind") == "stable" for c in spy.call_args_list)
+            assert np.array_equal(order, stable_order(embeddings, ids))
+
+    def test_tie_free_pool_makes_no_stable_sort(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        ids = [f"s{i:03d}" for i in range(60)]
+        embeddings = dict(zip(ids, rng.normal(size=(60, 8))))
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 7 * 8 * 60)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            order = build_ranked_lists(embeddings, ids).order
+        kinds = [c.kwargs.get("kind") for c in spy.call_args_list]
+        assert len(kinds) == 9 and "stable" not in kinds
+        assert np.array_equal(order, stable_order(embeddings, ids))
+
+    @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_narrow_order_scores_like_int64(self, n, dtype):
+        tax, ids, leaf_of, embeddings = random_instance(np.random.default_rng(n), n)
+        ranking = build_ranked_lists(embeddings, ids)
+        assert ranking.order.dtype == dtype
+        assert ranking.order.max() == n - 1
+        wide = Ranking(ranking.ids, ranking.queries, ranking.order.astype(np.int64))
+        for metric in (
+            partial(ndcg, taxonomy=tax, leaf_of=leaf_of, kind="sum"),
+            partial(ndcg, taxonomy=tax, leaf_of=leaf_of, kind="max"),
+            partial(mnr, taxonomy=tax, leaf_of=leaf_of),
+            partial(rp_at_k, leaf_of=leaf_of),
+        ):
+            assert metric(ranking) == metric(wide)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+    def test_dead_embedding_rejected(self, bad):
+        rng = np.random.default_rng(33)
+        ids = [f"s{i}" for i in range(6)]
+        embeddings = dict(zip(ids, rng.normal(size=(6, 3))))
+        for sid in ("s4", "s2"):
+            embeddings[sid] = np.zeros(3) if bad == 0.0 else np.array([1.0, bad, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MetricError, match=r"'s2'.*dead embedding"):
+                build_ranked_lists(embeddings)
 
 
 def assert_matches_oracles(tax, ids, leaf_of, embeddings):

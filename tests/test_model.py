@@ -459,6 +459,26 @@ class TestValidationLoss:
         assert per_call == [{"forward_batch": 1, "batch_loss_and_grads": 0}] * 3
 
 
+    def test_no_gradient_arrays_built(self, monkeypatch):
+        gradients = []
+        for name in (
+            "triplet_loss_batch",
+            "softmax_cross_entropy_batch",
+            "binary_cross_entropy_nodes_batch",
+        ):
+            kernel = getattr(hieremb.losses, name)
+
+            def recorded(*args, kernel=kernel, **kwargs):
+                result = kernel(*args, **kwargs)
+                gradients.append(result[1])
+                return result
+
+            monkeypatch.setattr(hieremb.losses, name, recorded)
+        table, instances, model = validation_problem(frozenset({"L", "PL", "B", "T"}))
+        validation_loss(model, table, triplet_rows(table, instances))
+        assert len(gradients) == 3 and all(grad is None for grad in gradients)
+
+
 class TestFlatTreeReduction:
     def test_leaf_and_per_level_losses_coincide(self):
         tax = parse_taxonomy(
