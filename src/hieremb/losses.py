@@ -80,9 +80,7 @@ def triplet_loss_batch(
     triplets stay inert.
     """
     unit = np.array(emb, dtype=np.float64) if rows is None else emb[rows]
-    b, rest = divmod(len(unit), 3)
-    if rest:
-        raise ValueError(f"{len(unit)} triplet rows do not split into three equal parts")
+    b = len(unit) // 3
     norms = np.sqrt(np.einsum("ij,ij->i", unit, unit))
     if np.any(norms == 0):
         raise ValueError("zero embedding vector (dead embedding)")

@@ -101,11 +101,15 @@ def build_ranked_lists(
         full = np.argsort(scores, axis=1)  # numpy's fastest sort: ties in any order
         # only a row whose sorted scores hold two equal neighbours needs the
         # stable sort that puts tied candidates in ascending id order
-        ranked = np.sort(scores, axis=1)
-        tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
-        del ranked
+        scores.sort(axis=1)
+        tied = (scores[:, 1:] == scores[:, :-1]).any(axis=1)
         if tied.any():
-            full[tied] = np.argsort(scores[tied], axis=1, kind="stable")
+            # the tied rows' scores back in column order, for the stable sort;
+            # equal scores may trade columns, which no sort can tell apart
+            ranked = scores[tied]
+            unsorted = np.empty_like(ranked)
+            np.put_along_axis(unsorted, full[tied], ranked, axis=1)
+            full[tied] = np.argsort(unsorted, axis=1, kind="stable")
         del scores  # no score block outlives its sort
         order[rows] = full[:, 1:]
     return Ranking(ids=tuple(ids), queries=queries, order=order)

@@ -323,10 +323,6 @@ class TestValuesWithoutGradients:
         assert bare.tobytes() == values.tobytes()
         assert np.array_equal(emb, before)
 
-    def test_triplet_rows_must_split_in_three(self):
-        with pytest.raises(ValueError, match="three equal parts"):
-            triplet_loss_batch(np.ones((4, 3)), 0.3)
-
 
 class TestPerLevelLoss:
     # PL over a two-level layout: level_1 has classes {A, B}, level_2 {a, b, c}
