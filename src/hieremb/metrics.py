@@ -91,6 +91,9 @@ def build_ranked_lists(
     # so score the distinct rows once and gather: duplicates then tie exactly
     distinct, column = np.unique(unit, axis=0, return_inverse=True)
     column = column.ravel()  # numpy 2.0.0 returns it as a column
+    # a duplicate pair ties in the row of every other query, so such a pool
+    # is sorted stably outright, with no tie check
+    duplicates = len(distinct) < n
     queries = np.arange(n)
     order = np.empty((n, n - 1), dtype=np.min_scalar_type(n - 1))
     for rows in _blocks(n, n):
@@ -98,9 +101,13 @@ def build_ranked_lists(
         np.negative(scores, out=scores)  # ascending is best first
         own = queries[rows]
         scores[np.arange(len(own)), own] = -np.inf  # each query sorts first, then is cut
+        if duplicates:
+            order[rows] = np.argsort(scores, axis=1, kind="stable")[:, 1:]  # ties by id
+            continue
         full = np.argsort(scores, axis=1)  # numpy's fastest sort: ties in any order
-        # only a row whose sorted scores hold two equal neighbours needs the
-        # stable sort that puts tied candidates in ascending id order
+        # only a row whose sorted scores hold two equal neighbours (distinct
+        # vectors with equal cosines) needs the stable sort that puts tied
+        # candidates in ascending id order
         scores.sort(axis=1)
         tied = (scores[:, 1:] == scores[:, :-1]).any(axis=1)
         if tied.any():

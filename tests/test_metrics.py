@@ -115,10 +115,11 @@ def stable_order(embeddings, ids):
         return build_ranked_lists(embeddings, ids).order
 
 
-def tie_pool(rng, n):
-    """Random vectors mixed with duplicates, with distinct vectors whose
-    cosines to the first axis are equal, and with vectors orthogonal to it
-    (cosines of +0.0 or -0.0)."""
+def tie_pool(rng, n, duplicates):
+    """A shuffled pool whose cosines tie: distinct vectors with equal cosines
+    to the first axis, vectors orthogonal to it (cosines of +0.0 or -0.0) and
+    random ones. With `duplicates`, members are drawn with replacement from
+    those vectors and the last repeats the first."""
     special = np.array(
         [
             [1.0, 0.0, 0.0],
@@ -131,26 +132,47 @@ def tie_pool(rng, n):
             [0.0, -0.0, 3.0],
         ]
     )
-    base = np.vstack([special, rng.normal(size=(4, 3))])
+    if duplicates:
+        base = np.vstack([special, rng.normal(size=(4, 3))])
+        pick = rng.integers(len(base), size=n)
+        pick[-1] = pick[0]
+    else:
+        base = np.vstack([special, rng.normal(size=(n - len(special), 3))])
+        pick = rng.permutation(n)
     ids = [f"s{i:03d}" for i in range(n)]
-    return ids, dict(zip(ids, base[rng.integers(len(base), size=n)]))
+    return ids, dict(zip(ids, base[pick]))
 
 
 class TestTieRepair:
-    """Each block is sorted with numpy's default argsort; only rows whose
-    sorted scores hold an exact tie are re-sorted stably, so the order
-    matrix equals an all-stable sort's."""
+    """A pool with duplicate embeddings is sorted stably, one argsort per
+    block. Any other pool is sorted with numpy's default argsort, and only
+    rows whose sorted scores hold an exact tie are re-sorted stably. Either
+    way the order matrix equals an all-stable sort's."""
 
     @pytest.mark.parametrize("block", ["1", "3", "n"])
-    def test_matches_stable_oracle(self, monkeypatch, block):
+    def test_duplicates_sort_each_block_once_stably(self, monkeypatch, block):
         rng = np.random.default_rng(31)
         for n in (5, 12, 40, 97):
-            ids, embeddings = tie_pool(rng, n)
+            ids, embeddings = tie_pool(rng, n, duplicates=True)
             block_rows = n if block == "n" else int(block)
             monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_rows * 8 * n)
             with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
                 order = build_ranked_lists(embeddings, ids).order
-            assert any(c.kwargs.get("kind") == "stable" for c in spy.call_args_list)
+            kinds = [c.kwargs.get("kind") for c in spy.call_args_list]
+            assert kinds == ["stable"] * -(-n // block_rows)
+            assert np.array_equal(order, stable_order(embeddings, ids))
+
+    @pytest.mark.parametrize("block", ["1", "3", "n"])
+    def test_equal_cosines_repair_tied_rows(self, monkeypatch, block):
+        rng = np.random.default_rng(34)
+        for n in (8, 12, 40, 97):
+            ids, embeddings = tie_pool(rng, n, duplicates=False)
+            block_rows = n if block == "n" else int(block)
+            monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_rows * 8 * n)
+            with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+                order = build_ranked_lists(embeddings, ids).order
+            kinds = [c.kwargs.get("kind") for c in spy.call_args_list]
+            assert kinds.count(None) == -(-n // block_rows) and "stable" in kinds
             assert np.array_equal(order, stable_order(embeddings, ids))
 
     def test_tie_free_pool_makes_no_stable_sort(self, monkeypatch):

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Alternate `perfbench/run.py` between a parent checkout and this one, and
-write every run's record plus each side's medians to one BENCH JSON file.
+write every run's record and a per-metric summary to one BENCH JSON file.
 
 Run from the repository root, with the parent commit checked out elsewhere
 (for example by `git clone` and `git checkout <commit>`):
@@ -11,7 +11,10 @@ Run from the repository root, with the parent commit checked out elsewhere
 Each seed runs once per side, one process at a time, untraced. Odd seeds run
 the parent first and even seeds the change first, so neither side always
 meets a warmer machine. A run's record is the environment and result lines
-`run.py` prints last.
+`run.py` prints last. The summary gives, per metric, each side's median
+and quartiles (as `statistics.quantiles(values, n=4)` gives them) and, for
+the end-to-end metrics of BENCHMARK.json, the number of seeds whose change
+run beats its parent run.
 """
 from __future__ import annotations
 
@@ -33,12 +36,21 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"seed": seed, "record": record, "result": result}
 
 
-def medians(runs: list[dict]) -> dict:
-    names = runs[0]["result"]["metrics"]
-    return {
-        name: statistics.median(run["result"]["metrics"][name]["value"] for run in runs)
-        for name in names
-    }
+def summary(runs: dict[str, list[dict]]) -> dict:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    report = {}
+    for name in runs["parent"][0]["result"]["metrics"]:
+        values = {side: [run["result"]["metrics"][name]["value"] for run in side_runs]
+                  for side, side_runs in runs.items()}
+        report[name] = {side: dict(zip(("q1", "median", "q3"), statistics.quantiles(series, n=4)))
+                        for side, series in values.items()}
+        if name in better:
+            sign = 1 if better[name] == "higher" else -1
+            report[name]["pairs_won"] = sum(
+                sign * (change - parent) > 0 for parent, change in zip(values["parent"], values["change"])
+            )
+    return report
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -50,6 +62,8 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     first, last = (int(part) for part in args.seeds.split("-"))
+    if last <= first:
+        parser.error("--seeds needs at least two seeds for quartiles")
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {side: [] for side in sides}
     for seed in range(first, last + 1):
@@ -61,7 +75,7 @@ def main(argv: list[str] | None = None) -> None:
     report = {
         "command": f"perfbench/run.py --workload {args.workload} --seconds {args.seconds:g} --trace 0",
         "seeds": [first, last],
-        "medians": {side: medians(side_runs) for side, side_runs in runs.items()},
+        "summary": summary(runs),
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
