@@ -6,7 +6,7 @@ Run from the repository root, with the parent commit checked out elsewhere
 (for example by `git clone` and `git checkout <commit>`):
 
     python3 tools/bench_pairs.py --parent ../parent --workload staged-large \\
-        --seeds 1-5 --seconds 40 --out BENCH_9.json
+        --seeds 1-10 --seconds 40 --out BENCH_<n>.json
 
 Each seed runs once per side, one process at a time, untraced. Odd seeds run
 the parent first and even seeds the change first, so neither side always
