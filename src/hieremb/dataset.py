@@ -57,7 +57,13 @@ def load_dataset(path: str | Path) -> list[LabeledSample]:
         raise ValueError(f"{path}:{line_nos[bad]}: sample {samples[bad].id!r} has non-finite features")
     ids = [s.id for s in samples]
     if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate sample ids in {path}")
+        first_line: dict[str, int] = {}
+        for sid, line_no in zip(ids, line_nos):
+            seen = first_line.setdefault(sid, line_no)
+            if seen != line_no:
+                raise ValueError(
+                    f"{path}:{line_no}: duplicate sample id {sid!r}, first at {path}:{seen}"
+                )
     return samples
 
 

@@ -105,44 +105,72 @@ def triplet_loss_batch(
 # -- classification losses ---------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class SoftmaxSegments:
+    """Consecutive softmax heads over the columns of one logit matrix, as
+    `softmax_cross_entropy_batch` needs them: every head's width and first
+    column, the head of every column, and the heads' class weights end to
+    end. Built once per head layout (`of`) instead of once per call."""
+
+    widths: np.ndarray
+    starts: np.ndarray
+    head_of: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def of(cls, weights: list[np.ndarray]) -> "SoftmaxSegments":
+        """Segments for heads with these class weights, in column order."""
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        widths = np.array([w.size for w in weights], dtype=np.intp)
+        if any(w.ndim != 1 for w in weights) or not widths.all():
+            shapes = [w.shape for w in weights]
+            raise ValueError(f"class weights must be non-empty vectors, got {shapes}")
+        return cls(
+            widths=widths,
+            starts=np.cumsum(widths) - widths,
+            head_of=np.repeat(np.arange(len(weights)), widths),
+            weights=np.concatenate(weights),
+        )
+
+
 def softmax_cross_entropy_batch(
     logits: np.ndarray,
     targets: np.ndarray,
-    weights: np.ndarray | list[np.ndarray],
+    weights: np.ndarray | list[np.ndarray] | SoftmaxSegments,
     with_grad: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Weighted cross-entropy per row and head of (n, C) logits, and with
     `with_grad` the logit gradients (else None).
 
     The columns split into consecutive heads, one per array in `weights` and
-    as wide as it; `targets` (n, heads) holds each row's class index within
-    every head, and the values come back as (n, heads). One weight array with
-    (n,) targets is the one-head case, with (n,) values. Each row's loss and
-    gradient in a head are scaled by the weight of its true class there.
-    Every head's log-sum-exp comes from one segmented pass over the columns.
+    as wide as it, or as prepared in a `SoftmaxSegments`; `targets`
+    (n, heads) holds each row's class index within every head, and the
+    values come back as (n, heads). One weight array with (n,) targets is
+    the one-head case, with (n,) values. Each row's loss and gradient in a
+    head are scaled by the weight of its true class there. Every head's
+    log-sum-exp comes from one segmented pass over the columns.
     """
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.intp)
     one_head = targets.ndim == 1
     if one_head:
-        targets, weights = targets[:, None], [weights]
-    weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        targets = targets[:, None]
+    segments = weights
+    if not isinstance(segments, SoftmaxSegments):
+        segments = SoftmaxSegments.of([weights] if one_head else weights)
     n, n_columns = logits.shape
-    widths = np.array([w.size for w in weights], dtype=np.intp)
-    if any(w.ndim != 1 for w in weights) or widths.sum() != n_columns or not widths.all():
-        got = weights[0].shape if one_head else [w.shape for w in weights]
-        raise ValueError(f"expected {n_columns} class weights, got {got}")
-    if targets.shape != (n, len(weights)):
-        raise ValueError(f"expected ({n}, {len(weights)}) targets, got {targets.shape}")
+    widths, starts, head_of = segments.widths, segments.starts, segments.head_of
+    if segments.weights.size != n_columns:
+        raise ValueError(f"expected {n_columns} class weights, got heads of {widths.tolist()}")
+    if targets.shape != (n, len(widths)):
+        raise ValueError(f"expected ({n}, {len(widths)}) targets, got {targets.shape}")
     if targets.size and ((targets < 0) | (targets >= widths)).any():
         raise ValueError("target index out of range")
-    starts = np.cumsum(widths) - widths
-    head_of = np.repeat(np.arange(len(weights)), widths)  # column -> head
     # work column-major, (C, n): each head's reductions then run over whole
     # contiguous rows of n values
     true_columns = (targets + starts).T
     rows = np.arange(n)
-    w = np.concatenate(weights)[true_columns]  # (heads, n) true-class weights
+    w = segments.weights[true_columns]  # (heads, n) true-class weights
     log_probs = logits.T.copy()  # C order
     log_probs -= np.maximum.reduceat(log_probs, starts, axis=0)[head_of]
     grad = np.exp(log_probs)  # the gradient's buffer holds the exponentials first
@@ -164,7 +192,9 @@ def binary_cross_entropy_nodes_batch(
     `with_grad` the logit gradients (else None).
 
     Rows are samples, columns are the non-root tree nodes; the class weight
-    multiplies the positive (member) term only.
+    multiplies the positive (member) term only. Member entries are a few per
+    row (a leaf's root path), so they are negated and weighted in place by
+    ufuncs masked with `where=member`; no branch is taken per element.
     """
     logits = np.asarray(logits, dtype=np.float64)
     member = np.asarray(membership, dtype=bool)
@@ -175,18 +205,20 @@ def binary_cross_entropy_nodes_batch(
     # softplus with one exp: -log s(z) = max(-z, 0) + log1p(e) and
     # -log(1 - s(z)) = max(z, 0) + log1p(e), where e = exp(-|z|) <= 1
     e = np.exp(-np.abs(logits))
-    softplus_tail = np.log1p(e)
-    terms = np.where(
-        member,
-        weights * (np.maximum(-logits, 0.0) + softplus_tail),
-        np.maximum(logits, 0.0) + softplus_tail,
-    )
+    terms = np.negative(logits, out=logits.copy(), where=member)
+    np.maximum(terms, 0.0, out=terms)
+    terms += np.log1p(e)
+    np.multiply(terms, weights, out=terms, where=member)
     values = terms.sum(axis=-1) / n_nodes
     if not with_grad:
         return values, None
-    inverse = 1.0 / (1.0 + e)
-    probs = np.where(logits >= 0, inverse, e * inverse)  # s(z)
-    grad = np.where(member, weights * (probs - 1.0), probs) / n_nodes
+    # s(z) is 1 / (1 + e) for z >= 0 and e / (1 + e) below; members get
+    # w (s(z) - 1)
+    grad = np.maximum(e, logits >= 0)
+    grad *= 1 / (1 + e)
+    np.subtract(grad, 1.0, out=grad, where=member)
+    np.multiply(grad, weights, out=grad, where=member)
+    grad /= n_nodes
     return values, grad
 
 

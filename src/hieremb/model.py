@@ -33,6 +33,14 @@ class ModelConfig:
     learning_rate: float = 1e-3
     batch_size: int = 32
 
+    def __post_init__(self):
+        for name in ("input_dim", "hidden_dim", "embedding_dim", "batch_size"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+
 
 @dataclass
 class ClassificationHead:
@@ -57,12 +65,15 @@ class BinaryHead:
 @dataclass
 class HeadLayout:
     """The model's heads. Each owns a column segment of the fused head
-    matrix, in the order leaf, levels, binary; `width` is the total."""
+    matrix, in the order leaf, levels, binary; `width` is the total. The
+    class heads' softmax segments are prepared once, from their weights at
+    construction."""
 
     leaf: ClassificationHead | None
     levels: list[ClassificationHead]
     binary: BinaryHead | None
     width: int = field(default=0, init=False)
+    segments: losses.SoftmaxSegments | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for head in self.heads():
@@ -73,6 +84,9 @@ class HeadLayout:
                 )
             head.columns = slice(self.width, self.width + len(head.classes))
             self.width = head.columns.stop
+        heads = self.class_heads()
+        if heads:
+            self.segments = losses.SoftmaxSegments.of([head.class_weights for head in heads])
 
     def class_heads(self) -> list[ClassificationHead]:
         heads = [self.leaf] if self.leaf else []
@@ -169,7 +183,8 @@ class TargetTable:
 
     index: dict[str, int]
     features: np.ndarray
-    class_targets: dict[str, np.ndarray]  # head name -> (n,) class index
+    targets: np.ndarray  # (n, class heads) class index, heads in `class_heads` order
+    class_targets: dict[str, np.ndarray]  # head name -> its column of `targets`
     binary_membership: np.ndarray | None  # (n, K) bool
 
 
@@ -187,10 +202,11 @@ def build_target_table(
         column[[pruned.id_of(name) for name in names]] = np.arange(len(names))
         return column
 
-    class_targets = {}
-    for head in layout.class_heads():
+    heads = layout.class_heads()
+    targets = np.empty((len(samples), len(heads)), dtype=np.intp)
+    for j, head in enumerate(heads):
         level = ancestors[:, -1 if head.level is None else head.level]
-        class_targets[head.name] = column_of(head.classes)[level][leaf_row]
+        targets[:, j] = column_of(head.classes)[level][leaf_row]
     membership = None
     if layout.binary is not None:
         # a leaf is a member of every non-root node on its root path
@@ -201,7 +217,8 @@ def build_target_table(
     return TargetTable(
         index={s.id: i for i, s in enumerate(samples)},
         features=features_matrix(samples),
-        class_targets=class_targets,
+        targets=targets,
+        class_targets={head.name: targets[:, j] for j, head in enumerate(heads)},
         binary_membership=membership,
     )
 
@@ -290,27 +307,29 @@ class EmbeddingModel:
 
 
 def triplet_rows(table: TargetTable, instances: list[TripletInstance]) -> np.ndarray:
-    """Table rows of the instances' anchors, then positives, then negatives."""
-    ids = (
-        [i.anchor_id for i in instances]
-        + [i.positive_id for i in instances]
-        + [i.negative_id for i in instances]
+    """Table rows of the instances' anchors, then positives, then negatives:
+    a (3, N) matrix laid out flat."""
+    index = table.index
+    return np.array(
+        [index[i.anchor_id] for i in instances]
+        + [index[i.positive_id] for i in instances]
+        + [index[i.negative_id] for i in instances],
+        dtype=np.intp,
     )
-    return np.array([table.index[sid] for sid in ids], dtype=np.intp)
 
 
 def head_losses(
     layout: HeadLayout,
     logits: np.ndarray,
-    class_targets: dict[str, np.ndarray],
+    targets: np.ndarray,
     membership: np.ndarray | None,
     with_grad: bool = False,
 ) -> tuple[dict[str, float], np.ndarray | None]:
     """Mean L, PL and B values over the rows of the fused logits, and with
     `with_grad` their gradient with respect to the logits (else None).
 
-    `class_targets` and `membership` hold the rows' targets, laid out like
-    `TargetTable.class_targets` and `TargetTable.binary_membership`.
+    `targets` and `membership` hold the rows' targets, laid out like
+    `TargetTable.targets` and `TargetTable.binary_membership`.
     """
     n_rows = logits.shape[0]
     components: dict[str, float] = {}
@@ -321,16 +340,14 @@ def head_losses(
         # the class heads lead the fused columns: one segmented kernel call
         columns = slice(0, heads[-1].columns.stop)
         values, grad = losses.softmax_cross_entropy_batch(
-            logits[:, columns],
-            np.stack([class_targets[head.name] for head in heads], axis=1),
-            [head.class_weights for head in heads],
-            with_grad,
+            logits[:, columns], targets, layout.segments, with_grad
         )
+        # sum / n is the bytes of .mean() without its Python-level overhead
         if layout.leaf is not None:
-            components["L"] = float(values[:, 0].mean())
+            components["L"] = float(values[:, 0].sum() / n_rows)
         if layout.levels:
             level_values = values[:, 1:] if layout.leaf is not None else values
-            components["PL"] = float(level_values.sum(axis=1).mean())
+            components["PL"] = float(level_values.sum(axis=1).sum() / n_rows)
         if with_grad:
             np.divide(grad, n_rows, out=grad_logits[:, columns])
     if layout.binary is not None:
@@ -338,24 +355,26 @@ def head_losses(
         values, grad = losses.binary_cross_entropy_nodes_batch(
             logits[:, columns], membership, layout.binary.node_weights, with_grad
         )
-        components["B"] = float(values.mean())
+        components["B"] = float(values.sum() / n_rows)
         if with_grad:
             grad_logits[:, columns] = grad / n_rows
     return components, grad_logits
 
 
 def batch_loss_and_grads(
-    model: EmbeddingModel, table: TargetTable, instances: list[TripletInstance]
+    model: EmbeddingModel, table: TargetTable, batch: list[TripletInstance] | np.ndarray
 ) -> tuple[LossValue, np.ndarray]:
     """Active-loss total and its analytic gradient for one batch, as a
     vector laid out like `model.vector`.
 
-    Rows are the stacked anchors, positives, and negatives; the triplet term
-    averages over the instances and classification terms over all rows.
+    The batch is a list of triplet instances or their table rows as
+    `triplet_rows` gives them: the stacked anchors, positives, and
+    negatives. The triplet term averages over the instances and
+    classification terms over all rows.
     """
     cfg = model.loss_config
-    b = len(instances)
-    rows = triplet_rows(table, instances)
+    rows = batch if isinstance(batch, np.ndarray) else triplet_rows(table, batch)
+    b = len(rows) // 3
     X = table.features[rows]
     emb, logits, hidden = model.forward_batch(X)
 
@@ -363,14 +382,14 @@ def batch_loss_and_grads(
     triplet_grad = None
     if "T" in cfg.active:
         values, triplet_grad = losses.triplet_loss_batch(emb, cfg.margin, with_grad=True)
-        components["T"] = float(values.mean())
+        components["T"] = float(values.sum() / b)
         triplet_grad /= b
 
     membership = table.binary_membership
     head_components, grad_logits = head_losses(
         model.layout,
         logits,
-        {name: targets[rows] for name, targets in table.class_targets.items()},
+        table.targets[rows],
         None if membership is None else membership[rows],
         with_grad=True,
     )
@@ -441,10 +460,11 @@ class TrainState:
 
 
 def train_step(
-    state: TrainState, batch: list[TripletInstance], table: TargetTable
+    state: TrainState, batch: list[TripletInstance] | np.ndarray, table: TargetTable
 ) -> tuple[TrainState, LossValue]:
-    """One optimiser update on a batch of triplet instances."""
-    if not batch:
+    """One optimiser update on a batch of triplet instances or their
+    `triplet_rows`."""
+    if len(batch) == 0:
         raise ValueError("empty batch")
     value, gradient = batch_loss_and_grads(state.model, table, batch)
     if not np.isfinite(value.total):
@@ -466,9 +486,7 @@ def validation_loss(
     `val_rows` are the table rows of the triplets (`triplet_rows`).
     """
     emb, logits, _ = model.forward_batch(table.features)
-    components, _ = head_losses(
-        model.layout, logits, table.class_targets, table.binary_membership
-    )
+    components, _ = head_losses(model.layout, logits, table.targets, table.binary_membership)
     if "T" in model.loss_config.active:
         if len(val_rows):
             values, _ = losses.triplet_loss_batch(emb, model.loss_config.margin, val_rows)
@@ -525,14 +543,16 @@ def fit(
         epoch_seed = seed + epoch
         instances = instantiate_epoch(pruned, dataset, split, triples, epoch_seed, pools=pools)
         order = np.random.default_rng([epoch_seed, 1]).permutation(len(instances))
-        shuffled = [instances[i] for i in order]
+        # the shuffled instances' table rows, one column per instance; a
+        # batch is a run of columns, flattened as `triplet_rows` lays it out
+        rows = triplet_rows(train_table, instances).reshape(3, -1)[:, order]
         sums: dict[str, float] = {}
         counts: dict[str, float] = {}
-        for start in range(0, len(shuffled), model_config.batch_size):
-            batch = shuffled[start : start + model_config.batch_size]
-            state, value = train_step(state, batch, train_table)
+        for start in range(0, len(order), model_config.batch_size):
+            batch = rows[:, start : start + model_config.batch_size]
+            state, value = train_step(state, batch.ravel(), train_table)
             for name, comp in value.per_component.items():
-                scale = len(batch) if name == "T" else 3 * len(batch)
+                scale = batch.shape[1] if name == "T" else batch.size
                 sums[name] = sums.get(name, 0.0) + comp * scale
                 counts[name] = counts.get(name, 0.0) + scale
         train_means = {name: sums[name] / counts[name] for name in sums}

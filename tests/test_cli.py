@@ -87,6 +87,20 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown config keys: colour, epoch$"):
             config_from_values({"epochs": "1", "epoch": "1", "colour": "red"})
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("hidden_dim", "0", "hidden_dim must be at least 1, got 0"),
+            ("embedding_dim", "-1", "embedding_dim must be at least 1, got -1"),
+            ("batch_size", "0", "batch_size must be at least 1, got 0"),
+            ("learning_rate", "0", "learning_rate must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_invalid_model_setting_names_the_file(self, tmp_path, key, value, message):
+        path = write_config(tmp_path / "exp.cfg", {key: value})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_experiment_config(str(path))
+
     def test_defaults_come_from_the_dataclasses(self):
         config = config_from_values({})
         assert config == ExperimentConfig()

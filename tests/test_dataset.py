@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,17 @@ def test_non_finite_features_name_line_and_sample(tmp_path, bad):
     ]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"d\.jsonl:3: sample 's1' has non-finite features"):
+        load_dataset(path)
+
+
+def test_duplicate_id_names_both_lines(tmp_path):
+    path = tmp_path / "d.jsonl"
+    lines = [json.dumps(record(sid, [0.5])) for sid in ("s0", "s1", "s2", "s1", "s0")]
+    lines.insert(2, "")  # blank lines are skipped but counted
+    path.write_text("\n".join(lines) + "\n")
+    # the first id seen twice is s1 (lines 2 and 5), not s0 (lines 1 and 6)
+    message = f"{path}:5: duplicate sample id 's1', first at {path}:2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_dataset(path)
 
 

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from hieremb.losses import (
     LossConfig,
+    SoftmaxSegments,
     binary_cross_entropy_nodes_batch,
     class_weights,
     combine,
@@ -212,6 +215,33 @@ class TestSegmentedSoftmax:
         with pytest.raises(ValueError, match="out of range"):
             softmax_cross_entropy_batch(np.zeros((1, 5)), [[0, 3]], [np.ones(2), np.ones(3)])
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_prepared_segments_match_the_weight_list(self, seed):
+        rng = np.random.default_rng(seed)
+        widths = rng.integers(1, 30, size=int(rng.integers(1, 5)))
+        n = int(rng.integers(1, 40))
+        logits = rng.normal(scale=3.0, size=(n, widths.sum()))
+        weights = [rng.uniform(0.2, 3.0, size=w) for w in widths]
+        targets = np.stack([rng.integers(0, w, size=n) for w in widths], axis=1)
+        segments = SoftmaxSegments.of(weights)
+        for with_grad in (False, True):
+            want = softmax_cross_entropy_batch(logits, targets, weights, with_grad)
+            got = softmax_cross_entropy_batch(logits, targets, segments, with_grad)
+            assert got[0].tobytes() == want[0].tobytes()
+            if with_grad:
+                assert got[1].tobytes() == want[1].tobytes()
+
+    def test_prepared_segments_keep_the_width_and_range_checks(self):
+        segments = SoftmaxSegments.of([np.ones(2), np.ones(2)])
+        with pytest.raises(ValueError, match="expected 5 class weights"):
+            softmax_cross_entropy_batch(np.zeros((1, 5)), [[0, 0]], segments)
+        with pytest.raises(ValueError, match=re.escape("expected (1, 2) targets")):
+            softmax_cross_entropy_batch(np.zeros((1, 4)), [0], segments)
+        with pytest.raises(ValueError, match="out of range"):
+            softmax_cross_entropy_batch(np.zeros((1, 4)), [[0, 2]], segments)
+        with pytest.raises(ValueError, match="non-empty vectors"):
+            SoftmaxSegments.of([np.ones(2), np.ones(0)])
+
 
 class TestBinaryNodeLoss:
     def test_logit_zero_is_ln2(self):
@@ -242,6 +272,30 @@ class TestBinaryNodeLoss:
         v3, _ = binary_cross_entropy_nodes_batch(logit, ~member, np.array([1.0]))
         v4, _ = binary_cross_entropy_nodes_batch(logit, ~member, np.array([3.0]))
         assert v3[0] == pytest.approx(v4[0])
+
+    @pytest.mark.parametrize("density", [0.02, 0.5, 1.0])
+    def test_bitwise_equal_to_the_selected_branches(self, density):
+        # the masked, branch-free kernel computes each entry by the same
+        # floating-point operations as selecting between both branches
+        rng = np.random.default_rng(int(density * 100))
+        fused = rng.normal(scale=4.0, size=(30, 50))
+        logits = fused[:, 4:45]  # a head's columns of the fused logits
+        logits[rng.random(logits.shape) < 0.1] = 0.0
+        extreme = rng.random(logits.shape) < 0.05
+        logits[extreme] = rng.choice([-800.0, 800.0], size=extreme.sum())
+        member = rng.random(logits.shape) < density
+        weights = rng.uniform(0.2, 3.0, size=41)
+        e = np.exp(-np.abs(logits))
+        tail = np.log1p(e)
+        terms = np.where(
+            member, weights * (np.maximum(-logits, 0.0) + tail), np.maximum(logits, 0.0) + tail
+        )
+        inverse = 1.0 / (1.0 + e)
+        probs = np.where(logits >= 0, inverse, e * inverse)
+        want_grad = np.where(member, weights * (probs - 1.0), probs) / 41
+        values, grad = binary_cross_entropy_nodes_batch(logits, member, weights, with_grad=True)
+        assert values.tobytes() == (terms.sum(axis=-1) / 41).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="line up"):
@@ -336,14 +390,14 @@ class TestPerLevelLoss:
     )
 
     def test_sum_over_levels(self):
-        targets = {"level_1": np.array([0]), "level_2": np.array([2])}
+        targets = np.array([[0, 2]])  # level_1, level_2
         components, grad = head_losses(self.layout, np.zeros((1, 5)), targets, None, True)
         assert components["PL"] == pytest.approx(np.log(2.0) + np.log(3.0))
         assert grad.shape == (1, 5)
 
     def test_all_heads_perfect(self):
         logits = np.array([[60.0, 0.0, 0.0, 60.0, 0.0]])
-        targets = {"level_1": np.array([0]), "level_2": np.array([1])}
+        targets = np.array([[0, 1]])  # level_1, level_2
         components, _ = head_losses(self.layout, logits, targets, None)
         assert components["PL"] == pytest.approx(0.0, abs=1e-12)
 

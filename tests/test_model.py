@@ -56,6 +56,23 @@ def five_leaf_problem(active, per_leaf=6, dim=8, seed=0):
     return tax, samples, split, layout, table, model
 
 
+class TestModelConfig:
+    # a bad value used to train nothing without saying so (batch_size -1,
+    # learning_rate 0), fail on a bare range() error (batch_size 0) or report
+    # a dead embedding after a divide-by-zero warning (hidden_dim 0)
+    @pytest.mark.parametrize("field", ["input_dim", "hidden_dim", "embedding_dim", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sizes_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be at least 1, got {value}")):
+            ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_learning_rate_must_be_positive_and_finite(self, value):
+        message = f"learning_rate must be positive and finite, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelConfig(learning_rate=value)
+
+
 class TestHeadLayout:
     def test_head_presence_matches_active_losses(self):
         for active, leaf, levels, binary in [
@@ -99,6 +116,25 @@ class TestTargets:
                 n for n, m in zip(layout.binary.nodes, table.binary_membership[i]) if m
             ]
             assert member_names == [parent, sample.leaf]
+
+    def test_class_targets_are_columns_of_one_matrix(self):
+        _, samples, _, layout, table, _ = five_leaf_problem({"L", "PL", "B"})
+        heads = layout.class_heads()
+        assert table.targets.shape == (len(samples), len(heads))
+        for j, head in enumerate(heads):
+            column = table.class_targets[head.name]
+            assert np.shares_memory(column, table.targets)
+            assert np.array_equal(column, table.targets[:, j])
+
+    def test_layout_prepares_the_class_heads_softmax_segments(self):
+        _, _, _, layout, _, _ = five_leaf_problem({"L", "PL", "B"})
+        heads = layout.class_heads()
+        segments = layout.segments
+        assert segments.starts.tolist() == [h.columns.start for h in heads]
+        assert segments.widths.tolist() == [len(h.classes) for h in heads]
+        assert np.array_equal(segments.weights, np.concatenate([h.class_weights for h in heads]))
+        _, _, _, binary_only, _, _ = five_leaf_problem({"B", "T"})
+        assert binary_only.segments is None
 
     def test_targets_on_random_trees_with_shallow_leaves(self):
         # a leaf shallower than a level is its own class there
@@ -273,6 +309,79 @@ class TestTrainStep:
         state = TrainState(model=model, adam=AdamState.for_params(model.params))
         with pytest.raises(ValueError, match="empty batch"):
             train_step(state, [], table)
+
+
+def bits(value) -> list:
+    """A LossValue as the bytes of its floats, for bitwise comparison."""
+    return [np.float64(value.total).tobytes()] + [
+        (name, np.float64(x).tobytes()) for name, x in value.per_component.items()
+    ]
+
+
+class TestRowBatches:
+    @pytest.mark.parametrize("combo", VALID_COMBOS, ids=combo_name)
+    def test_rows_train_bitwise_like_instances(self, combo):
+        tax, samples, split, layout, table, model = five_leaf_problem(combo)
+        triples = enumerate_node_triples(tax)
+        instances = instantiate_epoch(tax, samples, split, triples, epoch_seed=0)
+        runs = []
+        for batch in (instances[:7], triplet_rows(table, instances[:7])):
+            copy = EmbeddingModel(model.config, model.loss_config, layout, model.clone_params())
+            state = TrainState(model=copy, adam=AdamState.for_params(copy.params))
+            for _ in range(3):
+                state, value = train_step(state, batch, table)
+            runs.append((state, value))
+        (by_instance, value_i), (by_row, value_r) = runs
+        assert by_instance.model.vector.tobytes() == by_row.model.vector.tobytes()
+        assert by_instance.adam.first.tobytes() == by_row.adam.first.tobytes()
+        assert by_instance.adam.second.tobytes() == by_row.adam.second.tobytes()
+        assert by_instance.adam.step == by_row.adam.step == 3
+        assert bits(value_i) == bits(value_r)
+
+    def test_empty_row_batch_rejected(self):
+        _, _, _, _, table, model = five_leaf_problem({"L"})
+        state = TrainState(model=model, adam=AdamState.for_params(model.params))
+        with pytest.raises(ValueError, match="empty batch"):
+            train_step(state, np.zeros(0, dtype=np.intp), table)
+
+    def test_fit_samples_once_per_epoch_and_steps_on_the_shuffled_rows(self, monkeypatch):
+        # the benchmark counts triplets and steps through these two attributes
+        drawn, steps = [], []
+        sample, step = hieremb.model.instantiate_epoch, hieremb.model.train_step
+
+        def counted_epoch(*args, **kwargs):
+            result = sample(*args, **kwargs)
+            seed = args[4] if len(args) > 4 else kwargs["epoch_seed"]
+            drawn.append((seed, kwargs, result))
+            return result
+
+        def counted_step(state, batch, table):
+            steps.append((np.array(batch), table))
+            return step(state, batch, table)
+
+        monkeypatch.setattr(hieremb.model, "instantiate_epoch", counted_epoch)
+        monkeypatch.setattr(hieremb.model, "train_step", counted_step)
+        tax, samples, split = synthetic_experiment()
+        model_config = ModelConfig(input_dim=8, hidden_dim=16, embedding_dim=8, batch_size=7)
+        loss_config = LossConfig(active=frozenset({"PL", "B", "T"}))
+        fit(samples, tax, split, loss_config, model_config, 3, seed=5)
+        validation = [call for call in drawn if call[1].get("subset") == "valid"]
+        epochs = [call for call in drawn if call[1].get("subset", "train") == "train"]
+        assert len(validation) == 1
+        assert [seed for seed, _, _ in epochs] == [5, 6, 7]
+        assert all("pools" in kwargs for _, kwargs, _ in epochs)
+        expected = []
+        for epoch_seed, _, instances in epochs:
+            order = np.random.default_rng([epoch_seed, 1]).permutation(len(instances))
+            shuffled = [instances[i] for i in order]
+            assert len(shuffled) % 7  # the last batch of an epoch is short
+            expected += [shuffled[k : k + 7] for k in range(0, len(shuffled), 7)]
+        assert len(steps) == len(expected)
+        table = steps[0][1]
+        for (rows, used), batch in zip(steps, expected):
+            assert used is table
+            assert rows.dtype == np.intp
+            assert np.array_equal(rows, triplet_rows(table, batch))
 
 
 class TestAdam:
@@ -593,6 +702,21 @@ class TestCheckpoint:
     def test_missing_key_rejected(self, tmp_path, edit, key):
         path, _ = self.corrupted(tmp_path, edit)
         with pytest.raises(ValueError, match=re.escape(f"{path}: missing key '{key}'")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("input_dim", 0, "input_dim must be at least 1, got 0"),
+            ("hidden_dim", 0, "hidden_dim must be at least 1, got 0"),
+            ("embedding_dim", -2, "embedding_dim must be at least 1, got -2"),
+            ("batch_size", 0, "batch_size must be at least 1, got 0"),
+            ("learning_rate", float("nan"), "learning_rate must be positive and finite, got nan"),
+        ],
+    )
+    def test_invalid_model_config_rejected(self, tmp_path, key, value, message):
+        path, _ = self.corrupted(tmp_path, lambda payload: payload["model"].update({key: value}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_checkpoint(path)
 
     def test_v1_file_rejected(self, tmp_path):
