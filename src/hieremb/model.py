@@ -36,8 +36,8 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("input_dim", "hidden_dim", "embedding_dim", "batch_size"):
             value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 

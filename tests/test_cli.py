@@ -90,9 +90,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("hidden_dim", "0", "hidden_dim must be at least 1, got 0"),
-            ("embedding_dim", "-1", "embedding_dim must be at least 1, got -1"),
-            ("batch_size", "0", "batch_size must be at least 1, got 0"),
+            ("hidden_dim", "0", "hidden_dim must be an integer of at least 1, got 0"),
+            ("embedding_dim", "-1", "embedding_dim must be an integer of at least 1, got -1"),
+            ("batch_size", "0", "batch_size must be an integer of at least 1, got 0"),
             ("learning_rate", "0", "learning_rate must be positive and finite, got 0.0"),
         ],
     )

@@ -61,9 +61,9 @@ class TestModelConfig:
     # learning_rate 0), fail on a bare range() error (batch_size 0) or report
     # a dead embedding after a divide-by-zero warning (hidden_dim 0)
     @pytest.mark.parametrize("field", ["input_dim", "hidden_dim", "embedding_dim", "batch_size"])
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_sizes_below_one_rejected(self, field, value):
-        with pytest.raises(ValueError, match=re.escape(f"{field} must be at least 1, got {value}")):
+    @pytest.mark.parametrize("value", [0, -1, 1.0])
+    def test_sizes_below_one_or_not_integers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer of at least 1, got {value}")):
             ModelConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf")])
@@ -707,10 +707,11 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("input_dim", 0, "input_dim must be at least 1, got 0"),
-            ("hidden_dim", 0, "hidden_dim must be at least 1, got 0"),
-            ("embedding_dim", -2, "embedding_dim must be at least 1, got -2"),
-            ("batch_size", 0, "batch_size must be at least 1, got 0"),
+            ("input_dim", 0, "input_dim must be an integer of at least 1, got 0"),
+            ("hidden_dim", 0, "hidden_dim must be an integer of at least 1, got 0"),
+            ("embedding_dim", -2, "embedding_dim must be an integer of at least 1, got -2"),
+            ("batch_size", 0, "batch_size must be an integer of at least 1, got 0"),
+            ("batch_size", 2.5, "batch_size must be an integer of at least 1, got 2.5"),
             ("learning_rate", float("nan"), "learning_rate must be positive and finite, got nan"),
         ],
     )
