@@ -63,7 +63,8 @@ class TestModelConfig:
     @pytest.mark.parametrize("field", ["input_dim", "hidden_dim", "embedding_dim", "batch_size"])
     @pytest.mark.parametrize("value", [0, -1, 1.0])
     def test_sizes_below_one_or_not_integers_rejected(self, field, value):
-        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer of at least 1, got {value}")):
+        message = f"{field} must be an integer of at least 1, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             ModelConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf")])
@@ -307,8 +308,9 @@ class TestTrainStep:
     def test_empty_batch_rejected(self):
         _, _, _, _, table, model = five_leaf_problem({"L"})
         state = TrainState(model=model, adam=AdamState.for_params(model.params))
-        with pytest.raises(ValueError, match="empty batch"):
-            train_step(state, [], table)
+        for empty in ([], np.zeros(0, dtype=np.intp)):
+            with pytest.raises(ValueError, match="empty batch"):
+                train_step(state, empty, table)
 
 
 def bits(value) -> list:
@@ -337,12 +339,6 @@ class TestRowBatches:
         assert by_instance.adam.second.tobytes() == by_row.adam.second.tobytes()
         assert by_instance.adam.step == by_row.adam.step == 3
         assert bits(value_i) == bits(value_r)
-
-    def test_empty_row_batch_rejected(self):
-        _, _, _, _, table, model = five_leaf_problem({"L"})
-        state = TrainState(model=model, adam=AdamState.for_params(model.params))
-        with pytest.raises(ValueError, match="empty batch"):
-            train_step(state, np.zeros(0, dtype=np.intp), table)
 
     def test_fit_samples_once_per_epoch_and_steps_on_the_shuffled_rows(self, monkeypatch):
         # the benchmark counts triplets and steps through these two attributes
