@@ -149,7 +149,12 @@ def config_from_values(values: dict[str, str], overrides: dict | None = None) ->
 
     def take(key, cast, default):
         unread.discard(key)
-        return cast(merged[key]) if key in merged else default
+        if key not in merged:
+            return default
+        try:
+            return cast(merged[key])
+        except ValueError as err:
+            raise ValueError(f"{key}: {err}") from None
 
     combos_text = take("combos", str, "")
     combos = (

@@ -36,11 +36,16 @@ def load_dataset(path: str | Path) -> list[LabeledSample]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: malformed JSON record") from exc
-            sample = LabeledSample(
-                id=str(record["id"]),
-                leaf=str(record["leaf"]),
-                features=np.asarray(record["features"], dtype=np.float64),
-            )
+            try:
+                sample = LabeledSample(
+                    id=str(record["id"]),
+                    leaf=str(record["leaf"]),
+                    features=np.asarray(record["features"], dtype=np.float64),
+                )
+            except KeyError as exc:
+                raise ValueError(f"{path}:{line_no}: record lacks key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_no}: malformed record: {exc}") from None
             shape = shape or sample.features.shape
             if sample.features.ndim != 1 or sample.features.shape != shape:
                 raise ValueError(

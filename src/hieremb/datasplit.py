@@ -82,17 +82,10 @@ def split_within_leaf(
     n_train = n - n_valid - n_test
     if min(n_train, n_valid, n_test) < 1:
         raise SplitError(f"{n} samples are too few to fill train/valid/test at {ratios}")
-    rng = np.random.default_rng(seed)
-    shuffled = [sorted(sample_ids)[i] for i in rng.permutation(n)]
-    assignment = {}
-    for pos, sid in enumerate(shuffled):
-        if pos < n_train:
-            assignment[sid] = "train"
-        elif pos < n_train + n_valid:
-            assignment[sid] = "valid"
-        else:
-            assignment[sid] = "test"
-    return assignment
+    ordered = sorted(sample_ids)
+    shuffled = [ordered[i] for i in np.random.default_rng(seed).permutation(n)]
+    parts = ["train"] * n_train + ["valid"] * n_valid + ["test"] * n_test
+    return dict(zip(shuffled, parts))
 
 
 def make_fold_splits(

@@ -55,12 +55,11 @@ class LossValue:
     per_component: dict[str, float] = field(default_factory=dict)
 
 
-def combine(components: dict[str, float], active: frozenset[str] | None = None) -> LossValue:
+def combine(components: dict[str, float], active: frozenset[str]) -> LossValue:
     """Sum the component values; every active component must be present."""
-    if active is not None:
-        missing = active - set(components)
-        if missing:
-            raise ValueError(f"missing loss components: {sorted(missing)}")
+    missing = active - set(components)
+    if missing:
+        raise ValueError(f"missing loss components: {sorted(missing)}")
     return LossValue(total=float(sum(components.values())), per_component=dict(components))
 
 
@@ -110,7 +109,7 @@ class SoftmaxSegments:
     """Consecutive softmax heads over the columns of one logit matrix, as
     `softmax_cross_entropy_batch` needs them: every head's width and first
     column, the head of every column, and the heads' class weights end to
-    end. Built once per head layout (`of`) instead of once per call."""
+    end. Built once per head layout (`of`)."""
 
     widths: np.ndarray
     starts: np.ndarray
@@ -136,28 +135,20 @@ class SoftmaxSegments:
 def softmax_cross_entropy_batch(
     logits: np.ndarray,
     targets: np.ndarray,
-    weights: np.ndarray | list[np.ndarray] | SoftmaxSegments,
+    segments: SoftmaxSegments,
     with_grad: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Weighted cross-entropy per row and head of (n, C) logits, and with
     `with_grad` the logit gradients (else None).
 
-    The columns split into consecutive heads, one per array in `weights` and
-    as wide as it, or as prepared in a `SoftmaxSegments`; `targets`
+    The columns split into the consecutive heads of `segments`; `targets`
     (n, heads) holds each row's class index within every head, and the
-    values come back as (n, heads). One weight array with (n,) targets is
-    the one-head case, with (n,) values. Each row's loss and gradient in a
-    head are scaled by the weight of its true class there. Every head's
+    values come back as (n, heads). Each row's loss and gradient in a head
+    are scaled by the weight of its true class there. Every head's
     log-sum-exp comes from one segmented pass over the columns.
     """
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.intp)
-    one_head = targets.ndim == 1
-    if one_head:
-        targets = targets[:, None]
-    segments = weights
-    if not isinstance(segments, SoftmaxSegments):
-        segments = SoftmaxSegments.of([weights] if one_head else weights)
     n, n_columns = logits.shape
     widths, starts, head_of = segments.widths, segments.starts, segments.head_of
     if segments.weights.size != n_columns:
@@ -175,8 +166,7 @@ def softmax_cross_entropy_batch(
     log_probs -= np.maximum.reduceat(log_probs, starts, axis=0)[head_of]
     grad = np.exp(log_probs)  # the gradient's buffer holds the exponentials first
     log_probs -= np.log(np.add.reduceat(grad, starts, axis=0))[head_of]
-    values = -w * log_probs[true_columns, rows]
-    values = values[0] if one_head else values.T
+    values = (-w * log_probs[true_columns, rows]).T
     if not with_grad:
         return values, None
     np.exp(log_probs, out=grad)

@@ -43,23 +43,16 @@ class ModelConfig:
 
 
 @dataclass
-class ClassificationHead:
-    name: str  # "leaf" or "level_<depth>"
+class Head:
+    """One head of the fused matrix: its classes, pre-order, with their
+    weights. The binary head's classes are the non-root nodes, one
+    membership term each."""
+
+    name: str  # "leaf", "level_<depth>" or "binary"
     level: int | None
-    classes: list[str]  # class node names, pre-order
-    class_weights: np.ndarray
+    classes: list[str]
+    weights: np.ndarray
     columns: slice | None = field(default=None, init=False)  # set by HeadLayout
-
-
-@dataclass
-class BinaryHead:
-    nodes: list[str]  # non-root node names, pre-order
-    node_weights: np.ndarray
-    columns: slice | None = field(default=None, init=False)  # set by HeadLayout
-    name = "binary"
-    # the names HeadLayout reads from every head
-    classes = property(lambda self: self.nodes)
-    class_weights = property(lambda self: self.node_weights)
 
 
 @dataclass
@@ -69,61 +62,55 @@ class HeadLayout:
     class heads' softmax segments are prepared once, from their weights at
     construction."""
 
-    leaf: ClassificationHead | None
-    levels: list[ClassificationHead]
-    binary: BinaryHead | None
+    leaf: Head | None
+    levels: list[Head]
+    binary: Head | None
     width: int = field(default=0, init=False)
     segments: losses.SoftmaxSegments | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for head in self.heads():
-            if len(head.class_weights) != len(head.classes):
+            if len(head.weights) != len(head.classes):
                 raise ValueError(
                     f"head {head.name}: expected {len(head.classes)} weights, "
-                    f"found {len(head.class_weights)}"
+                    f"found {len(head.weights)}"
                 )
             head.columns = slice(self.width, self.width + len(head.classes))
             self.width = head.columns.stop
         heads = self.class_heads()
         if heads:
-            self.segments = losses.SoftmaxSegments.of([head.class_weights for head in heads])
+            self.segments = losses.SoftmaxSegments.of([head.weights for head in heads])
 
-    def class_heads(self) -> list[ClassificationHead]:
+    def class_heads(self) -> list[Head]:
         heads = [self.leaf] if self.leaf else []
         return heads + list(self.levels)
 
-    def heads(self) -> list[ClassificationHead | BinaryHead]:
+    def heads(self) -> list[Head]:
         return self.class_heads() + ([self.binary] if self.binary else [])
 
     def to_json(self) -> dict:
-        def entry(head):
-            return {"classes": head.classes, "weights": head.class_weights.tolist()}
+        # the binary entry names its classes "nodes"
+        def entry(head, key="classes"):
+            return None if head is None else {key: head.classes, "weights": head.weights.tolist()}
 
         return {
-            "leaf": None if self.leaf is None else entry(self.leaf),
+            "leaf": entry(self.leaf),
             "levels": [{"level": head.level} | entry(head) for head in self.levels],
-            "binary": None
-            if self.binary is None
-            else {"nodes": self.binary.nodes, "weights": self.binary.node_weights.tolist()},
+            "binary": entry(self.binary, "nodes"),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "HeadLayout":
-        def head(entry, level=None):
-            return ClassificationHead(
-                name="leaf" if level is None else f"level_{level}",
-                level=level,
-                classes=list(entry["classes"]),
-                class_weights=np.array(entry["weights"], dtype=np.float64),
-            )
+        def head(entry, name, level=None, key="classes"):
+            if entry is None:
+                return None
+            return Head(name, level, list(entry[key]), np.array(entry["weights"], dtype=np.float64))
 
-        binary = data["binary"]
+        levels = [(int(entry["level"]), entry) for entry in data["levels"]]
         return cls(
-            leaf=None if data["leaf"] is None else head(data["leaf"]),
-            levels=[head(entry, int(entry["level"])) for entry in data["levels"]],
-            binary=None
-            if binary is None
-            else BinaryHead(list(binary["nodes"]), np.array(binary["weights"], dtype=np.float64)),
+            leaf=head(data["leaf"], "leaf"),
+            levels=[head(entry, f"level_{level}", level) for level, entry in levels],
+            binary=head(data["binary"], "binary", key="nodes"),
         )
 
 
@@ -142,39 +129,19 @@ def build_head_layout(
         for node in pruned.path_to_root(leaf):
             node_counts[node] += count
 
-    def weights_for(node_ids: list[int]) -> np.ndarray:
-        counts = {nid: node_counts[nid] for nid in node_ids}
-        w = losses.class_weights(counts)
-        return np.array([w[nid] for nid in node_ids], dtype=np.float64)
+    def head(name: str, level: int | None, node_ids: list[int]) -> Head:
+        w = losses.class_weights({nid: node_counts[nid] for nid in node_ids})
+        weights = np.array([w[nid] for nid in node_ids], dtype=np.float64)
+        return Head(name, level, [pruned.name(nid) for nid in node_ids], weights)
 
-    leaf_head = None
-    if "L" in loss_config.active:
-        leaf_ids = sorted(pruned.leaf_ids)
-        leaf_head = ClassificationHead(
-            name="leaf",
-            level=None,
-            classes=[pruned.name(l) for l in leaf_ids],
-            class_weights=weights_for(leaf_ids),
-        )
-    level_heads = []
-    if "PL" in loss_config.active:
-        for level, class_ids in pruned.levels_with_multiple_classes():
-            level_heads.append(
-                ClassificationHead(
-                    name=f"level_{level}",
-                    level=level,
-                    classes=[pruned.name(c) for c in class_ids],
-                    class_weights=weights_for(class_ids),
-                )
-            )
-    binary_head = None
-    if "B" in loss_config.active:
-        non_root = [nid for nid in range(len(pruned)) if nid != pruned.root]
-        binary_head = BinaryHead(
-            nodes=[pruned.name(n) for n in non_root],
-            node_weights=weights_for(non_root),
-        )
-    return HeadLayout(leaf=leaf_head, levels=level_heads, binary=binary_head)
+    active = loss_config.active
+    levels = pruned.levels_with_multiple_classes() if "PL" in active else []
+    non_root = [nid for nid in range(len(pruned)) if nid != pruned.root]
+    return HeadLayout(
+        leaf=head("leaf", None, sorted(pruned.leaf_ids)) if "L" in active else None,
+        levels=[head(f"level_{level}", level, class_ids) for level, class_ids in levels],
+        binary=head("binary", None, non_root) if "B" in active else None,
+    )
 
 
 @dataclass
@@ -184,7 +151,6 @@ class TargetTable:
     index: dict[str, int]
     features: np.ndarray
     targets: np.ndarray  # (n, class heads) class index, heads in `class_heads` order
-    class_targets: dict[str, np.ndarray]  # head name -> its column of `targets`
     binary_membership: np.ndarray | None  # (n, K) bool
 
 
@@ -210,15 +176,14 @@ def build_target_table(
     membership = None
     if layout.binary is not None:
         # a leaf is a member of every non-root node on its root path
-        per_leaf = np.zeros((len(leaf_ids), len(layout.binary.nodes)), dtype=bool)
+        per_leaf = np.zeros((len(leaf_ids), len(layout.binary.classes)), dtype=bool)
         rows = np.arange(len(leaf_ids))[:, None]
-        per_leaf[rows, column_of(layout.binary.nodes)[ancestors[:, 1:]]] = True
+        per_leaf[rows, column_of(layout.binary.classes)[ancestors[:, 1:]]] = True
         membership = per_leaf[leaf_row]
     return TargetTable(
         index={s.id: i for i, s in enumerate(samples)},
         features=features_matrix(samples),
         targets=targets,
-        class_targets={head.name: targets[:, j] for j, head in enumerate(heads)},
         binary_membership=membership,
     )
 
@@ -335,10 +300,9 @@ def head_losses(
     components: dict[str, float] = {}
     # each head's loss fills its segment of the fused logit gradient
     grad_logits = np.empty_like(logits) if with_grad else None
-    heads = layout.class_heads()
-    if heads:
+    if layout.segments is not None:
         # the class heads lead the fused columns: one segmented kernel call
-        columns = slice(0, heads[-1].columns.stop)
+        columns = slice(0, layout.segments.weights.size)
         values, grad = losses.softmax_cross_entropy_batch(
             logits[:, columns], targets, layout.segments, with_grad
         )
@@ -353,7 +317,7 @@ def head_losses(
     if layout.binary is not None:
         columns = layout.binary.columns
         values, grad = losses.binary_cross_entropy_nodes_batch(
-            logits[:, columns], membership, layout.binary.node_weights, with_grad
+            logits[:, columns], membership, layout.binary.weights, with_grad
         )
         components["B"] = float(values.sum() / n_rows)
         if with_grad:
@@ -546,16 +510,16 @@ def fit(
         # the shuffled instances' table rows, one column per instance; a
         # batch is a run of columns, flattened as `triplet_rows` lays it out
         rows = triplet_rows(train_table, instances).reshape(3, -1)[:, order]
+        # each batch mean times its count: instances for T, rows for the heads
         sums: dict[str, float] = {}
-        counts: dict[str, float] = {}
         for start in range(0, len(order), model_config.batch_size):
             batch = rows[:, start : start + model_config.batch_size]
             state, value = train_step(state, batch.ravel(), train_table)
             for name, comp in value.per_component.items():
                 scale = batch.shape[1] if name == "T" else batch.size
                 sums[name] = sums.get(name, 0.0) + comp * scale
-                counts[name] = counts.get(name, 0.0) + scale
-        train_means = {name: sums[name] / counts[name] for name in sums}
+        n = len(order)  # the heads score 3n rows
+        train_means = {name: total / (n if name == "T" else 3 * n) for name, total in sums.items()}
         val_value = validation_loss(state.model, valid_table, val_rows)
         if not np.isfinite(val_value.total):
             raise FloatingPointError(
@@ -617,6 +581,6 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingModel, dict]:
         )
     except KeyError as err:
         raise ValueError(f"{path}: missing key {err}") from None
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from None
     return model, payload.get("extra", {})

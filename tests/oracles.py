@@ -308,21 +308,23 @@ def validation_loss_oracle(model, table, val_instances):
         return -weights[targets] * log_probs[rows, targets]
 
     layout = model.layout
+    # head name -> its column of the target matrix
+    targets = dict(zip((h.name for h in layout.class_heads()), table.targets.T))
     components = {}
     _, logits = forward(table.features)
     if layout.leaf is not None:
         head = layout.leaf
         components["L"] = cross_entropy(
-            logits[:, head.columns], table.class_targets[head.name], head.class_weights
+            logits[:, head.columns], targets[head.name], head.weights
         ).mean()
     if layout.levels:
         components["PL"] = sum(
-            cross_entropy(logits[:, h.columns], table.class_targets[h.name], h.class_weights)
+            cross_entropy(logits[:, h.columns], targets[h.name], h.weights)
             for h in layout.levels
         ).mean()
     if layout.binary is not None:
         values, _ = binary_cross_entropy_oracle(
-            logits[:, layout.binary.columns], table.binary_membership, layout.binary.node_weights
+            logits[:, layout.binary.columns], table.binary_membership, layout.binary.weights
         )
         components["B"] = values.mean()
     if "T" in model.loss_config.active:

@@ -94,6 +94,7 @@ class TestConfigParsing:
             ("embedding_dim", "-1", "embedding_dim must be an integer of at least 1, got -1"),
             ("batch_size", "0", "batch_size must be an integer of at least 1, got 0"),
             ("learning_rate", "0", "learning_rate must be positive and finite, got 0.0"),
+            ("batch_size", "2.5", "batch_size: invalid literal for int() with base 10: '2.5'"),
         ],
     )
     def test_invalid_model_setting_names_the_file(self, tmp_path, key, value, message):

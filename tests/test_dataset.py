@@ -65,6 +65,22 @@ def test_non_finite_features_name_line_and_sample(tmp_path, bad):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"id": "s1", "leaf": "a1"}', "record lacks key 'features'"),
+        ('["s1", "a1", [0.5]]', "malformed record: list indices must be integers"),
+        ('{"id": "s1", "leaf": "a1", "features": "ab"}', "malformed record: could not convert"),
+    ],
+    ids=["no-features", "list", "string-features"],
+)
+def test_bad_record_names_its_line(tmp_path, line, message):
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(record("s0", [0.5])) + "\n" + line + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+        load_dataset(path)
+
+
 def test_duplicate_id_names_both_lines(tmp_path):
     path = tmp_path / "d.jsonl"
     lines = [json.dumps(record(sid, [0.5])) for sid in ("s0", "s1", "s2", "s1", "s0")]

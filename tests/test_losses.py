@@ -14,7 +14,7 @@ from hieremb.losses import (
     softmax_cross_entropy_batch,
     triplet_loss_batch,
 )
-from hieremb.model import ClassificationHead, HeadLayout, head_losses
+from hieremb.model import Head, HeadLayout, head_losses
 
 from oracles import binary_cross_entropy_oracle, fd_gradient, gradient_rel_error
 
@@ -114,51 +114,56 @@ class TestTripletLoss:
 
 
 class TestMulticlassLoss:
+    # one head: (n, 1) targets and values
     def test_uniform_logits(self):
-        values, _ = softmax_cross_entropy_batch(np.zeros((1, 4)), [2], np.ones(4))
-        assert values[0] == pytest.approx(np.log(4.0))
+        values, _ = softmax_cross_entropy_batch(
+            np.zeros((1, 4)), [[2]], SoftmaxSegments.of([np.ones(4)])
+        )
+        assert values[0, 0] == pytest.approx(np.log(4.0))
 
     def test_perfect_prediction_limit(self):
         logits = np.array([[40.0, 0.0, 0.0]])
-        values, _ = softmax_cross_entropy_batch(logits, [0], np.ones(3))
-        assert values[0] == pytest.approx(0.0, abs=1e-12)
+        values, _ = softmax_cross_entropy_batch(logits, [[0]], SoftmaxSegments.of([np.ones(3)]))
+        assert values[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_weight_linearity(self):
         logits = np.array([[0.3, -0.8, 1.1]])
         w1 = np.ones(3)
-        v1, g1 = softmax_cross_entropy_batch(logits, [1], w1, with_grad=True)
-        v2, g2 = softmax_cross_entropy_batch(logits, [1], 2.0 * w1, with_grad=True)
-        assert v2[0] == pytest.approx(2 * v1[0])
+        v1, g1 = softmax_cross_entropy_batch(logits, [[1]], SoftmaxSegments.of([w1]), True)
+        v2, g2 = softmax_cross_entropy_batch(logits, [[1]], SoftmaxSegments.of([2.0 * w1]), True)
+        assert v2[0, 0] == pytest.approx(2 * v1[0, 0])
         assert np.allclose(g2, 2 * g1)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
         logits = rng.normal(size=(1, 6))
-        v1, _ = softmax_cross_entropy_batch(logits, [3], np.ones(6))
-        v2, _ = softmax_cross_entropy_batch(logits + 123.4, [3], np.ones(6))
-        assert v1[0] == pytest.approx(v2[0])
+        segments = SoftmaxSegments.of([np.ones(6)])
+        v1, _ = softmax_cross_entropy_batch(logits, [[3]], segments)
+        v2, _ = softmax_cross_entropy_batch(logits + 123.4, [[3]], segments)
+        assert v1[0, 0] == pytest.approx(v2[0, 0])
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            softmax_cross_entropy_batch(np.zeros((1, 3)), [3], np.ones(3))
+            softmax_cross_entropy_batch(np.zeros((1, 3)), [[3]], SoftmaxSegments.of([np.ones(3)]))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             logits = rng.normal(size=5)
-            weights = rng.uniform(0.5, 2.0, size=5)
-            _, grad = softmax_cross_entropy_batch(logits[None], [2], weights, with_grad=True)
+            segments = SoftmaxSegments.of([rng.uniform(0.5, 2.0, size=5)])
+            _, grad = softmax_cross_entropy_batch(logits[None], [[2]], segments, with_grad=True)
             fd = fd_gradient(
-                lambda z: softmax_cross_entropy_batch(z[None], [2], weights)[0][0], logits
+                lambda z: softmax_cross_entropy_batch(z[None], [[2]], segments)[0][0, 0], logits
             )
             assert gradient_rel_error(grad[0], fd) < 1e-6
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
+        segments = SoftmaxSegments.of([np.ones(4)])
         for _ in range(100):
             logits = rng.normal(size=(1, 4)) * 3
-            values, _ = softmax_cross_entropy_batch(logits, [int(rng.integers(4))], np.ones(4))
-            assert values[0] >= 0.0
+            values, _ = softmax_cross_entropy_batch(logits, [[int(rng.integers(4))]], segments)
+            assert values[0, 0] >= 0.0
 
 
 class TestSegmentedSoftmax:
@@ -175,15 +180,17 @@ class TestSegmentedSoftmax:
         logits[extreme] = rng.choice([-800.0, 800.0], size=extreme.sum())
         weights = [rng.uniform(0.2, 3.0, size=w) for w in widths]
         targets = np.stack([rng.integers(0, w, size=n) for w in widths], axis=1)
-        values, grad = softmax_cross_entropy_batch(logits, targets, weights, with_grad=True)
+        values, grad = softmax_cross_entropy_batch(
+            logits, targets, SoftmaxSegments.of(weights), with_grad=True
+        )
         assert values.shape == (n, len(widths)) and grad.shape == logits.shape
         stops = np.cumsum(widths)
         for k, (start, stop) in enumerate(zip(stops - widths, stops)):
             want_values, want_grad = softmax_cross_entropy_batch(
-                logits[:, start:stop], targets[:, k], weights[k], with_grad=True
+                logits[:, start:stop], targets[:, [k]], SoftmaxSegments.of([weights[k]]), True
             )
-            assert want_values.shape == (n,)
-            np.testing.assert_allclose(values[:, k], want_values, rtol=1e-12, atol=1e-15)
+            assert want_values.shape == (n, 1)
+            np.testing.assert_allclose(values[:, k], want_values[:, 0], rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(grad[:, start:stop], want_grad, rtol=1e-12, atol=1e-15)
 
     def test_per_head_formula(self):
@@ -192,7 +199,9 @@ class TestSegmentedSoftmax:
         logits = rng.normal(size=(7, 8))
         weights = [rng.uniform(0.5, 2.0, size=w) for w in widths]
         targets = np.stack([rng.integers(0, w, size=7) for w in widths], axis=1)
-        values, grad = softmax_cross_entropy_batch(logits, targets, weights, with_grad=True)
+        values, grad = softmax_cross_entropy_batch(
+            logits, targets, SoftmaxSegments.of(weights), with_grad=True
+        )
         rows = np.arange(7)
         for k, (start, stop) in enumerate([(0, 2), (2, 3), (3, 8)]):
             z = logits[:, start:stop]
@@ -206,17 +215,22 @@ class TestSegmentedSoftmax:
     def test_logits_left_unchanged(self, shape):
         logits = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
         before = logits.copy()
-        softmax_cross_entropy_batch(logits, np.zeros(shape[0], dtype=int), np.ones(shape[1]))
+        segments = SoftmaxSegments.of([np.ones(shape[1])])
+        softmax_cross_entropy_batch(logits, np.zeros((shape[0], 1), dtype=int), segments)
         assert np.array_equal(logits, before)
 
     def test_head_widths_must_cover_the_columns(self):
+        segments = SoftmaxSegments.of([np.ones(2), np.ones(2)])
         with pytest.raises(ValueError, match="expected 5 class weights"):
-            softmax_cross_entropy_batch(np.zeros((1, 5)), [[0, 0]], [np.ones(2), np.ones(2)])
+            softmax_cross_entropy_batch(np.zeros((1, 5)), [[0, 0]], segments)
+        segments = SoftmaxSegments.of([np.ones(2), np.ones(3)])
         with pytest.raises(ValueError, match="out of range"):
-            softmax_cross_entropy_batch(np.zeros((1, 5)), [[0, 3]], [np.ones(2), np.ones(3)])
+            softmax_cross_entropy_batch(np.zeros((1, 5)), [[0, 3]], segments)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_prepared_segments_match_the_weight_list(self, seed):
+        # segments prepared once and used for every call, as a head layout
+        # uses them, score like segments built afresh from the weights
         rng = np.random.default_rng(seed)
         widths = rng.integers(1, 30, size=int(rng.integers(1, 5)))
         n = int(rng.integers(1, 40))
@@ -225,7 +239,7 @@ class TestSegmentedSoftmax:
         targets = np.stack([rng.integers(0, w, size=n) for w in widths], axis=1)
         segments = SoftmaxSegments.of(weights)
         for with_grad in (False, True):
-            want = softmax_cross_entropy_batch(logits, targets, weights, with_grad)
+            want = softmax_cross_entropy_batch(logits, targets, SoftmaxSegments.of(weights), with_grad)
             got = softmax_cross_entropy_batch(logits, targets, segments, with_grad)
             assert got[0].tobytes() == want[0].tobytes()
             if with_grad:
@@ -347,8 +361,9 @@ class TestValuesWithoutGradients:
         logits = rng.normal(scale=4.0, size=(11, widths.sum()))
         weights = [rng.uniform(0.2, 3.0, size=w) for w in widths]
         targets = np.stack([rng.integers(0, w, size=11) for w in widths], axis=1)
-        values, grad = softmax_cross_entropy_batch(logits, targets, weights, with_grad=True)
-        bare, none = softmax_cross_entropy_batch(logits, targets, weights)
+        segments = SoftmaxSegments.of(weights)
+        values, grad = softmax_cross_entropy_batch(logits, targets, segments, with_grad=True)
+        bare, none = softmax_cross_entropy_batch(logits, targets, segments)
         assert grad is not None and none is None
         assert bare.tobytes() == values.tobytes()
 
@@ -383,8 +398,8 @@ class TestPerLevelLoss:
     layout = HeadLayout(
         leaf=None,
         levels=[
-            ClassificationHead("level_1", 1, ["A", "B"], np.ones(2)),
-            ClassificationHead("level_2", 2, ["a", "b", "c"], np.ones(3)),
+            Head("level_1", 1, ["A", "B"], np.ones(2)),
+            Head("level_2", 2, ["a", "b", "c"], np.ones(3)),
         ],
         binary=None,
     )
@@ -427,14 +442,14 @@ class TestClassWeights:
 
 class TestCombine:
     def test_sum(self):
-        value = combine({"T": 0.3, "PL": 1.0})
+        value = combine({"T": 0.3, "PL": 1.0}, active=frozenset({"T", "PL"}))
         assert value.total == pytest.approx(1.3)
-        value = combine({"PL": 0.7, "B": 0.2, "T": 0.1})
+        value = combine({"PL": 0.7, "B": 0.2, "T": 0.1}, active=frozenset({"PL", "B", "T"}))
         assert value.total == pytest.approx(1.0)
         assert value.total == pytest.approx(sum(value.per_component.values()))
 
     def test_single_component(self):
-        assert combine({"L": 0.42}).total == pytest.approx(0.42)
+        assert combine({"L": 0.42}, active=frozenset({"L"})).total == pytest.approx(0.42)
 
     def test_missing_component_rejected(self):
         with pytest.raises(ValueError, match="missing"):

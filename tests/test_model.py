@@ -91,7 +91,7 @@ class TestHeadLayout:
     def test_leaf_head_classes(self):
         _, _, _, layout, _, _ = five_leaf_problem({"L"})
         assert layout.leaf.classes == ["a1", "a2", "b1", "b2", "c1"]
-        assert np.mean(layout.leaf.class_weights) == pytest.approx(1.0)
+        assert np.mean(layout.leaf.weights) == pytest.approx(1.0)
 
     def test_level_head_classes(self):
         _, _, _, layout, _, _ = five_leaf_problem({"PL"})
@@ -101,31 +101,24 @@ class TestHeadLayout:
 
     def test_binary_head_nodes(self):
         _, _, _, layout, _, _ = five_leaf_problem({"B"})
-        assert layout.binary.nodes == ["A", "a1", "a2", "B", "b1", "b2", "C", "c1"]
-        assert np.mean(layout.binary.node_weights) == pytest.approx(1.0)
+        assert layout.binary.classes == ["A", "a1", "a2", "B", "b1", "b2", "C", "c1"]
+        assert np.mean(layout.binary.weights) == pytest.approx(1.0)
 
 
 class TestTargets:
     def test_targets_on_five_leaf_tree(self):
         tax, samples, _, layout, table, _ = five_leaf_problem({"L", "PL", "B"})
+        # one column per class head: leaf, level_1, level_2
+        assert table.targets.shape == (len(samples), 3)
         for i, sample in enumerate(samples):
-            assert layout.leaf.classes[table.class_targets["leaf"][i]] == sample.leaf
+            assert layout.leaf.classes[table.targets[i, 0]] == sample.leaf
             level1 = layout.levels[0]
             parent = tax.name(tax.parent(tax.id_of(sample.leaf)))
-            assert level1.classes[table.class_targets[level1.name][i]] == parent
+            assert level1.classes[table.targets[i, 1]] == parent
             member_names = [
-                n for n, m in zip(layout.binary.nodes, table.binary_membership[i]) if m
+                n for n, m in zip(layout.binary.classes, table.binary_membership[i]) if m
             ]
             assert member_names == [parent, sample.leaf]
-
-    def test_class_targets_are_columns_of_one_matrix(self):
-        _, samples, _, layout, table, _ = five_leaf_problem({"L", "PL", "B"})
-        heads = layout.class_heads()
-        assert table.targets.shape == (len(samples), len(heads))
-        for j, head in enumerate(heads):
-            column = table.class_targets[head.name]
-            assert np.shares_memory(column, table.targets)
-            assert np.array_equal(column, table.targets[:, j])
 
     def test_layout_prepares_the_class_heads_softmax_segments(self):
         _, _, _, layout, _, _ = five_leaf_problem({"L", "PL", "B"})
@@ -133,7 +126,7 @@ class TestTargets:
         segments = layout.segments
         assert segments.starts.tolist() == [h.columns.start for h in heads]
         assert segments.widths.tolist() == [len(h.classes) for h in heads]
-        assert np.array_equal(segments.weights, np.concatenate([h.class_weights for h in heads]))
+        assert np.array_equal(segments.weights, np.concatenate([h.weights for h in heads]))
         _, _, _, binary_only, _, _ = five_leaf_problem({"B", "T"})
         assert binary_only.segments is None
 
@@ -149,13 +142,13 @@ class TestTargets:
             for i, sample in enumerate(samples):
                 leaf = tax.id_of(sample.leaf)
                 depth = depth_oracle(tax, leaf)
-                assert layout.leaf.classes[table.class_targets["leaf"][i]] == sample.leaf
-                for head in layout.levels:
+                assert layout.leaf.classes[table.targets[i, 0]] == sample.leaf
+                for j, head in enumerate(layout.levels, start=1):
                     want = ancestor_at_depth_oracle(tax, leaf, min(head.level, depth))
-                    assert head.classes[table.class_targets[head.name][i]] == tax.name(want)
+                    assert head.classes[table.targets[i, j]] == tax.name(want)
                     shallow_seen += head.level > depth
                 row = table.binary_membership[i]
-                members = {n for n, m in zip(layout.binary.nodes, row) if m}
+                members = {n for n, m in zip(layout.binary.classes, row) if m}
                 assert members == {tax.name(n) for n in path_from_root(tax, leaf)[1:]}
             assert table.binary_membership.shape == (len(samples), len(tax) - 1)
         assert shallow_seen > 0
@@ -263,7 +256,7 @@ class TestTrainStep:
             {"L"}, per_leaf=8, seed=3
         )
         X = np.stack([s.features for s in samples])
-        y = table.class_targets["leaf"]
+        y = table.targets[:, 0]
         rng = np.random.default_rng(0)
         W = rng.normal(0, 0.1, size=(8, 5))
         b = np.zeros(5)
@@ -617,7 +610,7 @@ class TestCheckpoint:
         assert loaded.loss_config == model.loss_config
         assert loaded.layout.leaf.classes == model.layout.leaf.classes
         assert [h.level for h in loaded.layout.levels] == [1, 2]
-        assert loaded.layout.binary.nodes == model.layout.binary.nodes
+        assert loaded.layout.binary.classes == model.layout.binary.classes
         for key in model.params:
             assert np.array_equal(loaded.params[key], model.params[key])
         x = np.linspace(-0.5, 0.5, 8)[None]
@@ -625,6 +618,44 @@ class TestCheckpoint:
         e2, l2, _ = loaded.forward_batch(x)
         assert np.array_equal(e1, e2)
         assert np.array_equal(l1, l2)
+
+    def test_saved_structure_apart_from_parameters(self, tmp_path):
+        # `params` is left out: its last bits depend on the SIMD code numpy
+        # dispatches to on the CPU at hand
+        _, _, _, _, _, model = five_leaf_problem({"L", "PL", "B", "T"})
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, model)
+        payload = json.loads(path.read_text())
+        assert list(payload) == ["format", "model", "loss", "layout", "params", "extra"]
+        del payload["params"]
+        leaves = ["a1", "a2", "b1", "b2", "c1"]
+        wide, narrow = 1.142857142857143, 0.5714285714285715
+        want = {
+            "format": "hieremb-checkpoint-v2",
+            "model": {
+                "input_dim": 8,
+                "hidden_dim": 16,
+                "embedding_dim": 4,
+                "learning_rate": 0.001,
+                "batch_size": 32,
+            },
+            "loss": {"active": ["B", "L", "PL", "T"], "margin": 0.3},
+            "layout": {
+                "leaf": {"classes": leaves, "weights": [1.0] * 5},
+                "levels": [
+                    {"level": 1, "classes": ["A", "B", "C"], "weights": [0.75, 0.75, 1.5]},
+                    {"level": 2, "classes": leaves, "weights": [1.0] * 5},
+                ],
+                "binary": {
+                    "nodes": ["A", "a1", "a2", "B", "b1", "b2", "C", "c1"],
+                    "weights": [narrow, wide, wide, narrow, wide, wide, wide, wide],
+                },
+            },
+            "extra": {},
+        }
+        assert payload == want
+        # the same text pins the key order at every level
+        assert json.dumps(payload) == json.dumps(want)
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -692,8 +723,9 @@ class TestCheckpoint:
             (lambda payload: payload.pop("layout"), "layout"),
             (lambda payload: payload.pop("params"), "params"),
             (lambda payload: payload["layout"]["levels"][0].pop("weights"), "weights"),
+            (lambda payload: payload["layout"]["binary"].pop("nodes"), "nodes"),
         ],
-        ids=["layout", "params", "level-head-weights"],
+        ids=["layout", "params", "level-head-weights", "binary-head-nodes"],
     )
     def test_missing_key_rejected(self, tmp_path, edit, key):
         path, _ = self.corrupted(tmp_path, edit)
@@ -709,10 +741,26 @@ class TestCheckpoint:
             ("batch_size", 0, "batch_size must be an integer of at least 1, got 0"),
             ("batch_size", 2.5, "batch_size must be an integer of at least 1, got 2.5"),
             ("learning_rate", float("nan"), "learning_rate must be positive and finite, got nan"),
+            ("colour", "red", "ModelConfig.__init__() got an unexpected keyword argument 'colour'"),
         ],
     )
     def test_invalid_model_config_rejected(self, tmp_path, key, value, message):
         path, _ = self.corrupted(tmp_path, lambda payload: payload["model"].update({key: value}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda payload: payload["layout"].update(levels=None), "'NoneType' object is not iterable"),
+            (lambda payload: payload["layout"].update(binary=[1]), "list indices must be integers"),
+            (lambda payload: payload["loss"].update(active=3), "'int' object is not iterable"),
+        ],
+        ids=["levels-null", "binary-list", "loss-active-int"],
+    )
+    def test_wrongly_typed_entry_rejected(self, tmp_path, edit, message):
+        # each used to escape as a bare TypeError that named no file
+        path, _ = self.corrupted(tmp_path, edit)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_checkpoint(path)
 
