@@ -1,8 +1,10 @@
 """Dataset records and JSON Lines IO."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +24,14 @@ class LabeledSample:
 def load_dataset(path: str | Path) -> list[LabeledSample]:
     """Read samples from a JSON Lines file (one record per line).
 
-    Every feature vector must be finite and as long as the first one.
+    Every feature vector must be finite and as long as the first one. The
+    samples come from the sidecar `<path>.npz` that `save_dataset` writes when
+    it records the SHA-256 of the file's current bytes and passes the same
+    checks; in every other case the file is parsed.
     """
+    samples = _sidecar_samples(path)
+    if samples is not None:
+        return samples
     samples = []
     line_nos = []
     shape = None
@@ -72,17 +80,45 @@ def load_dataset(path: str | Path) -> list[LabeledSample]:
     return samples
 
 
+def _sidecar_samples(path: str | Path) -> list[LabeledSample] | None:
+    """The samples of `path`'s sidecar, or None when it is missing, unreadable,
+    malformed, recorded for other bytes or fails a check of `load_dataset`."""
+    try:
+        with np.load(f"{path}.npz", allow_pickle=False) as npz:
+            digest, ids, leaves, features = (npz[k] for k in ("sha256", "ids", "leaves", "features"))
+    except (OSError, EOFError, KeyError, ValueError, RuntimeError, zipfile.BadZipFile):
+        # missing, damaged (a flipped zip flag raises RuntimeError) or holding pickles
+        return None
+    if not (
+        features.dtype == np.float64 and features.ndim == 2 and np.isfinite(features).all()
+        and ids.shape == leaves.shape == features.shape[:1] and digest.shape == ()
+        and digest.dtype.kind == ids.dtype.kind == leaves.dtype.kind == "U"
+    ):
+        return None
+    ids = ids.tolist()
+    if len(set(ids)) != len(ids):
+        return None
+    sha256 = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            sha256.update(chunk)
+    if sha256.hexdigest() != str(digest):
+        return None
+    return [LabeledSample(i, leaf, x) for i, leaf, x in zip(ids, leaves.tolist(), features)]
+
+
 @contextmanager
-def atomic_open(path: str | Path):
-    """A text file to write `path` through. The text goes to a sibling
-    `<name>.partial` file that is renamed onto `path` only if the block
-    completes, so a failed write leaves any earlier file whole and no
-    partial file behind. Missing parent directories are created."""
+def atomic_open(path: str | Path, mode: str = "w"):
+    """A file to write `path` through, in text (UTF-8) or binary `mode`. The
+    bytes go to a sibling `<name>.partial` file that is renamed onto `path`
+    only if the block completes, so a failed write leaves any earlier file
+    whole and no partial file behind. Missing parent directories are created."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(path.name + ".partial")
+    text = {} if "b" in mode else {"newline": "", "encoding": "utf-8"}
     try:
-        with open(partial, "w", newline="", encoding="utf-8") as fh:
+        with open(partial, mode, **text) as fh:
             yield fh
         os.replace(partial, path)
     finally:
@@ -90,16 +126,36 @@ def atomic_open(path: str | Path):
 
 
 def save_dataset(path: str | Path, samples: list[LabeledSample]) -> None:
-    """Write samples as JSON Lines; float values round-trip exactly."""
-    with atomic_open(path) as fh:
-        for s in samples:
-            features = np.asarray(s.features, dtype=np.float64).tolist()
-            record = {"id": s.id, "leaf": s.leaf, "features": features}
-            fh.write(json.dumps(record) + "\n")
+    """Write samples as JSON Lines; float values round-trip exactly.
+
+    Then write the sidecar `load_dataset` reads instead of parsing: the ids,
+    leaves and features matrix, and the SHA-256 of the bytes just written. It
+    is left out when the samples would not read back from it as they are
+    (ragged features, or an id or leaf that is not a string numpy keeps)."""
+    sha256 = hashlib.sha256()
+    with atomic_open(path, "wb") as fh:
+        for start in range(0, len(samples), 64):  # per-line hash and write calls cost more
+            records = (
+                {"id": s.id, "leaf": s.leaf, "features": np.asarray(s.features, np.float64).tolist()}
+                for s in samples[start:start + 64]
+            )
+            chunk = "".join(json.dumps(record) + "\n" for record in records).encode()
+            sha256.update(chunk)
+            fh.write(chunk)
+    try:
+        features = features_matrix(samples)
+    except ValueError:
+        return
+    labels = [[s.id for s in samples], [s.leaf for s in samples]]
+    ids, leaves = (np.array(column, dtype=str) for column in labels)
+    if [ids.tolist(), leaves.tolist()] != labels:
+        return
+    with atomic_open(f"{path}.npz", "wb") as fh:
+        np.savez(fh, sha256=np.array(sha256.hexdigest()), ids=ids, leaves=leaves, features=features)
 
 
 def features_matrix(samples: list[LabeledSample]) -> np.ndarray:
     """Stack sample feature vectors into an (n, D) array, in list order."""
     if not samples:
         return np.zeros((0, 0))
-    return np.stack([s.features for s in samples]).astype(np.float64)
+    return np.array([s.features for s in samples], dtype=np.float64)

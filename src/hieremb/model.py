@@ -567,9 +567,12 @@ def save_checkpoint(path: str | Path, model: EmbeddingModel, extra: dict | None 
 
 
 def load_checkpoint(path: str | Path) -> tuple[EmbeddingModel, dict]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not a JSON file: {err}") from None
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
     try:
         loss = payload["loss"]

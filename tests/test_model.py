@@ -663,6 +663,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="checkpoint"):
             load_checkpoint(path)
 
+    def test_truncated_file_rejected(self, tmp_path):
+        _, _, _, _, _, model = five_leaf_problem({"L", "PL", "B", "T"})
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, model)
+        path.write_bytes(path.read_bytes()[:200])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a JSON file: "):
+            load_checkpoint(path)
+
+    def test_top_level_list_rejected(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not a hieremb-checkpoint-v2 file$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("combo", VALID_COMBOS, ids=combo_name)
     def test_round_trip_outputs_bitwise_equal(self, tmp_path, combo):
         _, samples, _, _, _, model = five_leaf_problem(combo)
