@@ -10,7 +10,9 @@ derived streams for model init, validation triplets, and batch shuffling.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import json
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -534,6 +536,30 @@ def cmd_run(args) -> None:
             print("  ".join(row[c].ljust(w) for c, w in zip(columns, widths)))
 
 
+def _one_blas_thread() -> contextlib.ExitStack:
+    """Set the OpenBLAS that numpy loaded to one thread until the returned
+    stack closes. A training step's products (96 x 32 x 186 on a 180-leaf
+    tree) cross OpenBLAS's threading threshold but are too small to pay for a
+    second thread, which spin-waits between steps. Other BLAS are left alone."""
+    stack = contextlib.ExitStack()
+    with contextlib.suppress(OSError):  # no /proc (not Linux), or a mapped file since deleted
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip()
+                            for line in maps if "openblas" in line.lower()})
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                         "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+                get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+                if get and put:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    stack.callback(put, get())
+                    put(1)
+                    break
+    return stack
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(
         prog="hieremb",
@@ -596,7 +622,8 @@ def main(argv: list[str] | None = None) -> None:
     p.set_defaults(handler=cmd_run)
 
     args = parser.parse_args(argv)
-    args.handler(args)
+    with _one_blas_thread():  # library callers keep their own threading
+        args.handler(args)
 
 
 if __name__ == "__main__":

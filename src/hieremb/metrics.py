@@ -89,6 +89,7 @@ def build_ranked_lists(
     unit = vectors / norms[:, None]
     # BLAS may round one dot product differently by its place in the output,
     # so score the distinct rows once and gather: duplicates then tie exactly
+    # (a pool without duplicates has nothing to tie and is scored directly)
     distinct, column = np.unique(unit, axis=0, return_inverse=True)
     column = column.ravel()  # numpy 2.0.0 returns it as a column
     # a duplicate pair ties in the row of every other query, so such a pool
@@ -97,7 +98,8 @@ def build_ranked_lists(
     queries = np.arange(n)
     order = np.empty((n, n - 1), dtype=np.min_scalar_type(n - 1))
     for rows in _blocks(n, n):
-        scores = np.take(unit[rows] @ distinct.T, column, axis=1)
+        scores = (np.take(unit[rows] @ distinct.T, column, axis=1) if duplicates
+                  else unit[rows] @ unit.T)
         np.negative(scores, out=scores)  # ascending is best first
         own = queries[rows]
         scores[np.arange(len(own)), own] = -np.inf  # each query sorts first, then is cut

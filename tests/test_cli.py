@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import json
 import re
 from pathlib import Path
@@ -442,3 +443,48 @@ class TestSubcommandPipeline:
             argv += ["--fold", "0", "--losses", "L"]
         with pytest.raises(SplitError, match=re.escape(f"{split}: {error}")):
             main(argv)
+
+
+@pytest.fixture(name="blas_threads")
+def fixture_blas_threads():
+    """The thread-count getter of the OpenBLAS numpy loaded, found through
+    ctypes as perfbench/run.py finds it. The caller's count is 2 during the
+    test, so that a command's 1 shows, and is put back afterwards."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get and put:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                before = get()
+                put(2)
+                assert get() == 2
+                yield get
+                put(before)
+                return
+    pytest.skip("numpy did not load OpenBLAS")
+
+
+class TestBlasThreads:
+    """Every command runs OpenBLAS on one thread, and gives the caller's
+    count back when it ends, also when it raises."""
+
+    def test_command_runs_on_one_thread(self, blas_threads, monkeypatch, tmp_path):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_report", lambda args: seen.append(blas_threads()))
+        main(["report", "--runs", str(tmp_path), "--out", str(tmp_path / "aggregate.csv")])
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    def test_count_restored_after_a_failing_command(self, blas_threads, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            main(["evaluate", "--checkpoint", str(tmp_path / "missing.json"), "--set", "test",
+                  "--out", str(tmp_path / "test.json")])
+        assert blas_threads() == 2
