@@ -287,8 +287,7 @@ def _evaluate_ranked(
 
 def _write_json(path: Path, payload: dict) -> None:
     with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")  # one write
 
 
 def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:

@@ -93,45 +93,63 @@ def build_ranked_lists(
     distinct, column = np.unique(unit, axis=0, return_inverse=True)
     column = column.ravel()  # numpy 2.0.0 returns it as a column
     # a duplicate pair ties in the row of every other query, so such a pool
-    # is sorted stably outright, with no tie check
+    # is sorted stably outright
     duplicates = len(distinct) < n
     queries = np.arange(n)
     order = np.empty((n, n - 1), dtype=np.min_scalar_type(n - 1))
+    # a pool without duplicates sorts packed int64 keys: the bits of 2 - score
+    # (positive, so as integers they order as the float does) with the low
+    # `bits` replaced by the candidate's column: no two keys are equal, so
+    # every sort numpy may dispatch to gives the same order
+    bits = (n - 1).bit_length()
     for rows in _blocks(n, n):
-        scores = (np.take(unit[rows] @ distinct.T, column, axis=1) if duplicates
-                  else unit[rows] @ unit.T)
-        np.negative(scores, out=scores)  # ascending is best first
         own = queries[rows]
-        scores[np.arange(len(own)), own] = -np.inf  # each query sorts first, then is cut
         if duplicates:
-            order[rows] = np.argsort(scores, axis=1, kind="stable")[:, 1:]  # ties by id
-            continue
-        full = np.argsort(scores, axis=1)  # numpy's fastest sort: ties in any order
-        # only a row whose sorted scores hold two equal neighbours (distinct
-        # vectors with equal cosines) needs the stable sort that puts tied
-        # candidates in ascending id order
-        scores.sort(axis=1)
-        tied = (scores[:, 1:] == scores[:, :-1]).any(axis=1)
-        if tied.any():
-            # the tied rows' scores back in column order, for the stable sort;
-            # equal scores may trade columns, which no sort can tell apart
-            ranked = scores[tied]
-            unsorted = np.empty_like(ranked)
-            np.put_along_axis(unsorted, full[tied], ranked, axis=1)
-            full[tied] = np.argsort(unsorted, axis=1, kind="stable")
-        del scores  # no score block outlives its sort
-        order[rows] = full[:, 1:]
+            scores = np.take(unit[rows] @ distinct.T, column, axis=1)
+            exact = slice(None)
+        else:
+            scores = unit[rows] @ unit.T
+            keys = np.empty(scores.shape, dtype=np.int64)
+            np.subtract(2.0, scores, out=keys.view(np.float64))  # ascending is best first
+            keys &= -1 << bits
+            keys |= queries
+            keys[np.arange(len(own)), own] = own  # each query sorts first, then is cut
+            keys.sort(axis=1)
+            np.bitwise_and(keys[:, 1:], (1 << bits) - 1, out=order[rows], casting="unsafe")
+            # two candidates whose keys agree above the column bits have equal
+            # or nearly equal scores, so their row is sorted again by score
+            keys >>= bits
+            exact = np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
+            del keys
+        ranked = scores[exact]  # a view of the whole block, or the rows' copy
+        if ranked.size:
+            np.negative(ranked, out=ranked)
+            ranked[np.arange(len(ranked)), own[exact]] = -np.inf
+            order[rows][exact] = np.argsort(ranked, axis=1, kind="stable")[:, 1:]  # ties by id
+        del scores, ranked  # no score block outlives its sort
     return Ranking(ids=tuple(ids), queries=queries, order=order)
 
 
 def _pool_leaves(ranking: Ranking, leaf_of: dict[str, int]) -> tuple[list[int], np.ndarray, int]:
-    """The pool's distinct leaves, each pool member's index into them, and
-    the candidate count of every query."""
+    """The pool's L distinct leaves, each pool member's index into them (its
+    leaf code, in the narrowest unsigned dtype that holds L * L - 1), and the
+    candidate count of every query."""
     n = ranking.order.shape[1]
     if n < 1 and len(ranking):
         raise MetricError(f"query {ranking.ids[ranking.queries[0]]!r} has no candidates")
     leaves, index = np.unique([leaf_of[sid] for sid in ranking.ids], return_inverse=True)
-    return [int(leaf) for leaf in leaves], index, n
+    code = index.astype(np.min_scalar_type(len(leaves) ** 2 - 1))
+    return [int(leaf) for leaf in leaves], code, n
+
+
+def _leaf_cells(ranking: Ranking, code: np.ndarray, n_leaves: int):
+    """Per block of query rows: the rows and, for each candidate, the flat
+    index of (query leaf, candidate leaf) in a leaf x leaf table."""
+    query_cell = code[ranking.queries] * n_leaves
+    for rows in _blocks(len(ranking), ranking.order.shape[1]):
+        cells = np.take(code, ranking.order[rows])
+        cells += query_cell[rows, None]
+        yield rows, cells
 
 
 def leaf_f1(predictions: dict[str, int], truths: dict[str, int], classes: list[int]) -> float:
@@ -158,8 +176,8 @@ def rp_at_k(ranking: Ranking, leaf_of: dict[str, int], k: int = 5) -> float:
     """Mean fraction of the top-k candidates sharing the query's leaf."""
     if ranking.order.shape[1] < k:
         raise MetricError(f"every query needs at least {k} candidates")
-    leaf = np.array([leaf_of[sid] for sid in ranking.ids])
-    hits = leaf[ranking.order[:, :k]] == leaf[ranking.queries, None]
+    _, code, _ = _pool_leaves(ranking, leaf_of)
+    hits = np.take(code, ranking.order[:, :k]) == code[ranking.queries, None]
     return float(np.mean(hits.sum(axis=1) / k))
 
 
@@ -168,17 +186,16 @@ def _mean_rank_table(
 ) -> np.ndarray:
     """(queries, levels): mean shifted-normalised rank of the candidates under
     the query's ancestor at each retained level; NaN when none exist."""
-    leaves, leaf_idx, n = _pool_leaves(ranking, leaf_of)
+    leaves, code, n = _pool_leaves(ranking, leaf_of)
     # a candidate lies under the query's ancestor at a level exactly when
     # both leaves have the same class there
     classes = taxonomy.leaf_ancestors(leaves)[:, [level for level, _ in levels]].T
-    query_leaf = leaf_idx[ranking.queries]
+    same = [cls[:, None] == cls[None, :] for cls in classes]
     shifted = np.arange(n) / n  # (rank - 1) / n
     means = np.empty((len(ranking), len(levels)))
-    for rows in _blocks(len(ranking), n):
-        candidate_leaf = leaf_idx[ranking.order[rows]]
-        for k, cls in enumerate(classes):
-            hits = cls[candidate_leaf] == cls[query_leaf[rows], None]
+    for rows, cells in _leaf_cells(ranking, code, len(leaves)):
+        for k, table in enumerate(same):
+            hits = np.take(table, cells)
             with np.errstate(invalid="ignore"):
                 means[rows, k] = (hits @ shifted) / hits.sum(axis=1)
     return means
@@ -239,17 +256,16 @@ def _ndcg_values(
 ) -> np.ndarray:
     """Each query's DCG over its full list divided by its ideal DCG; NaN when
     every candidate has relevance 0."""
-    leaves, leaf_idx, n = _pool_leaves(ranking, leaf_of)
+    leaves, code, n = _pool_leaves(ranking, leaf_of)
     gain = relevance_table(taxonomy, leaves, kind)
     discounts = 1.0 / np.log2(np.arange(2, n + 2))
     # the candidates are the pool less the query, so the ideal list depends
     # only on the query's leaf: the pool's gains sorted, less the query's 1.0
-    ideal = np.array([np.sort(row[leaf_idx])[::-1][1:] @ discounts for row in gain])
-    query_leaf = leaf_idx[ranking.queries]
+    ideal = np.array([np.sort(row[code])[::-1][1:] @ discounts for row in gain])
     dcg = np.empty(len(ranking))
-    for rows in _blocks(len(ranking), n):
-        dcg[rows] = gain[query_leaf[rows, None], leaf_idx[ranking.order[rows]]] @ discounts
-    idcg = ideal[query_leaf]
+    for rows, cells in _leaf_cells(ranking, code, len(leaves)):
+        dcg[rows] = gain.ravel()[cells] @ discounts  # indexing widens cells in chunks
+    idcg = ideal[code[ranking.queries]]
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(idcg == 0.0, np.nan, dcg / idcg)
 
@@ -296,9 +312,12 @@ def acc_blind(
     if not true_leaf:
         raise MetricError("empty prediction set")
     lifts = taxonomy.leaf_ancestors([predicted_leaf[sid] for sid in true_leaf])
+    # one walk per distinct true leaf, in the order the samples first name it
+    lsa_of = {leaf: lowest_seen_ancestor(taxonomy, split, leaf)
+              for leaf in dict.fromkeys(true_leaf.values())}
     correct = 0
     for row, true in enumerate(true_leaf.values()):
-        lsa = lowest_seen_ancestor(taxonomy, split, true)
+        lsa = lsa_of[true]
         correct += int(lifts[row, taxonomy.depth(lsa)]) == lsa
     return correct / len(true_leaf)
 
@@ -323,8 +342,10 @@ def acc_aware(
     correct = 0
     skipped = 0
     retained = sorted(level_predictions)
+    lsa_of = {leaf: lowest_seen_ancestor(taxonomy, split, leaf)
+              for leaf in dict.fromkeys(true_leaf.values())}
     for sid, true in true_leaf.items():
-        lsa = lowest_seen_ancestor(taxonomy, split, true)
+        lsa = lsa_of[true]
         depth = taxonomy.depth(lsa)
         use_level = None
         if depth in level_predictions:

@@ -339,3 +339,51 @@ def validation_loss_oracle(model, table, val_instances):
             hinges.append(max(0.0, cosine(a, n) - cosine(a, p) + model.loss_config.margin))
         components["T"] = float(np.mean(hinges)) if hinges else 0.0
     return {name: float(value) for name, value in components.items()}
+
+
+def wide_index_metrics_oracle(ranking, tax, leaf_of, k=5):
+    """NDCG ('sum' and 'max'), MNR and RP@k of a ranking in their earlier
+    vectorised form: intp leaf indices, a 2-D fancy index into the leaf x
+    leaf gain table and one class gather per level, over the library's
+    blocks of query rows (a product's last bits can depend on its shape).
+    The gain table comes from `relevance_table` and the level classes from
+    the taxonomy, which this form shares with the library, so it checks only
+    that reading them through narrow leaf codes changes no bit. None where a
+    metric is undefined."""
+    from hieremb.metrics import _blocks, relevance_table
+
+    n = ranking.order.shape[1]
+    leaves, leaf_idx = np.unique([leaf_of[sid] for sid in ranking.ids], return_inverse=True)
+    leaves = [int(leaf) for leaf in leaves]
+    query_leaf = leaf_idx[ranking.queries]
+    candidate_leaf = leaf_idx[ranking.order]
+    discounts = 1.0 / np.log2(np.arange(2, n + 2))
+    values = {}
+    for kind in ("sum", "max"):
+        gain = relevance_table(tax, leaves, kind)
+        ideal = np.array([np.sort(row[leaf_idx])[::-1][1:] @ discounts for row in gain])
+        dcg = np.empty(len(ranking))
+        for rows in _blocks(len(ranking), n):
+            dcg[rows] = gain[query_leaf[rows, None], candidate_leaf[rows]] @ discounts
+        idcg = ideal[query_leaf]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratios = np.where(idcg == 0.0, np.nan, dcg / idcg)
+        defined = ~np.isnan(ratios).all()
+        values[f"ndcg_{kind}"] = float(np.nanmean(ratios)) if defined else None
+    levels = tax.levels_with_multiple_classes()
+    classes = tax.leaf_ancestors(leaves)[:, [level for level, _ in levels]].T
+    shifted = np.arange(n) / n
+    means = np.empty((len(ranking), len(levels)))
+    for rows in _blocks(len(ranking), n):
+        for j, cls in enumerate(classes):
+            hits = cls[candidate_leaf[rows]] == cls[query_leaf[rows], None]
+            with np.errstate(invalid="ignore"):
+                means[rows, j] = (hits @ shifted) / hits.sum(axis=1)
+    answered = ~np.isnan(means).all(axis=1)
+    values["mnr"] = (
+        float(np.mean(np.nanmean(means[answered], axis=1))) if answered.any() else None
+    )
+    leaf = np.array([leaf_of[sid] for sid in ranking.ids])
+    hits = leaf[ranking.order[:, :k]] == leaf[ranking.queries, None]
+    values["rp_at_k"] = float(np.mean(hits.sum(axis=1) / k)) if n >= k else None
+    return values

@@ -31,6 +31,7 @@ from oracles import (
     ranked_lists_oracle,
     relevance_oracle,
     uniform_tree_doc,
+    wide_index_metrics_oracle,
 )
 
 
@@ -103,16 +104,60 @@ class TestRankedLists:
             build_ranked_lists({"only": np.ones(3)})
 
 
+def pool_scores(embeddings, ids):
+    """Yield (rows, scores) for each block of query rows, with the scores
+    build_ranked_lists sorts, made the same way: unit vectors times the
+    pool, or for a pool with duplicate embeddings the distinct rows'
+    products gathered, so every bit agrees."""
+    ids = sorted(ids)
+    n = len(ids)
+    vectors = np.stack([np.asarray(embeddings[sid], dtype=np.float64) for sid in ids])
+    unit = vectors / np.linalg.norm(vectors, axis=1)[:, None]
+    distinct, column = np.unique(unit, axis=0, return_inverse=True)
+    for rows in metrics._blocks(n, n):
+        if len(distinct) < n:
+            yield rows, np.take(unit[rows] @ distinct.T, column.ravel(), axis=1)
+        else:
+            yield rows, unit[rows] @ unit.T
+
+
 def stable_order(embeddings, ids):
-    """The order matrix with every argsort stable: what re-sorting only the
-    tied rows must reproduce bit for bit."""
-    argsort = np.argsort
+    """The order matrix from a stable argsort of every row's negated scores,
+    the query's own column first and then cut: what the packed-key sort and
+    its exact path must reproduce bit for bit."""
+    n = len(ids)
+    blocks = []
+    for rows, scores in pool_scores(embeddings, ids):
+        negated = -scores
+        negated[np.arange(len(negated)), np.arange(n)[rows]] = -np.inf
+        order = np.argsort(negated, axis=1, kind="stable")[:, 1:]
+        blocks.append(order.astype(np.min_scalar_type(n - 1)))
+    return np.vstack(blocks)
 
-    def stable(a, axis=-1, kind=None, order=None):
-        return argsort(a, axis=axis, kind="stable")
 
-    with mock.patch.object(np, "argsort", stable):
-        return build_ranked_lists(embeddings, ids).order
+def key_collisions(embeddings, ids):
+    """Two lists of query pool positions: the queries whose rows hold two
+    candidates with keys that agree above the column bits (equal bits of
+    2 - score once the low (n - 1).bit_length() bits are dropped), and those
+    whose rows hold two exactly equal scores (+0.0 equals -0.0)."""
+    n = len(ids)
+    bits = (n - 1).bit_length()
+    collided, tied = [], []
+    for rows, scores in pool_scores(embeddings, ids):
+        for query, row in zip(np.arange(n)[rows], scores):
+            candidates = np.delete(row, query)
+            high = np.sort((2.0 - candidates).view(np.int64) >> bits)
+            if np.any(high[1:] == high[:-1]):
+                collided.append(int(query))
+            if np.any(np.diff(np.sort(candidates)) == 0):
+                tied.append(int(query))
+    return collided, tied
+
+
+def stably_sorted_queries(spy):
+    """Pool positions of the queries whose rows a spied `np.argsort` sorted:
+    each row it receives holds -inf in the query's own column only."""
+    return [int(np.argmin(row)) for call in spy.call_args_list for row in call.args[0]]
 
 
 def tie_pool(rng, n, duplicates):
@@ -145,9 +190,10 @@ def tie_pool(rng, n, duplicates):
 
 class TestTieRepair:
     """A pool with duplicate embeddings is sorted stably, one argsort per
-    block. Any other pool is sorted with numpy's default argsort, and only
-    rows whose sorted scores hold an exact tie are re-sorted stably. Either
-    way the order matrix equals an all-stable sort's."""
+    block. Any other pool sorts packed integer keys, and only rows where two
+    keys agree above the column bits, exact ties among them, are sorted
+    again with the stable argsort of their scores. Either way the order
+    matrix equals an all-stable sort's."""
 
     @pytest.mark.parametrize("block", ["1", "3", "n"])
     def test_duplicates_sort_each_block_once_stably(self, monkeypatch, block):
@@ -172,7 +218,9 @@ class TestTieRepair:
             with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
                 order = build_ranked_lists(embeddings, ids).order
             kinds = [c.kwargs.get("kind") for c in spy.call_args_list]
-            assert kinds.count(None) == -(-n // block_rows) and "stable" in kinds
+            collided, tied = key_collisions(embeddings, ids)
+            assert set(kinds) == {"stable"} and stably_sorted_queries(spy) == collided
+            assert tied and set(tied) <= set(collided)
             assert np.array_equal(order, stable_order(embeddings, ids))
 
     def test_tie_free_pool_makes_no_stable_sort(self, monkeypatch):
@@ -182,8 +230,7 @@ class TestTieRepair:
         monkeypatch.setattr(metrics, "_BLOCK_BYTES", 7 * 8 * 60)
         with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
             order = build_ranked_lists(embeddings, ids).order
-        kinds = [c.kwargs.get("kind") for c in spy.call_args_list]
-        assert len(kinds) == 9 and "stable" not in kinds
+        assert spy.call_count == 0
         assert np.array_equal(order, stable_order(embeddings, ids))
 
     @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
@@ -213,6 +260,73 @@ class TestTieRepair:
             warnings.simplefilter("error")
             with pytest.raises(MetricError, match=r"'s2'.*dead embedding"):
                 build_ranked_lists(embeddings)
+
+
+def ulp_pool(rng, n, gap):
+    """A shuffled pool of n members: the first axis, two unit vectors in the
+    first two axes whose first components lie `gap` ulps apart, and random
+    vectors. Each of the two has a second component for which its norm
+    rounds to exactly 1, so it is its own unit vector and its score in the
+    axis's row is its first component. Returns the ids, the embeddings and
+    the pool positions of the axis and of the pair."""
+    pair = []
+    # one ulp is np.spacing(0.55) throughout [0.5, 1)
+    for first in rng.uniform(0.55, 0.95) + np.array([0, gap]) * np.spacing(0.55):
+        y0 = np.sqrt(1.0 - first * first)
+        y = next(
+            y0 + step * np.spacing(y0)
+            for step in sorted(range(-8, 9), key=abs)
+            if np.linalg.norm([[first, y0 + step * np.spacing(y0), 0.0]], axis=1)[0] == 1.0
+        )
+        pair.append([first, y, 0.0])
+    vectors = np.vstack([[1.0, 0.0, 0.0], pair, rng.normal(size=(n - 3, 3))])
+    pick = rng.permutation(n)
+    ids = [f"s{i:03d}" for i in range(n)]
+    position = np.argsort(pick)
+    return ids, dict(zip(ids, vectors[pick])), position[0], position[1:3]
+
+
+class TestPackedKeys:
+    """The key of a candidate keeps its score's bits above the low column
+    bits, so two candidates whose scores lie a few ulps apart may share them;
+    such a row must take the exact path, and any other row is ordered by its
+    keys alone. Every order matrix equals an all-stable sort's."""
+
+    @pytest.mark.parametrize("n", [16, 40, 97])
+    def test_scores_ulps_apart_rank_as_stable_sort(self, n):
+        rng = np.random.default_rng(40 + n)
+        bits = (n - 1).bit_length()
+        axis_row_exact = []
+        for gap in [1, 2, 3, 2**bits - 1, 2**bits, *rng.integers(1, 2**bits, size=6)]:
+            for _ in range(3):
+                ids, embeddings, axis, pair = ulp_pool(rng, n, gap)
+                rows, scores = next(
+                    (rows, scores) for rows, scores in pool_scores(embeddings, ids)
+                    if rows.start <= axis < rows.stop
+                )
+                ulps = np.diff(scores[axis - rows.start, pair].view(np.int64))
+                assert ulps == [gap]
+                with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+                    order = build_ranked_lists(embeddings, ids).order
+                collided, _ = key_collisions(embeddings, ids)
+                assert stably_sorted_queries(spy) == collided
+                assert np.array_equal(order, stable_order(embeddings, ids))
+                axis_row_exact.append(axis in collided)
+        # the pairs took both paths: some shared their key bits, some did not
+        assert any(axis_row_exact) and not all(axis_row_exact)
+
+    @pytest.mark.parametrize("n", [2, 256, 257, 4096, 4097])
+    def test_column_bits_at_width_edges(self, n):
+        # n - 1 needs exactly (n - 1).bit_length() bits: 1, 8, 9, 12 and 13
+        rng = np.random.default_rng(n)
+        if n < 8:
+            ids = [f"s{i}" for i in range(n)]
+            embeddings = dict(zip(ids, rng.normal(size=(n, 3))))
+        else:
+            ids, embeddings = tie_pool(rng, n, duplicates=False)
+        order = build_ranked_lists(embeddings, ids).order
+        assert order.max() == n - 1
+        assert np.array_equal(order, stable_order(embeddings, ids))
 
 
 def assert_matches_oracles(tax, ids, leaf_of, embeddings):
@@ -288,6 +402,39 @@ class TestBlockedEvaluation:
         }
         with mock.patch.object(metrics, "_BLOCK_BYTES", block_rows * 8 * n):
             assert_matches_oracles(tax, ids, leaf_of, embeddings)
+
+
+class TestLeafCodes:
+    """NDCG, MNR and RP@k read leaves through narrow leaf codes and flat
+    cells of leaf x leaf tables; every value equals the intp-index form."""
+
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_equal_to_wide_index_form(self, monkeypatch, block_rows):
+        rng = np.random.default_rng(61)
+        # random trees (uint8 and uint16 codes) and one of 324 leaves (uint32)
+        instances = [random_instance(rng, int(rng.integers(5, 90))) for _ in range(12)]
+        tax = parse_taxonomy(uniform_tree_doc(rng, depth=2, min_children=18, max_children=18))
+        ids = [f"s{i:03d}" for i in range(400)]
+        leaf_of = {sid: int(leaf) for sid, leaf in zip(ids, rng.choice(sorted(tax.leaf_ids), 400))}
+        instances.append((tax, ids, leaf_of, dict(zip(ids, rng.normal(size=(400, 6))))))
+        for tax, ids, leaf_of, embeddings in instances:
+            if block_rows:
+                monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_rows * 8 * len(ids))
+            ranking = build_ranked_lists(embeddings, ids)
+            expected = wide_index_metrics_oracle(ranking, tax, leaf_of)
+            lib = {
+                "ndcg_sum": partial(ndcg, ranking, tax, leaf_of, "sum"),
+                "ndcg_max": partial(ndcg, ranking, tax, leaf_of, "max"),
+                "mnr": partial(mnr, ranking, tax, leaf_of),
+                "rp_at_k": partial(rp_at_k, ranking, leaf_of),
+            }
+            for name, metric in lib.items():
+                try:
+                    value = metric()
+                except MetricError:
+                    value = None
+                assert value == expected[name], name
 
 
 class TestLeafF1:
