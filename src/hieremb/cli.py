@@ -430,7 +430,7 @@ def cmd_split(args) -> None:
 def cmd_sample_triplets(args) -> None:
     taxonomy = load_taxonomy(args.taxonomy)
     dataset = load_dataset(args.dataset)
-    split = load_split(args.split, taxonomy)
+    split = load_split(args.split, taxonomy, dataset)
     pruned = pruned_seen_taxonomy(taxonomy, split)
     triples = enumerate_node_triples(pruned)
     instances = instantiate_epoch(pruned, dataset, split, triples, args.epoch_seed)
@@ -460,7 +460,7 @@ def cmd_train(args) -> None:
     overrides = {"seed": args.seed, "taxonomy": args.taxonomy, "dataset": args.dataset}
     config = load_experiment_config(args.config, overrides)
     taxonomy, dataset = load_experiment_data(config)
-    split = replace(load_split(args.split, taxonomy), fold_index=args.fold)
+    split = replace(load_split(args.split, taxonomy, dataset), fold_index=args.fold)
     combo = parse_combo(args.losses)
     if combo not in VALID_COMBOS:
         raise SystemExit(f"unsupported loss combination {args.losses!r}")
@@ -481,7 +481,7 @@ def cmd_evaluate(args) -> None:
             raise SystemExit(f"--{label} required (checkpoint does not record a {label} path)")
     taxonomy = load_taxonomy(paths["taxonomy"])
     dataset = load_dataset(paths["dataset"])
-    split = load_split(paths["split"], taxonomy)
+    split = load_split(paths["split"], taxonomy, dataset)
     if not args.diagnostics:
         report = evaluate_model(model, taxonomy, dataset, split, args.set)
     else:

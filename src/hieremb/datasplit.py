@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import LabeledSample
-from .taxonomy import Taxonomy, TaxonomyError, parse_taxonomy
+from .taxonomy import Taxonomy
 
 SUBSETS = ("train", "valid", "test", "prediction")
+RATIOS = (0.8, 0.1, 0.1)  # train/valid/test share of each seen leaf's samples
 UNSEEN_COUNT_THRESHOLD = 10  # leaves with fewer samples are unseen in every fold
 
 
@@ -26,14 +27,6 @@ class SplitAssignment:
     seen_leaves: frozenset[int]
     unseen_leaves: frozenset[int]
     partition: dict[str, str]
-
-
-def leaf_counts(taxonomy: Taxonomy, dataset: list[LabeledSample]) -> dict[int, int]:
-    """Sample count per leaf node id; leaves without samples count 0."""
-    counts = {leaf: 0 for leaf in taxonomy.leaf_ids}
-    for sample in dataset:
-        counts[taxonomy.leaf_id_for(sample)] += 1
-    return counts
 
 
 def split_leaves(
@@ -65,23 +58,17 @@ def split_leaves(
     return folds
 
 
-def split_within_leaf(
-    sample_ids: list[str],
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int | list[int] = 0,
-) -> dict[str, str]:
-    """Shuffle one seen leaf's samples and cut train/valid/test by the ratios.
+def split_within_leaf(sample_ids: list[str], seed: int | list[int] = 0) -> dict[str, str]:
+    """Shuffle one seen leaf's samples and cut train/valid/test by `RATIOS`.
 
     Valid and test sizes round down; the remainder goes to train.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise SplitError(f"ratios must be three positive values summing to 1, got {ratios}")
     n = len(sample_ids)
-    n_valid = int(np.floor(ratios[1] * n))
-    n_test = int(np.floor(ratios[2] * n))
+    n_valid = int(np.floor(RATIOS[1] * n))
+    n_test = int(np.floor(RATIOS[2] * n))
     n_train = n - n_valid - n_test
     if min(n_train, n_valid, n_test) < 1:
-        raise SplitError(f"{n} samples are too few to fill train/valid/test at {ratios}")
+        raise SplitError(f"{n} samples are too few to fill train/valid/test at {RATIOS}")
     ordered = sorted(sample_ids)
     shuffled = [ordered[i] for i in np.random.default_rng(seed).permutation(n)]
     parts = ["train"] * n_train + ["valid"] * n_valid + ["test"] * n_test
@@ -93,13 +80,12 @@ def make_fold_splits(
     dataset: list[LabeledSample],
     k_folds: int,
     seed: int,
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
 ) -> list[SplitAssignment]:
     """All fold assignments for a dataset; pure function of its arguments."""
-    counts = leaf_counts(taxonomy, dataset)
     by_leaf: dict[int, list[str]] = {leaf: [] for leaf in taxonomy.leaf_ids}
     for sample in dataset:
         by_leaf[taxonomy.leaf_id_for(sample)].append(sample.id)
+    counts = {leaf: len(ids) for leaf, ids in by_leaf.items()}
     splits = []
     for fold, (seen, unseen) in enumerate(split_leaves(taxonomy, counts, k_folds, seed)):
         partition: dict[str, str] = {}
@@ -107,7 +93,7 @@ def make_fold_splits(
             for sid in by_leaf[leaf]:
                 partition[sid] = "prediction"
         for leaf in sorted(seen):
-            partition.update(split_within_leaf(by_leaf[leaf], ratios, seed=[seed, fold, leaf]))
+            partition.update(split_within_leaf(by_leaf[leaf], seed=[seed, fold, leaf]))
         splits.append(
             SplitAssignment(
                 fold_index=fold,
@@ -145,18 +131,17 @@ def pruned_seen_taxonomy(taxonomy: Taxonomy, split: SplitAssignment) -> Taxonomy
     """
     if not split.seen_leaves:
         raise SplitError("cannot prune: the fold has no seen leaves")
-
-    def keep(node_id: int) -> bool:
-        return is_seen_node(taxonomy, split, node_id)
-
-    def build(node_id: int) -> dict:
-        doc: dict = {"name": taxonomy.name(node_id)}
-        kept = [build(c) for c in taxonomy.children(node_id) if keep(c)]
-        if kept:
-            doc["children"] = kept
-        return doc
-
-    return parse_taxonomy(build(taxonomy.root))
+    # pre-order with children in order, as `parse_taxonomy` numbers nodes
+    names: list[str] = []
+    parents: list[int | None] = []
+    stack: list[tuple[int, int | None]] = [(taxonomy.root, None)]
+    while stack:
+        node, parent = stack.pop()
+        names.append(taxonomy.name(node))
+        parents.append(parent)
+        kept = [c for c in taxonomy.children(node) if is_seen_node(taxonomy, split, c)]
+        stack.extend((c, len(names) - 1) for c in reversed(kept))
+    return Taxonomy(names, parents)
 
 
 def split_to_json(taxonomy: Taxonomy, split: SplitAssignment) -> dict:
@@ -188,16 +173,30 @@ def split_from_json(taxonomy: Taxonomy, data: dict) -> SplitAssignment:
     )
 
 
-def load_split(path: str | Path, taxonomy: Taxonomy) -> SplitAssignment:
-    """Read a split file written from `split_to_json`; any fault in it is a
-    `SplitError` that names the file."""
+def load_split(
+    path: str | Path, taxonomy: Taxonomy, dataset: list[LabeledSample]
+) -> SplitAssignment:
+    """Read a split file written from `split_to_json` for this dataset; any
+    fault in it is a `SplitError` that names the file. Every sample must have
+    a subset, `prediction` exactly when its leaf is unseen in the fold."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return split_from_json(taxonomy, json.load(fh))
+            split = split_from_json(taxonomy, json.load(fh))
     except KeyError as err:
         raise SplitError(f"{path}: missing key {err}") from None
     except (ValueError, TypeError, AttributeError) as err:
         raise SplitError(f"{path}: {err}") from None
+    for sample in dataset:
+        subset = split.partition.get(sample.id)
+        if subset is None:
+            raise SplitError(f"{path}: sample {sample.id!r} is missing from the partition")
+        unseen = taxonomy.leaf_id_for(sample) in split.unseen_leaves
+        if unseen != (subset == "prediction"):
+            raise SplitError(
+                f"{path}: sample {sample.id!r} is in {subset!r}, but its leaf "
+                f"{sample.leaf!r} is {'unseen' if unseen else 'seen'} in the fold"
+            )
+    return split
 
 
 def partition_samples(

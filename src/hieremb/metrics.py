@@ -69,12 +69,9 @@ def _blocks(rows: int, width: int):
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
-def build_ranked_lists(
-    embeddings: dict[str, np.ndarray], pool_ids: list[str] | None = None
-) -> Ranking:
-    """Every pool member (default: every embedded id) ranked as a query
-    against the rest of the pool."""
-    ids = sorted(embeddings) if pool_ids is None else sorted(pool_ids)
+def build_ranked_lists(embeddings: dict[str, np.ndarray], pool_ids: list[str]) -> Ranking:
+    """Every pool member ranked as a query against the rest of the pool."""
+    ids = sorted(pool_ids)
     n = len(ids)
     if n < 2:
         raise MetricError("need at least two samples to rank")
@@ -92,41 +89,40 @@ def build_ranked_lists(
     # (a pool without duplicates has nothing to tie and is scored directly)
     distinct, column = np.unique(unit, axis=0, return_inverse=True)
     column = column.ravel()  # numpy 2.0.0 returns it as a column
-    # a duplicate pair ties in the row of every other query, so such a pool
-    # is sorted stably outright
     duplicates = len(distinct) < n
     queries = np.arange(n)
     order = np.empty((n, n - 1), dtype=np.min_scalar_type(n - 1))
-    # a pool without duplicates sorts packed int64 keys: the bits of 2 - score
-    # (positive, so as integers they order as the float does) with the low
-    # `bits` replaced by the candidate's column: no two keys are equal, so
-    # every sort numpy may dispatch to gives the same order
+    # each row sorts packed int64 keys: the bits of 2 - score (positive, so
+    # as integers they order as the float does) with the low `bits` replaced
+    # by the candidate's column: no two keys are equal, so every sort numpy
+    # may dispatch to gives the same order
     bits = (n - 1).bit_length()
     for rows in _blocks(n, n):
         own = queries[rows]
         if duplicates:
             scores = np.take(unit[rows] @ distinct.T, column, axis=1)
-            exact = slice(None)
         else:
             scores = unit[rows] @ unit.T
-            keys = np.empty(scores.shape, dtype=np.int64)
-            np.subtract(2.0, scores, out=keys.view(np.float64))  # ascending is best first
-            keys &= -1 << bits
-            keys |= queries
-            keys[np.arange(len(own)), own] = own  # each query sorts first, then is cut
-            keys.sort(axis=1)
-            np.bitwise_and(keys[:, 1:], (1 << bits) - 1, out=order[rows], casting="unsafe")
-            # two candidates whose keys agree above the column bits have equal
-            # or nearly equal scores, so their row is sorted again by score
-            keys >>= bits
-            exact = np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
-            del keys
-        ranked = scores[exact]  # a view of the whole block, or the rows' copy
-        if ranked.size:
+        keys = np.empty(scores.shape, dtype=np.int64)
+        np.subtract(2.0, scores, out=keys.view(np.float64))  # ascending is best first
+        keys &= -1 << bits
+        keys |= queries
+        keys[np.arange(len(own)), own] = own  # each query sorts first, then is cut
+        keys.sort(axis=1)
+        np.bitwise_and(keys[:, 1:], (1 << bits) - 1, out=order[rows], casting="unsafe")
+        # two candidates whose keys agree above the column bits have equal
+        # or nearly equal scores (every duplicate pair among them), so their
+        # row is sorted again by score
+        keys >>= bits
+        exact = np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
+        del keys
+        if len(exact):
+            ranked = scores[exact]
             np.negative(ranked, out=ranked)
-            ranked[np.arange(len(ranked)), own[exact]] = -np.inf
+            ranked[np.arange(len(exact)), own[exact]] = -np.inf
             order[rows][exact] = np.argsort(ranked, axis=1, kind="stable")[:, 1:]  # ties by id
-        del scores, ranked  # no score block outlives its sort
+            del ranked
+        del scores  # no score block outlives its sort
     return Ranking(ids=tuple(ids), queries=queries, order=order)
 
 

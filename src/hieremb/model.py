@@ -267,9 +267,6 @@ class EmbeddingModel:
         logits += p["head.b"]
         return emb, logits, hidden
 
-    def clone_params(self) -> np.ndarray:
-        return self.vector.copy()
-
 
 def triplet_rows(table: TargetTable, instances: list[TripletInstance]) -> np.ndarray:
     """Table rows of the instances' anchors, then positives, then negatives:
@@ -390,16 +387,11 @@ class AdamState:
 
 
 def adam_update(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: np.ndarray, grads: np.ndarray, state: AdamState, learning_rate: float
 ) -> None:
-    """One Adam step on a flat parameter vector; the parameters and both
-    moment vectors are updated in place."""
+    """One Adam step (beta1 0.9, beta2 0.999, eps 1e-8) on a flat parameter
+    vector; the parameters and both moment vectors are updated in place."""
+    beta1, beta2 = 0.9, 0.999
     state.step += 1
     state.first *= beta1
     state.first += (1 - beta1) * grads
@@ -409,7 +401,7 @@ def adam_update(
     step *= learning_rate
     denom = state.second / (1.0 - beta2**state.step)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += 1e-8
     step /= denom
     params -= step
 
@@ -499,7 +491,7 @@ def fit(
     val_rows = triplet_rows(valid_table, val_instances)
     model = EmbeddingModel.initialise(model_config, loss_config, layout, seed=[seed, 1])
     state = TrainState(
-        model=model, adam=AdamState.for_params(model.params), best_params=model.clone_params()
+        model=model, adam=AdamState.for_params(model.params), best_params=model.vector.copy()
     )
     log: list[dict] = []
     for epoch in range(epochs):
@@ -527,7 +519,7 @@ def fit(
             )
         if val_value.total < state.best_val:
             state.best_val = val_value.total
-            state.best_params = state.model.clone_params()
+            state.best_params = state.model.vector.copy()
         row: dict = {"epoch": epoch}
         for name in losses.LOSS_NAMES:
             if name in train_means:
@@ -586,4 +578,12 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingModel, dict]:
         raise ValueError(f"{path}: missing key {err}") from None
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from None
-    return model, payload.get("extra", {})
+    extra = payload.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ValueError(f"{path}: 'extra' must be an object")
+    if not np.isfinite(model.vector).all():
+        raise ValueError(f"{path}: a parameter is not finite")
+    for head in model.layout.heads():
+        if not np.isfinite(head.weights).all():
+            raise ValueError(f"{path}: head {head.name} has a non-finite class weight")
+    return model, extra

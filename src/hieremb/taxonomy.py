@@ -31,7 +31,8 @@ class Taxonomy:
         if parents[0] is not None or any(p is None for p in parents[1:]):
             raise TaxonomyError("exactly one root (node 0) is required")
         if len(set(names)) != len(names):
-            raise TaxonomyError("node names must be unique")
+            dupes = sorted({n for n in names if names.count(n) > 1})
+            raise TaxonomyError(f"duplicate node names: {dupes}")
         children: list[list[int]] = [[] for _ in names]
         depths = [0] * len(names)
         for nid, parent in enumerate(parents):
@@ -50,8 +51,6 @@ class Taxonomy:
         self.root = 0
         self.leaf_ids = frozenset(nid for nid, c in enumerate(self._children) if not c)
         self._leaves_under_cache: dict[int, tuple[int, ...]] = {}
-        self._height_diameter_cache: tuple[int, int] | None = None
-        self._levels_cache: list[tuple[int, list[int]]] | None = None
 
     def __len__(self) -> int:
         return len(self._names)
@@ -131,21 +130,19 @@ class Taxonomy:
 
     def height_and_diameter(self) -> tuple[int, int]:
         """Longest root-to-leaf path and longest leaf-to-leaf path, in edges."""
-        if self._height_diameter_cache is None:
-            # children have larger ids than their parents, so one pass in
-            # descending id order sees every subtree before its root; the
-            # longest leaf-to-leaf path bends at the node whose two deepest
-            # child subtrees are longest together
-            below = [0] * len(self._names)  # edges down to the deepest leaf
-            diameter = 0
-            for nid in reversed(range(len(self._names))):
-                reach = sorted(below[c] + 1 for c in self._children[nid])
-                if reach:
-                    below[nid] = reach[-1]
-                if len(reach) > 1:
-                    diameter = max(diameter, reach[-1] + reach[-2])
-            self._height_diameter_cache = (below[self.root], diameter)
-        return self._height_diameter_cache
+        # children have larger ids than their parents, so one pass in
+        # descending id order sees every subtree before its root; the
+        # longest leaf-to-leaf path bends at the node whose two deepest
+        # child subtrees are longest together
+        below = [0] * len(self._names)  # edges down to the deepest leaf
+        diameter = 0
+        for nid in reversed(range(len(self._names))):
+            reach = sorted(below[c] + 1 for c in self._children[nid])
+            if reach:
+                below[nid] = reach[-1]
+            if len(reach) > 1:
+                diameter = max(diameter, reach[-1] + reach[-2])
+        return below[self.root], diameter
 
     def leaves_under(self, node_id: int) -> tuple[int, ...]:
         """Leaf ids in the subtree rooted at the node (ascending id order)."""
@@ -173,15 +170,13 @@ class Taxonomy:
         target per level. Levels whose class set has fewer than two entries
         are dropped; the deepest retained level's class set is the leaf set.
         """
-        if self._levels_cache is None:
-            classes = self.leaf_ancestors(sorted(self.leaf_ids))
-            levels = []
-            for level in range(1, classes.shape[1]):
-                class_set = sorted(set(classes[:, level].tolist()))
-                if len(class_set) > 1:
-                    levels.append((level, class_set))
-            self._levels_cache = levels
-        return [(level, list(ids)) for level, ids in self._levels_cache]
+        classes = self.leaf_ancestors(sorted(self.leaf_ids))
+        levels = []
+        for level in range(1, classes.shape[1]):
+            class_set = sorted(set(classes[:, level].tolist()))
+            if len(class_set) > 1:
+                levels.append((level, class_set))
+        return levels
 
     def leaf_id_for(self, sample: LabeledSample) -> int:
         leaf_id = self._name_to_id.get(sample.leaf)
@@ -231,9 +226,6 @@ def parse_taxonomy(document: dict) -> Taxonomy:
             raise TaxonomyError(f"'children' of {node_doc['name']!r} must be a list")
         for child in reversed(children):
             stack.append((child, nid))
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise TaxonomyError(f"duplicate node names: {dupes}")
     return Taxonomy(names, parents)
 
 

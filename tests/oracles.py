@@ -42,6 +42,24 @@ def leaves_under_oracle(tax, node):
     return [l for l in leaves_oracle(tax) if node in path_from_root(tax, l)]
 
 
+def pruned_seen_taxonomy_oracle(tax, split):
+    """The tree without unseen leaves or the branches they leave empty, built
+    as a nested name/children document and parsed back."""
+    from hieremb.taxonomy import parse_taxonomy
+
+    def build(node):
+        doc = {"name": tax.name(node)}
+        kept = [
+            build(c) for c in tax.children(node)
+            if set(leaves_under_oracle(tax, c)) & split.seen_leaves
+        ]
+        if kept:
+            doc["children"] = kept
+        return doc
+
+    return parse_taxonomy(build(0))
+
+
 def height_diameter_oracle(tax):
     leaves = leaves_oracle(tax)
     height = max(depth_oracle(tax, l) for l in leaves)

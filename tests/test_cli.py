@@ -1,7 +1,11 @@
 import csv
 import ctypes
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -445,6 +449,78 @@ class TestSubcommandPipeline:
             main(argv)
 
 
+def write_stage_inputs(tmp_path, trained):
+    """The trained fixture's taxonomy, dataset and fold as the files a stage
+    command reads, plus its L model's checkpoint recording their paths;
+    returns the split file's path and payload and the checkpoint's path."""
+    tax, samples, split, models = trained
+    paths = {
+        "taxonomy": str(tmp_path / "taxonomy.json"),
+        "dataset": str(tmp_path / "dataset.jsonl"),
+        "split": str(tmp_path / "split.json"),
+    }
+    save_taxonomy(paths["taxonomy"], tax)
+    save_dataset(paths["dataset"], samples)
+    payload = split_to_json(tax, split)
+    Path(paths["split"]).write_text(json.dumps(payload))
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(checkpoint, models[frozenset({"L"})], extra=paths)
+    return Path(paths["split"]), payload, checkpoint
+
+
+class TestStageInputChecks:
+    @pytest.mark.parametrize("command", ["sample-triplets", "train", "evaluate"])
+    @pytest.mark.parametrize("fault", ["unseen-in-train", "seen-in-prediction", "missing"])
+    def test_inconsistent_split_is_named(self, trained, tmp_path, command, fault):
+        # each used to fail later without naming the file, or not at all
+        _, samples, _, _ = trained
+        split, payload, checkpoint = write_stage_inputs(tmp_path, trained)
+        partition = payload["partition"]
+        unseen = next(s for s in samples if partition[s.id] == "prediction")
+        seen = next(s for s in samples if partition[s.id] == "test")
+        if fault == "unseen-in-train":
+            partition[unseen.id] = "train"
+            error = f"sample {unseen.id!r} is in 'train', but its leaf {unseen.leaf!r} is unseen"
+        elif fault == "seen-in-prediction":
+            partition[seen.id] = "prediction"
+            error = f"sample {seen.id!r} is in 'prediction', but its leaf {seen.leaf!r} is seen"
+        else:
+            del partition[seen.id]
+            error = f"sample {seen.id!r} is missing from the partition"
+        split.write_text(json.dumps(payload))
+        if command == "evaluate":
+            argv = ["evaluate", "--checkpoint", str(checkpoint), "--set", "prediction"]
+        else:
+            argv = [command, "--taxonomy", str(tmp_path / "taxonomy.json"),
+                    "--dataset", str(tmp_path / "dataset.jsonl"), "--split", str(split)]
+            if command == "train":
+                argv += ["--fold", "0", "--losses", "L"]
+        with pytest.raises(SplitError, match=re.escape(f"{split}: {error}")):
+            main(argv + ["--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda payload: payload.update(extra=["taxonomy.json"]), "'extra' must be an object"),
+            (lambda payload: payload["params"].__setitem__(3, float("nan")),
+             "a parameter is not finite"),
+            (lambda payload: payload["layout"]["leaf"]["weights"].__setitem__(1, float("inf")),
+             "head leaf has a non-finite class weight"),
+        ],
+        ids=["extra-list", "nan-parameter", "inf-class-weight"],
+    )
+    def test_malformed_checkpoint_is_named(self, trained, tmp_path, edit, error):
+        # a list `extra` used to escape as an AttributeError, a NaN parameter
+        # as a dead-embedding MetricError, and an inf weight was accepted
+        _, _, checkpoint = write_stage_inputs(tmp_path, trained)
+        payload = json.loads(checkpoint.read_text())
+        edit(payload)
+        checkpoint.write_text(json.dumps(payload))
+        argv = ["evaluate", "--checkpoint", str(checkpoint), "--set", "test"]
+        with pytest.raises(ValueError, match=re.escape(f"{checkpoint}: {error}")):
+            main(argv + ["--out", str(tmp_path / "test.json")])
+
+
 @pytest.fixture(name="blas_threads")
 def fixture_blas_threads():
     """The thread-count getter of the OpenBLAS numpy loaded, found through
@@ -488,3 +564,28 @@ class TestBlasThreads:
             main(["evaluate", "--checkpoint", str(tmp_path / "missing.json"), "--set", "test",
                   "--out", str(tmp_path / "test.json")])
         assert blas_threads() == 2
+
+
+class TestDependencies:
+    def test_a_run_imports_only_numpy_and_the_standard_library(self, tmp_path):
+        # numpy is the only runtime dependency; the interpreter's own start-up
+        # (site hooks such as `_distutils_hack`) is left out of the count, and
+        # so are the modules numpy's Cython extensions register for themselves
+        config = write_config(tmp_path / "exp.cfg", {"k_folds": "2", "epochs": "1"})
+        script = textwrap.dedent(f"""
+            import sys
+            before = set(sys.modules)
+            from hieremb.cli import main
+            main(["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "run")!r}])
+            added = {{name.partition(".")[0] for name in set(sys.modules) - before}}
+            allowed = set(sys.stdlib_module_names) | {{"numpy", "hieremb", "cython_runtime"}}
+            print(sorted(name for name in added - allowed if not name.startswith("_cython_")))
+        """)
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert (tmp_path / "run" / "aggregate.csv").exists()
+        assert result.stdout.splitlines()[-1] == "[]"

@@ -6,7 +6,6 @@ import pytest
 from hieremb.datasplit import (
     SplitError,
     is_seen_node,
-    leaf_counts,
     lowest_seen_ancestor,
     make_fold_splits,
     partition_samples,
@@ -19,7 +18,7 @@ from hieremb.datasplit import (
 from hieremb.taxonomy import parse_taxonomy
 
 from conftest import all_train_split, make_samples, manual_split
-from oracles import random_tree_doc
+from oracles import pruned_seen_taxonomy_oracle, random_tree_doc
 
 
 def star_taxonomy(n_leaves):
@@ -90,10 +89,6 @@ class TestSplitWithinLeaf:
     def test_too_few_samples_rejected(self):
         with pytest.raises(SplitError, match="too few"):
             split_within_leaf([f"s{i}" for i in range(9)], seed=0)
-
-    def test_bad_ratios_rejected(self):
-        with pytest.raises(SplitError, match="ratios"):
-            split_within_leaf([f"s{i}" for i in range(10)], ratios=(0.5, 0.5, 0.5), seed=0)
 
     def test_deterministic(self):
         ids = [f"s{i}" for i in range(17)]
@@ -209,6 +204,24 @@ class TestPruning:
             "name": "root",
             "children": [{"name": "B", "children": [{"name": "b1"}]}],
         }
+
+    def test_matches_document_oracle(self):
+        # the pruned tree equals the one built as a nested document and
+        # parsed back: the same names in the same pre-order, the same parents
+        rng = np.random.default_rng(9)
+        folds = 0
+        for _ in range(20):
+            tax = parse_taxonomy(random_tree_doc(rng))
+            leaves = sorted(tax.leaf_ids)
+            counts = rng.integers(4, 30, size=len(leaves))
+            counts[0] = 20  # at least one leaf is seen in some fold
+            samples = make_samples(tax, {tax.name(l): int(c) for l, c in zip(leaves, counts)})
+            for split in make_fold_splits(tax, samples, k_folds=3, seed=int(rng.integers(1000))):
+                if split.seen_leaves:
+                    oracle = pruned_seen_taxonomy_oracle(tax, split)
+                    assert pruned_seen_taxonomy(tax, split) == oracle
+                    folds += 1
+        assert folds > 40
 
     def test_prune_requires_seen_leaf(self, t0):
         samples = make_samples(t0, {"a1": 1, "a2": 1, "b1": 1})

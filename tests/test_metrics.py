@@ -51,7 +51,7 @@ class TestRankedLists:
     def test_query_excluded_and_sorted(self):
         rng = np.random.default_rng(0)
         embeddings = {f"s{i}": rng.normal(size=4) for i in range(8)}
-        ranking = build_ranked_lists(embeddings)
+        ranking = build_ranked_lists(embeddings, list(embeddings))
         assert len(ranking) == 8
         assert ranking.ids == tuple(sorted(embeddings))
         for query, candidates in candidate_lists(ranking).items():
@@ -66,12 +66,14 @@ class TestRankedLists:
             "mid": np.array([1.0, 1.0]),
             "near": np.array([1.0, 0.1]),
         }
-        assert candidate_lists(build_ranked_lists(embeddings))["q"] == ["near", "mid", "far"]
+        ranking = build_ranked_lists(embeddings, list(embeddings))
+        assert candidate_lists(ranking)["q"] == ["near", "mid", "far"]
 
     def test_ties_break_by_ascending_id(self):
         v = np.array([0.5, 0.5])
         embeddings = {name: v.copy() for name in ("d", "b", "a", "c")}
-        assert candidate_lists(build_ranked_lists(embeddings))["c"] == ["a", "b", "d"]
+        ranking = build_ranked_lists(embeddings, list(embeddings))
+        assert candidate_lists(ranking)["c"] == ["a", "b", "d"]
 
     def test_matches_naive_construction(self):
         rng = np.random.default_rng(1)
@@ -101,7 +103,7 @@ class TestRankedLists:
 
     def test_needs_two_samples(self):
         with pytest.raises(MetricError, match="two samples"):
-            build_ranked_lists({"only": np.ones(3)})
+            build_ranked_lists({"only": np.ones(3)}, ["only"])
 
 
 def pool_scores(embeddings, ids):
@@ -189,14 +191,13 @@ def tie_pool(rng, n, duplicates):
 
 
 class TestTieRepair:
-    """A pool with duplicate embeddings is sorted stably, one argsort per
-    block. Any other pool sorts packed integer keys, and only rows where two
-    keys agree above the column bits, exact ties among them, are sorted
-    again with the stable argsort of their scores. Either way the order
+    """Every pool sorts packed integer keys, and only rows where two keys
+    agree above the column bits, exact ties and duplicate pairs among them,
+    are sorted again with the stable argsort of their scores. The order
     matrix equals an all-stable sort's."""
 
     @pytest.mark.parametrize("block", ["1", "3", "n"])
-    def test_duplicates_sort_each_block_once_stably(self, monkeypatch, block):
+    def test_duplicates_repair_collided_rows(self, monkeypatch, block):
         rng = np.random.default_rng(31)
         for n in (5, 12, 40, 97):
             ids, embeddings = tie_pool(rng, n, duplicates=True)
@@ -205,7 +206,10 @@ class TestTieRepair:
             with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
                 order = build_ranked_lists(embeddings, ids).order
             kinds = [c.kwargs.get("kind") for c in spy.call_args_list]
-            assert kinds == ["stable"] * -(-n // block_rows)
+            collided, tied = key_collisions(embeddings, ids)
+            assert set(kinds) == {"stable"} and stably_sorted_queries(spy) == collided
+            # a duplicate pair ties in the row of every query outside it
+            assert len(tied) >= n - 2 and set(tied) <= set(collided)
             assert np.array_equal(order, stable_order(embeddings, ids))
 
     @pytest.mark.parametrize("block", ["1", "3", "n"])
@@ -259,7 +263,7 @@ class TestTieRepair:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MetricError, match=r"'s2'.*dead embedding"):
-                build_ranked_lists(embeddings)
+                build_ranked_lists(embeddings, list(embeddings))
 
 
 def ulp_pool(rng, n, gap):
@@ -468,7 +472,7 @@ class TestRpAtK:
                 sid = f"l{leaf}s{i}"
                 embeddings[sid] = centre + 0.01 * rng.normal(size=4)
                 leaf_of[sid] = leaf
-        ranked = build_ranked_lists(embeddings)
+        ranked = build_ranked_lists(embeddings, list(embeddings))
         assert rp_at_k(ranked, leaf_of, k=5) == 1.0
 
     def test_partial_ratio(self):

@@ -241,7 +241,7 @@ class TestTrainStep:
         )
         model.params["embed.1.W"][...] = np.eye(2)
         model.params["embed.2.W"][...] = np.eye(2)
-        before = model.clone_params()
+        before = model.vector.copy()
         triples = enumerate_node_triples(tax)
         instances = instantiate_epoch(tax, samples, split, triples, epoch_seed=0)
         state = TrainState(model=model, adam=AdamState.for_params(model.params))
@@ -321,7 +321,7 @@ class TestRowBatches:
         instances = instantiate_epoch(tax, samples, split, triples, epoch_seed=0)
         runs = []
         for batch in (instances[:7], triplet_rows(table, instances[:7])):
-            copy = EmbeddingModel(model.config, model.loss_config, layout, model.clone_params())
+            copy = EmbeddingModel(model.config, model.loss_config, layout, model.vector.copy())
             state = TrainState(model=copy, adam=AdamState.for_params(copy.params))
             for _ in range(3):
                 state, value = train_step(state, batch, table)
