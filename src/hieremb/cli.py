@@ -33,7 +33,6 @@ from .losses import LossConfig, combo_name, parse_combo
 from .metrics import (
     MetricError,
     MetricsReport,
-    Ranking,
     acc_aware,
     acc_blind,
     build_ranked_lists,
@@ -42,6 +41,7 @@ from .metrics import (
     ndcg,
     per_query_diagnostics,
     rp_at_k,
+    score_pool,
 )
 from .model import (
     EmbeddingModel,
@@ -210,11 +210,12 @@ def head_argmax(
     """Per classification head, the argmax class of every sample, as node
     ids of the given (full) taxonomy; `logits` are the samples' fused head
     logits, one row per sample."""
+    ids = [s.id for s in samples]
     result = {}
     for head in model.layout.class_heads():
-        class_ids = [taxonomy.id_of(name) for name in head.classes]
+        class_ids = np.array([taxonomy.id_of(name) for name in head.classes])
         picks = logits[:, head.columns].argmax(axis=1)
-        result[head.name] = {s.id: class_ids[i] for s, i in zip(samples, picks)}
+        result[head.name] = dict(zip(ids, class_ids[picks].tolist()))
     return result
 
 
@@ -236,8 +237,10 @@ def _evaluate_ranked(
     dataset: list[LabeledSample],
     split: SplitAssignment,
     subset: str,
-) -> tuple[MetricsReport, Ranking, dict[str, int]]:
-    """`evaluate_model`'s report, plus the pool's ranking and leaf ids."""
+    diagnostics: bool = False,
+) -> tuple[MetricsReport, list[dict] | None]:
+    """`evaluate_model`'s report, plus with `diagnostics` the per-query rows
+    of `per_query_diagnostics`, read from the scores the report came from."""
     if subset not in ("test", "prediction"):
         raise ValueError("subset must be 'test' or 'prediction'")
     samples = partition_samples(dataset, split, subset)
@@ -258,10 +261,11 @@ def _evaluate_ranked(
     leaf_preds = predictions.get(leaf_head.name) if leaf_head else None
 
     report = MetricsReport()
-    report.ndcg_sum = ndcg(ranked, taxonomy, leaf_of, "sum")
-    report.ndcg_max = ndcg(ranked, taxonomy, leaf_of, "max")
+    scores = score_pool(ranked, taxonomy, leaf_of, ranks=subset == "test" or diagnostics)
+    report.ndcg_sum = ndcg(ranked, taxonomy, leaf_of, "sum", scores=scores)
+    report.ndcg_max = ndcg(ranked, taxonomy, leaf_of, "max", scores=scores)
     if subset == "test":
-        report.mnr = mnr(ranked, taxonomy, leaf_of)
+        report.mnr = mnr(ranked, taxonomy, leaf_of, scores=scores)
         report.leaf_rp_at_5 = rp_at_k(ranked, leaf_of, k=RP_K)
         if leaf_preds is not None:
             report.leaf_f1 = leaf_f1(leaf_preds, leaf_of, sorted(split.seen_leaves))
@@ -279,7 +283,7 @@ def _evaluate_ranked(
             )
             if report.acc_blind is not None and report.acc_aware:
                 report.ratio_blind_aware = report.acc_blind / report.acc_aware
-    return report, ranked, leaf_of
+    return report, per_query_diagnostics(ranked, scores) if diagnostics else None
 
 
 # -- experiment driver ----------------------------------------------------------
@@ -485,9 +489,7 @@ def cmd_evaluate(args) -> None:
     if not args.diagnostics:
         report = evaluate_model(model, taxonomy, dataset, split, args.set)
     else:
-        # the diagnostics reuse the ranking the metrics were computed from
-        report, ranked, leaf_of = _evaluate_ranked(model, taxonomy, dataset, split, args.set)
-        rows = per_query_diagnostics(ranked, taxonomy, leaf_of)
+        report, rows = _evaluate_ranked(model, taxonomy, dataset, split, args.set, diagnostics=True)
         _write_csv(Path(args.diagnostics), list(rows[0]), rows)
     _write_json(Path(args.out), report.to_json())
     print(f"wrote {args.set} metrics to {args.out}")

@@ -178,7 +178,8 @@ def load_split(
 ) -> SplitAssignment:
     """Read a split file written from `split_to_json` for this dataset; any
     fault in it is a `SplitError` that names the file. Every sample must have
-    a subset, `prediction` exactly when its leaf is unseen in the fold."""
+    a subset, `prediction` exactly when its leaf is unseen in the fold, and
+    every partition entry must name a dataset sample."""
     try:
         with open(path, encoding="utf-8") as fh:
             split = split_from_json(taxonomy, json.load(fh))
@@ -196,6 +197,10 @@ def load_split(
                 f"{path}: sample {sample.id!r} is in {subset!r}, but its leaf "
                 f"{sample.leaf!r} is {'unseen' if unseen else 'seen'} in the fold"
             )
+    known = {sample.id for sample in dataset}
+    if len(split.partition) > len(known):  # every sample has an entry, so one is extra
+        extra = next(sid for sid in split.partition if sid not in known)
+        raise SplitError(f"{path}: sample {extra!r} in the partition is not in the dataset")
     return split
 
 

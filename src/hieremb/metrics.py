@@ -8,6 +8,7 @@ ties broken by ascending sample id, and never contain the query itself.
 from __future__ import annotations
 
 import warnings
+from itertools import compress
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -126,7 +127,7 @@ def build_ranked_lists(embeddings: dict[str, np.ndarray], pool_ids: list[str]) -
     return Ranking(ids=tuple(ids), queries=queries, order=order)
 
 
-def _pool_leaves(ranking: Ranking, leaf_of: dict[str, int]) -> tuple[list[int], np.ndarray, int]:
+def _pool_leaves(ranking: Ranking, leaf_of: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
     """The pool's L distinct leaves, each pool member's index into them (its
     leaf code, in the narrowest unsigned dtype that holds L * L - 1), and the
     candidate count of every query."""
@@ -135,17 +136,7 @@ def _pool_leaves(ranking: Ranking, leaf_of: dict[str, int]) -> tuple[list[int], 
         raise MetricError(f"query {ranking.ids[ranking.queries[0]]!r} has no candidates")
     leaves, index = np.unique([leaf_of[sid] for sid in ranking.ids], return_inverse=True)
     code = index.astype(np.min_scalar_type(len(leaves) ** 2 - 1))
-    return [int(leaf) for leaf in leaves], code, n
-
-
-def _leaf_cells(ranking: Ranking, code: np.ndarray, n_leaves: int):
-    """Per block of query rows: the rows and, for each candidate, the flat
-    index of (query leaf, candidate leaf) in a leaf x leaf table."""
-    query_cell = code[ranking.queries] * n_leaves
-    for rows in _blocks(len(ranking), ranking.order.shape[1]):
-        cells = np.take(code, ranking.order[rows])
-        cells += query_cell[rows, None]
-        yield rows, cells
+    return leaves, code, n
 
 
 def leaf_f1(predictions: dict[str, int], truths: dict[str, int], classes: list[int]) -> float:
@@ -158,13 +149,19 @@ def leaf_f1(predictions: dict[str, int], truths: dict[str, int], classes: list[i
     missing = sorted(set(truths) - set(predictions))
     if missing:
         raise MetricError(f"missing predictions for samples: {missing[:5]}")
-    scores = []
-    for cls in classes:
-        tp = sum(1 for sid, t in truths.items() if t == cls and predictions[sid] == cls)
-        fp = sum(1 for sid, t in truths.items() if t != cls and predictions[sid] == cls)
-        fn = sum(1 for sid, t in truths.items() if t == cls and predictions[sid] != cls)
-        denom = 2 * tp + fp + fn
-        scores.append(2 * tp / denom if denom else 0.0)
+    n = len(truths)
+    labels = np.concatenate([
+        np.fromiter(truths.values(), dtype=np.int64, count=n),
+        np.fromiter(map(predictions.__getitem__, truths), dtype=np.int64, count=n),
+        np.asarray(classes, dtype=np.int64),
+    ])
+    distinct, code = np.unique(labels, return_inverse=True)
+    true, pred, cls = code[:n], code[n : 2 * n], code[2 * n :]
+    size = len(distinct)
+    # 2 tp + fp + fn is the class's true count plus its predicted count
+    tp = np.bincount(true[true == pred], minlength=size)[cls]
+    denom = (np.bincount(true, minlength=size) + np.bincount(pred, minlength=size))[cls]
+    scores = np.divide(2 * tp, denom, out=np.zeros(len(cls)), where=denom > 0)
     return float(np.mean(scores))
 
 
@@ -177,27 +174,94 @@ def rp_at_k(ranking: Ranking, leaf_of: dict[str, int], k: int = 5) -> float:
     return float(np.mean(hits.sum(axis=1) / k))
 
 
-def _mean_rank_table(
-    ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int], levels: list
-) -> np.ndarray:
-    """(queries, levels): mean shifted-normalised rank of the candidates under
-    the query's ancestor at each retained level; NaN when none exist."""
+KINDS = ("sum", "max")  # the relevance kinds of NDCG
+
+
+@dataclass(frozen=True, eq=False)
+class PoolScores:
+    """Per-query scores of one ranked pool, in `Ranking.queries` order."""
+
+    levels: list[int]  # retained tree levels, the columns of `mean_ranks`
+    # (queries, levels) mean shifted-normalised rank of the candidates under
+    # the query's ancestor at each level; NaN where none exist
+    mean_ranks: np.ndarray
+    # kind -> (queries,) NDCG; NaN where every candidate has relevance 0
+    ndcg: dict[str, np.ndarray]
+
+
+def _depths(ancestors: np.ndarray) -> np.ndarray:
+    """Depth of each row's node in a `Taxonomy.leaf_ancestors` table: the
+    columns before the node itself."""
+    return (ancestors != ancestors[:, -1:]).sum(axis=1)
+
+
+def relevance_tables(taxonomy: Taxonomy, leaves: list[int]) -> tuple[np.ndarray, dict]:
+    """The (L, L) LCA depths of the given leaves and their tree-distance
+    relevance table of each kind, in [0, 1]; a leaf's relevance to itself
+    is 1.
+
+    'sum' divides the total leaf-to-LCA edge count by the tree diameter;
+    'max' divides the larger of the two by the tree height.
+    """
+    leaves = np.asarray(leaves)
+    ancestors = taxonomy.leaf_ancestors(leaves)
+    # distinct leaves agree in exactly the columns 0..depth(LCA)
+    lca_depth = sum(column[:, None] == column[None, :] for column in ancestors.T) - 1
+    same = leaves[:, None] == leaves[None, :]
+    if same.all():
+        return lca_depth, dict.fromkeys(KINDS, np.ones(same.shape))
+    height, diameter = taxonomy.height_and_diameter()
+    depth = _depths(ancestors)
+    d1, d2 = depth[:, None] - lca_depth, depth[None, :] - lca_depth
+    return lca_depth, {
+        "sum": np.where(same, 1.0, 1.0 - (d1 + d2) / diameter),
+        "max": np.where(same, 1.0, 1.0 - np.maximum(d1, d2) / height),
+    }
+
+
+def score_pool(
+    ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int], ranks: bool = True
+) -> PoolScores:
+    """Both NDCG vectors of a ranking and, with `ranks`, its mean-rank table
+    over every retained level (else over none), from leaf x leaf tables
+    built once and one pass over blocks of query rows."""
     leaves, code, n = _pool_leaves(ranking, leaf_of)
+    lca_depth, gains = relevance_tables(taxonomy, leaves)
+    discounts = 1.0 / np.log2(np.arange(2, n + 2))
+    # the candidates are the pool less the query, so the ideal list depends
+    # only on the query's leaf: the pool's gains sorted, less the query's 1.0
+    ideal = {kind: np.empty(len(leaves)) for kind in KINDS}
+    for rows in _blocks(len(leaves), n + 1):
+        for kind in KINDS:
+            pool_gains = np.take(gains[kind][rows], code, axis=1)
+            pool_gains.sort(axis=1)
+            ideal[kind][rows] = pool_gains[:, ::-1][:, 1:] @ discounts
+            del pool_gains  # one kind's block at a time
+    levels = [level for level, _ in taxonomy.levels_with_multiple_classes()] if ranks else []
     # a candidate lies under the query's ancestor at a level exactly when
-    # both leaves have the same class there
-    classes = taxonomy.leaf_ancestors(leaves)[:, [level for level, _ in levels]].T
-    same = [cls[:, None] == cls[None, :] for cls in classes]
+    # the LCA of both leaves is at that level or deeper
+    same = [lca_depth >= level for level in levels]
     shifted = np.arange(n) / n  # (rank - 1) / n
     means = np.empty((len(ranking), len(levels)))
-    for rows, cells in _leaf_cells(ranking, code, len(leaves)):
-        for k, table in enumerate(same):
-            hits = np.take(table, cells)
-            with np.errstate(invalid="ignore"):
+    values = {kind: np.empty(len(ranking)) for kind in KINDS}
+    query_code = code[ranking.queries]
+    for rows in _blocks(len(ranking), n):
+        # each candidate's flat (query leaf, candidate leaf) cell of an L x L table
+        cells = np.take(code, ranking.order[rows])
+        cells += query_code[rows, None] * len(leaves)
+        with np.errstate(invalid="ignore"):  # 0 / 0: no correct candidate, or no relevance
+            for k, table in enumerate(same):
+                hits = np.take(table, cells)
                 means[rows, k] = (hits @ shifted) / hits.sum(axis=1)
-    return means
+            for kind in KINDS:
+                dcg = gains[kind].ravel()[cells] @ discounts  # widens cells in chunks
+                values[kind][rows] = dcg / ideal[kind][query_code[rows]]
+    return PoolScores(levels, means, values)
 
 
-def mnr(ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int]) -> float:
+def mnr(
+    ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int], scores: PoolScores | None = None
+) -> float:
     """Mean normalised rank of tree-similar candidates, averaged over levels.
 
     For each query and each retained tree level, the candidates under the
@@ -206,11 +270,13 @@ def mnr(ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int]) -> float:
     levels, then queries. Deeper levels' members recur at every ancestor
     level, which weights fine-grained neighbours more. A level with no
     correct candidate is skipped for that query (the inner mean is undefined).
+    `scores`, when given, are the ranking's `score_pool` with ranks.
     """
-    levels = taxonomy.levels_with_multiple_classes()
-    if not levels:
+    if scores is None:
+        scores = score_pool(ranking, taxonomy, leaf_of)
+    if not scores.levels:
         raise MetricError("tree has no level with more than one class")
-    means = _mean_rank_table(ranking, taxonomy, leaf_of, levels)
+    means = scores.mean_ranks
     missing = np.isnan(means)
     unanswered = missing.all(axis=1)
     if missing.any():
@@ -222,53 +288,20 @@ def mnr(ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int]) -> float:
     return float(np.mean(np.nanmean(means[~unanswered], axis=1)))
 
 
-def relevance_table(taxonomy: Taxonomy, leaves: list[int], kind: str) -> np.ndarray:
-    """Tree-distance relevance between every two of the given leaves, in
-    [0, 1]; a leaf's relevance to itself is 1.
-
-    'sum' divides the total leaf-to-LCA edge count by the tree diameter;
-    'max' divides the larger of the two by the tree height.
-    """
-    if kind not in ("sum", "max"):
+def ndcg(
+    ranking: Ranking,
+    taxonomy: Taxonomy,
+    leaf_of: dict[str, int],
+    kind: str,
+    scores: PoolScores | None = None,
+) -> float:
+    """Mean NDCG with linear tree-relevance gains over the full list;
+    `scores`, when given, are the ranking's `score_pool`."""
+    if kind not in KINDS:
         raise MetricError(f"unknown relevance kind {kind!r}")
-    leaves = np.asarray(leaves)
-    same = leaves[:, None] == leaves[None, :]
-    if same.all():
-        return np.ones(same.shape)
-    height, diameter = taxonomy.height_and_diameter()
-    if height == 0:
-        raise MetricError("degenerate tree: distinct leaves in a height-0 tree")
-    # distinct leaves agree in exactly the columns 0..depth(LCA)
-    ancestors = taxonomy.leaf_ancestors(leaves)
-    depth = np.array([taxonomy.depth(leaf) for leaf in leaves])
-    lca_depth = (ancestors[:, None] == ancestors[None, :]).sum(axis=2) - 1
-    d1, d2 = depth[:, None] - lca_depth, depth[None, :] - lca_depth
-    table = 1.0 - ((d1 + d2) / diameter if kind == "sum" else np.maximum(d1, d2) / height)
-    return np.where(same, 1.0, table)
-
-
-def _ndcg_values(
-    ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int], kind: str
-) -> np.ndarray:
-    """Each query's DCG over its full list divided by its ideal DCG; NaN when
-    every candidate has relevance 0."""
-    leaves, code, n = _pool_leaves(ranking, leaf_of)
-    gain = relevance_table(taxonomy, leaves, kind)
-    discounts = 1.0 / np.log2(np.arange(2, n + 2))
-    # the candidates are the pool less the query, so the ideal list depends
-    # only on the query's leaf: the pool's gains sorted, less the query's 1.0
-    ideal = np.array([np.sort(row[code])[::-1][1:] @ discounts for row in gain])
-    dcg = np.empty(len(ranking))
-    for rows, cells in _leaf_cells(ranking, code, len(leaves)):
-        dcg[rows] = gain.ravel()[cells] @ discounts  # indexing widens cells in chunks
-    idcg = ideal[code[ranking.queries]]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(idcg == 0.0, np.nan, dcg / idcg)
-
-
-def ndcg(ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int], kind: str) -> float:
-    """Mean NDCG with linear tree-relevance gains over the full list."""
-    values = _ndcg_values(ranking, taxonomy, leaf_of, kind)
+    if scores is None:
+        scores = score_pool(ranking, taxonomy, leaf_of, ranks=False)
+    values = scores.ndcg[kind]
     skipped = int(np.isnan(values).sum())
     if skipped:
         warnings.warn(f"NDCG skipped {skipped} queries whose candidates all have relevance 0")
@@ -277,21 +310,30 @@ def ndcg(ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int], kind: st
     return float(np.nanmean(values))
 
 
-def per_query_diagnostics(
-    ranking: Ranking, taxonomy: Taxonomy, leaf_of: dict[str, int]
-) -> list[dict]:
-    """One row per query: mean normalised rank per retained level plus both
-    NDCG values; blank entries where a quantity is undefined."""
-    levels = taxonomy.levels_with_multiple_classes()
-    means = _mean_rank_table(ranking, taxonomy, leaf_of, levels)
-    columns = {f"mnr_level_{level}": means[:, k] for k, (level, _) in enumerate(levels)}
-    for kind in ("sum", "max"):
-        columns[f"ndcg_{kind}"] = _ndcg_values(ranking, taxonomy, leaf_of, kind)
+def per_query_diagnostics(ranking: Ranking, scores: PoolScores) -> list[dict]:
+    """One row per query of the ranking's `score_pool` with ranks: mean
+    normalised rank per retained level plus both NDCG values; blank entries
+    where a quantity is undefined."""
+    levels = zip(scores.levels, scores.mean_ranks.T)
+    columns = {f"mnr_level_{level}": means for level, means in levels}
+    columns |= {f"ndcg_{kind}": scores.ndcg[kind] for kind in KINDS}
     return [
         {"query": ranking.ids[q]}
         | {name: None if np.isnan(v[i]) else float(v[i]) for name, v in columns.items()}
         for i, q in enumerate(ranking.queries)
     ]
+
+
+def _lowest_seen(
+    true_leaf: dict[str, int], taxonomy: Taxonomy, split: SplitAssignment
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's true lowest seen ancestor and its depth, from one walk
+    per distinct true leaf, in the order the samples first name them."""
+    leaves = list(dict.fromkeys(true_leaf.values()))
+    lsa_of = np.zeros(len(taxonomy), dtype=np.intp)
+    lsa_of[leaves] = [lowest_seen_ancestor(taxonomy, split, leaf) for leaf in leaves]
+    lsa = lsa_of[np.fromiter(true_leaf.values(), dtype=np.intp, count=len(true_leaf))]
+    return lsa, _depths(taxonomy.leaf_ancestors(lsa))
 
 
 def acc_blind(
@@ -307,15 +349,9 @@ def acc_blind(
     """
     if not true_leaf:
         raise MetricError("empty prediction set")
-    lifts = taxonomy.leaf_ancestors([predicted_leaf[sid] for sid in true_leaf])
-    # one walk per distinct true leaf, in the order the samples first name it
-    lsa_of = {leaf: lowest_seen_ancestor(taxonomy, split, leaf)
-              for leaf in dict.fromkeys(true_leaf.values())}
-    correct = 0
-    for row, true in enumerate(true_leaf.values()):
-        lsa = lsa_of[true]
-        correct += int(lifts[row, taxonomy.depth(lsa)]) == lsa
-    return correct / len(true_leaf)
+    lifts = taxonomy.leaf_ancestors(list(map(predicted_leaf.__getitem__, true_leaf)))
+    lsa, depth = _lowest_seen(true_leaf, taxonomy, split)
+    return np.count_nonzero(lifts[np.arange(len(lsa)), depth] == lsa) / len(true_leaf)
 
 
 def acc_aware(
@@ -334,30 +370,29 @@ def acc_aware(
     """
     if not true_leaf:
         raise MetricError("empty prediction set")
-    evaluated = 0
-    correct = 0
-    skipped = 0
     retained = sorted(level_predictions)
-    lsa_of = {leaf: lowest_seen_ancestor(taxonomy, split, leaf)
-              for leaf in dict.fromkeys(true_leaf.values())}
-    for sid, true in true_leaf.items():
-        lsa = lsa_of[true]
-        depth = taxonomy.depth(lsa)
-        use_level = None
-        if depth in level_predictions:
-            use_level = depth
-        else:
-            for level in retained:
-                if level > depth and lsa in level_classes.get(level, ()):
-                    use_level = level
-                    break
-        if use_level is None:
-            skipped += 1
-            continue
-        evaluated += 1
-        correct += level_predictions[use_level][sid] == lsa
+    lsa, _ = _lowest_seen(true_leaf, taxonomy, split)
+    nodes, inverse = np.unique(lsa, return_inverse=True)
+
+    def head_level(node: int, node_depth: int) -> int:
+        if node_depth in level_predictions:
+            return node_depth
+        deeper = (level for level in retained
+                  if level > node_depth and node in level_classes.get(level, ()))
+        return next(deeper, -1)  # -1: no head
+
+    depths = _depths(taxonomy.leaf_ancestors(nodes)).tolist()
+    heads = [head_level(node, d) for node, d in zip(nodes.tolist(), depths)]
+    use = np.array(heads)[inverse]
+    skipped = int(np.count_nonzero(use < 0))
+    correct = 0
+    for level in retained:
+        at = use == level
+        picks = map(level_predictions[level].__getitem__, compress(true_leaf, at.tolist()))
+        picked = np.fromiter(picks, dtype=np.intp, count=int(at.sum()))
+        correct += int(np.count_nonzero(picked == lsa[at]))
     if skipped:
         warnings.warn(f"acc_aware skipped {skipped} samples whose LSA level has no head")
-    if not evaluated:
+    if skipped == len(use):
         return None
-    return correct / evaluated
+    return correct / (len(use) - skipped)

@@ -34,19 +34,23 @@ class Taxonomy:
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise TaxonomyError(f"duplicate node names: {dupes}")
         children: list[list[int]] = [[] for _ in names]
-        depths = [0] * len(names)
-        for nid, parent in enumerate(parents):
-            if parent is None:
-                continue
+        paths = [[0]]  # each node's root-to-node path
+        for nid, parent in enumerate(parents[1:], start=1):
             if not 0 <= parent < nid:
                 # pre-order guarantees parents precede children
                 raise TaxonomyError(f"node {nid} has invalid parent {parent}")
             children[parent].append(nid)
-            depths[nid] = depths[parent] + 1
+            paths.append(paths[parent] + [nid])
         self._names = list(names)
         self._parents = list(parents)
         self._children = [tuple(c) for c in children]
-        self._depths = depths
+        self._depths = [len(path) - 1 for path in paths]
+        # (nodes, height + 1): column d of a node's row is its ancestor at
+        # depth d, or the node itself past its own depth
+        width = max(self._depths) + 1
+        self._ancestors = np.array(
+            [path + path[-1:] * (width - len(path)) for path in paths], dtype=np.intp
+        )
         self._name_to_id = {name: nid for nid, name in enumerate(names)}
         self.root = 0
         self.leaf_ids = frozenset(nid for nid, c in enumerate(self._children) if not c)
@@ -121,12 +125,13 @@ class Taxonomy:
         """(len(leaves), height + 1) ids whose column d is each leaf's class at
         tree level d: its ancestor at depth d, or the leaf itself past its own
         depth. Column 0 is the root and the last column the leaf."""
-        width = max(self._depths) + 1
-        table = np.empty((len(leaves), width), dtype=np.intp)
-        for row, leaf in enumerate(leaves):
-            path = self.path_to_root(leaf)[::-1]
-            table[row] = path + path[-1:] * (width - len(path))
-        return table
+        ids = np.asarray(leaves)
+        if ids.ndim != 1 or ids.dtype.kind not in "biu" or (
+            ids.size and not 0 <= ids.min() <= ids.max() < len(self._names)
+        ):
+            for leaf in leaves:  # names the first invalid id
+                self._check_id(leaf)
+        return self._ancestors[ids.astype(np.intp)]
 
     def height_and_diameter(self) -> tuple[int, int]:
         """Longest root-to-leaf path and longest leaf-to-leaf path, in edges."""
@@ -170,13 +175,9 @@ class Taxonomy:
         target per level. Levels whose class set has fewer than two entries
         are dropped; the deepest retained level's class set is the leaf set.
         """
-        classes = self.leaf_ancestors(sorted(self.leaf_ids))
-        levels = []
-        for level in range(1, classes.shape[1]):
-            class_set = sorted(set(classes[:, level].tolist()))
-            if len(class_set) > 1:
-                levels.append((level, class_set))
-        return levels
+        classes = self._ancestors[sorted(self.leaf_ids)]
+        levels = [(d, sorted(set(classes[:, d].tolist()))) for d in range(1, classes.shape[1])]
+        return [(level, class_set) for level, class_set in levels if len(class_set) > 1]
 
     def leaf_id_for(self, sample: LabeledSample) -> int:
         leaf_id = self._name_to_id.get(sample.leaf)
@@ -210,11 +211,13 @@ def parse_taxonomy(document: dict) -> Taxonomy:
     names: list[str] = []
     parents: list[int | None] = []
     seen_objects: set[int] = set()
-    stack: list[tuple[dict, int | None]] = [(document, None)]
+    stack: list[tuple[dict, int | None, int]] = [(document, None, 0)]
     while stack:
-        node_doc, parent = stack.pop()
+        node_doc, parent, index = stack.pop()
         if not isinstance(node_doc, dict) or "name" not in node_doc:
-            raise TaxonomyError("every node needs a 'name' field")
+            raise TaxonomyError(
+                f"every node needs a 'name' field: child {index} of {names[parent]!r} has none"
+            )
         if id(node_doc) in seen_objects:
             raise TaxonomyError("cycle detected: a node object appears twice")
         seen_objects.add(id(node_doc))
@@ -224,16 +227,18 @@ def parse_taxonomy(document: dict) -> Taxonomy:
         children = node_doc.get("children") or []
         if not isinstance(children, list):
             raise TaxonomyError(f"'children' of {node_doc['name']!r} must be a list")
-        for child in reversed(children):
-            stack.append((child, nid))
+        stack.extend((children[i], nid, i) for i in reversed(range(len(children))))
     return Taxonomy(names, parents)
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    """Parse a taxonomy from a JSON file with one top-level object."""
-    with open(path, encoding="utf-8") as fh:
-        document = json.load(fh)
-    return parse_taxonomy(document)
+    """Parse a taxonomy from a JSON file with one top-level object; a file
+    that is not UTF-8 JSON of a valid tree raises a `TaxonomyError` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_taxonomy(json.load(fh))
+    except ValueError as err:  # also the JSON, UTF-8 and tree errors
+        raise TaxonomyError(f"{path}: {err}") from None
 
 
 def save_taxonomy(path: str | Path, taxonomy: Taxonomy) -> None:

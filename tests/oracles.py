@@ -93,6 +93,57 @@ def ancestor_at_depth_oracle(tax, node, depth):
     return path_from_root(tax, node)[depth]
 
 
+def lowest_seen_ancestor_oracle(tax, split, leaf):
+    """The first node above the leaf with a seen leaf beneath it, else the root."""
+    path = path_from_root(tax, leaf)
+    for node in reversed(path[:-1]):
+        if set(leaves_under_oracle(tax, node)) & split.seen_leaves:
+            return node
+    return path[0]
+
+
+def leaf_f1_oracle(predictions, truths, classes):
+    """Macro F1 from counts made one sample and one class at a time."""
+    scores = []
+    for cls in classes:
+        tp = fp = fn = 0
+        for sid, truth in truths.items():
+            tp += truth == cls and predictions[sid] == cls
+            fp += truth != cls and predictions[sid] == cls
+            fn += truth == cls and predictions[sid] != cls
+        scores.append(2 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0)
+    return float(np.mean(scores))
+
+
+def acc_blind_oracle(tax, split, predicted_leaf, true_leaf):
+    """Share of samples whose predicted leaf, lifted to the depth of the true
+    LSA (or kept when shallower), is that LSA."""
+    correct = 0
+    for sid, true in true_leaf.items():
+        lsa = lowest_seen_ancestor_oracle(tax, split, true)
+        path = path_from_root(tax, predicted_leaf[sid])
+        correct += path[min(depth_oracle(tax, lsa), len(path) - 1)] == lsa
+    return correct / len(true_leaf)
+
+
+def acc_aware_oracle(tax, split, level_predictions, level_classes, true_leaf):
+    """Share of evaluable samples whose head at the true LSA's depth (else
+    the shallowest deeper head with the LSA as a class) predicts the LSA;
+    None when no sample is evaluable."""
+    correct = evaluated = 0
+    for sid, true in true_leaf.items():
+        lsa = lowest_seen_ancestor_oracle(tax, split, true)
+        depth = depth_oracle(tax, lsa)
+        usable = [
+            level for level in sorted(level_predictions)
+            if level == depth or (level > depth and lsa in level_classes.get(level, ()))
+        ]
+        if usable:
+            evaluated += 1
+            correct += level_predictions[usable[0]][sid] == lsa
+    return correct / evaluated if evaluated else None
+
+
 def ranked_lists_oracle(embeddings: dict[str, np.ndarray], pool_ids):
     """Naive rank materialisation: per-pair cosine, sort by (-sim, id)."""
 
@@ -364,11 +415,11 @@ def wide_index_metrics_oracle(ranking, tax, leaf_of, k=5):
     vectorised form: intp leaf indices, a 2-D fancy index into the leaf x
     leaf gain table and one class gather per level, over the library's
     blocks of query rows (a product's last bits can depend on its shape).
-    The gain table comes from `relevance_table` and the level classes from
+    The gain table comes from `relevance_tables` and the level classes from
     the taxonomy, which this form shares with the library, so it checks only
     that reading them through narrow leaf codes changes no bit. None where a
     metric is undefined."""
-    from hieremb.metrics import _blocks, relevance_table
+    from hieremb.metrics import _blocks, relevance_tables
 
     n = ranking.order.shape[1]
     leaves, leaf_idx = np.unique([leaf_of[sid] for sid in ranking.ids], return_inverse=True)
@@ -378,7 +429,7 @@ def wide_index_metrics_oracle(ranking, tax, leaf_of, k=5):
     discounts = 1.0 / np.log2(np.arange(2, n + 2))
     values = {}
     for kind in ("sum", "max"):
-        gain = relevance_table(tax, leaves, kind)
+        gain = relevance_tables(tax, leaves)[1][kind]
         ideal = np.array([np.sort(row[leaf_idx])[::-1][1:] @ discounts for row in gain])
         dcg = np.empty(len(ranking))
         for rows in _blocks(len(ranking), n):

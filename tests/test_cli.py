@@ -27,7 +27,7 @@ from hieremb.cli import (
 from hieremb.dataset import features_matrix, save_dataset
 from hieremb.datasplit import SplitError, partition_samples, split_to_json
 from hieremb.losses import LossConfig
-from hieremb.metrics import MetricError, build_ranked_lists, per_query_diagnostics
+from hieremb.metrics import MetricError, build_ranked_lists, per_query_diagnostics, score_pool
 from hieremb.model import ModelConfig, fit, save_checkpoint
 from hieremb.synthdata import SynthConfig, generate
 from hieremb.taxonomy import parse_taxonomy, save_taxonomy
@@ -214,7 +214,7 @@ class TestEvaluateModel:
         ranked = build_ranked_lists(dict(zip(ids, embeddings)), ids)
         expected = [
             {k: "" if v is None else str(v) for k, v in row.items()}
-            for row in per_query_diagnostics(ranked, tax, leaf_of)
+            for row in per_query_diagnostics(ranked, score_pool(ranked, tax, leaf_of))
         ]
         with open(diag, newline="") as fh:
             assert list(csv.DictReader(fh)) == expected
@@ -470,7 +470,7 @@ def write_stage_inputs(tmp_path, trained):
 
 class TestStageInputChecks:
     @pytest.mark.parametrize("command", ["sample-triplets", "train", "evaluate"])
-    @pytest.mark.parametrize("fault", ["unseen-in-train", "seen-in-prediction", "missing"])
+    @pytest.mark.parametrize("fault", ["unseen-in-train", "seen-in-prediction", "missing", "ghost"])
     def test_inconsistent_split_is_named(self, trained, tmp_path, command, fault):
         # each used to fail later without naming the file, or not at all
         _, samples, _, _ = trained
@@ -484,6 +484,9 @@ class TestStageInputChecks:
         elif fault == "seen-in-prediction":
             partition[seen.id] = "prediction"
             error = f"sample {seen.id!r} is in 'prediction', but its leaf {seen.leaf!r} is seen"
+        elif fault == "ghost":  # for example a split written for a larger dataset
+            partition["ghost"] = "train"
+            error = "sample 'ghost' in the partition is not in the dataset"
         else:
             del partition[seen.id]
             error = f"sample {seen.id!r} is missing from the partition"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hieremb import metrics
+from hieremb.datasplit import SplitAssignment
 from hieremb.metrics import (
     MetricError,
     MetricsReport,
@@ -17,14 +18,18 @@ from hieremb.metrics import (
     leaf_f1,
     mnr,
     ndcg,
-    relevance_table,
+    relevance_tables,
     rp_at_k,
 )
 from hieremb.taxonomy import parse_taxonomy
 
 from conftest import candidate_lists, make_samples, manual_split, ranking_of
 from oracles import (
+    acc_aware_oracle,
+    acc_blind_oracle,
     height_diameter_oracle,
+    leaf_f1_oracle,
+    lowest_seen_ancestor_oracle,
     mnr_oracle,
     ndcg_oracle,
     random_tree_doc,
@@ -580,13 +585,13 @@ class TestMnr:
 class TestRelevance:
     def test_same_leaf(self, t0):
         a1 = t0.id_of("a1")
-        assert relevance_table(t0, [a1, a1], "sum")[0, 1] == 1.0
-        assert relevance_table(t0, [a1], "max")[0, 0] == 1.0
+        assert relevance_tables(t0, [a1, a1])[1]["sum"][0, 1] == 1.0
+        assert relevance_tables(t0, [a1])[1]["max"][0, 0] == 1.0
 
     def test_t0_values(self, t0):
         a1, a2, b1 = t0.id_of("a1"), t0.id_of("a2"), t0.id_of("b1")
-        assert relevance_table(t0, [a1, a2, b1], "sum")[0, 1] == pytest.approx(0.5)
-        assert relevance_table(t0, [a1, a2, b1], "max")[0, 2] == pytest.approx(0.0)
+        assert relevance_tables(t0, [a1, a2, b1])[1]["sum"][0, 1] == pytest.approx(0.5)
+        assert relevance_tables(t0, [a1, a2, b1])[1]["max"][0, 2] == pytest.approx(0.0)
 
     def test_in_unit_interval_and_matches_oracle(self):
         rng = np.random.default_rng(5)
@@ -594,7 +599,7 @@ class TestRelevance:
             tax = parse_taxonomy(random_tree_doc(rng, max_children=3))
             leaves = sorted(tax.leaf_ids)
             hd = height_diameter_oracle(tax)
-            tables = {kind: relevance_table(tax, leaves, kind) for kind in ("sum", "max")}
+            tables = relevance_tables(tax, leaves)[1]
             for _ in range(20):
                 l1, l2 = rng.choice(leaves, size=2)
                 for kind in ("sum", "max"):
@@ -605,8 +610,9 @@ class TestRelevance:
                     )
 
     def test_unknown_kind(self, t0):
+        leaf_of = {"q": t0.id_of("a1"), "c": t0.id_of("a2")}
         with pytest.raises(MetricError, match="kind"):
-            relevance_table(t0, [t0.id_of("a1"), t0.id_of("a2")], "avg")
+            ndcg(ranking_of({"q": ["c"]}), t0, leaf_of, "avg")
 
 
 class TestNdcg:
@@ -718,9 +724,60 @@ class TestAccAware:
         assert value is None
 
 
+class TestCountingMetrics:
+    """Leaf F1 and the LSA accuracies count with arrays; each is a ratio of
+    integers, or a mean of such ratios, equal to its per-sample oracle."""
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), hit_rate=st.floats(0.0, 1.0))
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_equal_to_per_sample_oracles(self, seed, n, hit_rate):
+        rng = np.random.default_rng(seed)
+        tax = parse_taxonomy(random_tree_doc(rng, max_children=3))
+        leaves = sorted(tax.leaf_ids)
+        unseen = rng.choice(leaves, size=rng.integers(1, len(leaves)), replace=False).tolist()
+        seen = sorted(tax.leaf_ids - set(unseen))
+        split = SplitAssignment(0, frozenset(seen), frozenset(unseen), {})
+        ids = [f"s{i:03d}" for i in range(n)]
+
+        truths = {sid: int(rng.choice(seen)) for sid in ids}
+        predicted = {sid: int(rng.choice(leaves)) for sid in ids}  # unseen leaves too
+        for sid in ids:
+            if rng.random() < hit_rate:
+                predicted[sid] = truths[sid]
+        classes = seen[: int(rng.integers(1, len(seen) + 1))]
+        assert leaf_f1(predicted, truths, classes) == leaf_f1_oracle(predicted, truths, classes)
+
+        true_leaf = {sid: int(rng.choice(unseen)) for sid in ids}
+        lsa = {sid: lowest_seen_ancestor_oracle(tax, split, t) for sid, t in true_leaf.items()}
+        assert acc_blind(predicted, true_leaf, tax, split) == acc_blind_oracle(
+            tax, split, predicted, true_leaf
+        )
+
+        # a random subset of the tree's levels has heads; some heads lack a
+        # class set, and some class sets hold extra nodes, so that a sample
+        # whose LSA depth has no head can fall back to a deeper one
+        tree_levels = dict(tax.levels_with_multiple_classes())
+        heads = [level for level in tree_levels if rng.random() < 0.7]
+        level_classes = {
+            level: set(tree_levels[level]) | set(rng.integers(0, len(tax), size=3).tolist())
+            for level in heads
+            if rng.random() < 0.8
+        }
+        level_predictions = {
+            level: {
+                sid: lsa[sid] if rng.random() < hit_rate else int(rng.choice(tree_levels[level]))
+                for sid in ids
+            }
+            for level in heads
+        }
+        args = (level_predictions, level_classes, true_leaf)
+        assert acc_aware(*args, tax, split) == acc_aware_oracle(tax, split, *args)
+
+
 class TestPerQueryDiagnostics:
     def test_rows_match_metric_building_blocks(self, t0):
-        from hieremb.metrics import per_query_diagnostics
+        from hieremb.metrics import per_query_diagnostics, score_pool
 
         leaf_of = {
             "q": t0.id_of("a1"),
@@ -730,7 +787,7 @@ class TestPerQueryDiagnostics:
             "c4": t0.id_of("b1"),
         }
         ranked = ranking_of({"q": ["c1", "c2", "c3", "c4"]})
-        rows = per_query_diagnostics(ranked, t0, leaf_of)
+        rows = per_query_diagnostics(ranked, score_pool(ranked, t0, leaf_of))
         assert len(rows) == 1
         row = rows[0]
         assert row["query"] == "q"

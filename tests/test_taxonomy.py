@@ -1,8 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hieremb.taxonomy import Taxonomy, TaxonomyError, parse_taxonomy
+from hieremb.metrics import _depths
+from hieremb.taxonomy import Taxonomy, TaxonomyError, load_taxonomy, parse_taxonomy
 
 from conftest import t0_document
 from oracles import (
@@ -52,6 +56,31 @@ class TestParse:
     def test_parse_is_deterministic(self):
         doc = t0_document()
         assert parse_taxonomy(doc) == parse_taxonomy(t0_document())
+
+
+class TestLoad:
+    """A taxonomy file that cannot be read as a tree fails naming the file."""
+
+    def test_truncated_json_is_named(self, tmp_path):
+        path = tmp_path / "taxonomy.json"
+        path.write_text(json.dumps(t0_document(), indent=2)[:-9], encoding="utf-8")
+        with pytest.raises(TaxonomyError, match=re.escape(f"{path}: ") + ".* line 22 column"):
+            load_taxonomy(path)
+
+    def test_non_utf8_is_named(self, tmp_path):
+        path = tmp_path / "taxonomy.json"
+        path.write_bytes(b'{"name": "r\xe9sum\xe9"}')  # Latin-1
+        with pytest.raises(TaxonomyError, match=re.escape(f"{path}: 'utf-8' codec")):
+            load_taxonomy(path)
+
+    def test_nameless_node_is_placed(self, tmp_path):
+        doc = t0_document()
+        doc["children"][0]["children"][1] = {"children": []}  # a2 loses its name
+        path = tmp_path / "taxonomy.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(TaxonomyError, match=re.escape(f"{path}: every node needs a 'name' "
+                                                          "field: child 1 of 'A' has none")):
+            load_taxonomy(path)
 
 
 class TestQueries:
@@ -222,13 +251,22 @@ class TestLevels:
         p_leaf=st.floats(0.0, 0.8),
     )
     def test_leaf_ancestors_match_path_oracle(self, seed, max_depth, max_children, p_leaf):
-        doc = random_tree_doc(np.random.default_rng(seed), max_depth, max_children, p_leaf)
-        tax = parse_taxonomy(doc)
+        rng = np.random.default_rng(seed)
+        tax = parse_taxonomy(random_tree_doc(rng, max_depth, max_children, p_leaf))
         leaves = sorted(tax.leaf_ids)
         height = max(depth_oracle(tax, l) for l in leaves)
-        table = tax.leaf_ancestors(leaves)
-        assert table.shape == (len(leaves), height + 1)
-        for row, leaf in enumerate(leaves):
-            depth = depth_oracle(tax, leaf)
-            for d in range(height + 1):
-                assert table[row, d] == ancestor_at_depth_oracle(tax, leaf, min(d, depth))
+        # every leaf in order, then any nodes, internal ones and repeats included
+        for nodes in (leaves, rng.integers(0, len(tax), size=7).tolist()):
+            table = tax.leaf_ancestors(nodes)
+            assert table.shape == (len(nodes), height + 1)
+            assert _depths(table).tolist() == [depth_oracle(tax, node) for node in nodes]
+            for row, node in enumerate(nodes):
+                depth = depth_oracle(tax, node)
+                for d in range(height + 1):
+                    assert table[row, d] == ancestor_at_depth_oracle(tax, node, min(d, depth))
+        # an invalid id anywhere in the list is named
+        for bad in (-1, len(tax), 2**70, 1.0, "n1", None):
+            nodes = leaves[:]
+            nodes.insert(int(rng.integers(len(nodes) + 1)), bad)
+            with pytest.raises(TaxonomyError, match=re.escape(f"invalid node id {bad!r}")):
+                tax.leaf_ancestors(nodes)
