@@ -52,7 +52,7 @@ from .model import (
 )
 from .sampler import enumerate_node_triples, instantiate_epoch
 from .synthdata import SynthConfig, generate
-from .taxonomy import Taxonomy, load_taxonomy, save_taxonomy
+from .taxonomy import Taxonomy, TaxonomyError, load_taxonomy, save_taxonomy
 
 VALID_COMBOS = (
     frozenset({"L"}),
@@ -303,12 +303,28 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
+def load_labeled_data(taxonomy_path, dataset_path) -> tuple[Taxonomy, list[LabeledSample]]:
+    """The taxonomy and the dataset at these paths. A sample whose label is
+    not a leaf of the taxonomy raises a `TaxonomyError` naming the dataset
+    file, the sample and the label."""
+    taxonomy, dataset = load_taxonomy(taxonomy_path), load_dataset(dataset_path)
+    checked = set()
+    for sample in dataset:
+        if sample.leaf not in checked:  # one lookup per distinct label
+            try:
+                taxonomy.leaf_id_for(sample)
+            except TaxonomyError as err:
+                raise TaxonomyError(f"{dataset_path}: {err}") from None
+            checked.add(sample.leaf)
+    return taxonomy, dataset
+
+
 def load_experiment_data(config: ExperimentConfig) -> tuple[Taxonomy, list[LabeledSample]]:
     """Load taxonomy and dataset from files, or generate them synthetically."""
     if config.dataset_path or config.taxonomy_path:
         if not (config.dataset_path and config.taxonomy_path):
             raise ValueError("taxonomy and dataset paths must be given together")
-        return load_taxonomy(config.taxonomy_path), load_dataset(config.dataset_path)
+        return load_labeled_data(config.taxonomy_path, config.dataset_path)
     return generate(config.synth)
 
 
@@ -422,8 +438,7 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_split(args) -> None:
-    taxonomy = load_taxonomy(args.taxonomy)
-    dataset = load_dataset(args.dataset)
+    taxonomy, dataset = load_labeled_data(args.taxonomy, args.dataset)
     splits = make_fold_splits(taxonomy, dataset, args.folds, args.seed)
     out = Path(args.out)
     for split in splits:
@@ -432,8 +447,7 @@ def cmd_split(args) -> None:
 
 
 def cmd_sample_triplets(args) -> None:
-    taxonomy = load_taxonomy(args.taxonomy)
-    dataset = load_dataset(args.dataset)
+    taxonomy, dataset = load_labeled_data(args.taxonomy, args.dataset)
     split = load_split(args.split, taxonomy, dataset)
     pruned = pruned_seen_taxonomy(taxonomy, split)
     triples = enumerate_node_triples(pruned)
@@ -483,8 +497,7 @@ def cmd_evaluate(args) -> None:
     for label, value in paths.items():
         if not value:
             raise SystemExit(f"--{label} required (checkpoint does not record a {label} path)")
-    taxonomy = load_taxonomy(paths["taxonomy"])
-    dataset = load_dataset(paths["dataset"])
+    taxonomy, dataset = load_labeled_data(paths["taxonomy"], paths["dataset"])
     split = load_split(paths["split"], taxonomy, dataset)
     if not args.diagnostics:
         report = evaluate_model(model, taxonomy, dataset, split, args.set)

@@ -44,8 +44,11 @@ class MetricsReport:
 
 
 # Byte budget of one block of float64 query rows (similarities, gains);
-# bounds the working memory of ranking and scoring at any pool size.
-_BLOCK_BYTES = 8 << 20
+# bounds the working memory of ranking and scoring at any pool size. Half a
+# 2 MiB per-core L2 cache: at 8 MiB the score and key blocks of a
+# 2,400-member pool raised an evaluation's peak by about 15 MB, and it ran
+# slower.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +68,14 @@ class Ranking:
 
 
 def _blocks(rows: int, width: int):
-    """Row slices holding at most _BLOCK_BYTES of float64 at this width."""
+    """Row slices holding at most _BLOCK_BYTES of float64 at this width, a
+    multiple of four rows where more than four fit. OpenBLAS's one-thread
+    matrix-vector kernel takes rows four at a time and rounds the rest
+    apart, so a row's value is then the same as in one block of every row
+    (unless the last block holds a single row, which numpy takes as a dot)."""
     step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+    if step > 4:
+        step -= step % 4
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 

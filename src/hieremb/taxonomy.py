@@ -182,7 +182,8 @@ class Taxonomy:
     def leaf_id_for(self, sample: LabeledSample) -> int:
         leaf_id = self._name_to_id.get(sample.leaf)
         if leaf_id is None or self._children[leaf_id]:
-            raise TaxonomyError(f"sample {sample.id!r} has unknown leaf label {sample.leaf!r}")
+            label = "unknown leaf label" if leaf_id is None else "an internal node as leaf label"
+            raise TaxonomyError(f"sample {sample.id!r} has {label} {sample.leaf!r}")
         return leaf_id
 
     def to_document(self) -> dict:

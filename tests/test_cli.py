@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from hieremb.losses import LossConfig
 from hieremb.metrics import MetricError, build_ranked_lists, per_query_diagnostics, score_pool
 from hieremb.model import ModelConfig, fit, save_checkpoint
 from hieremb.synthdata import SynthConfig, generate
-from hieremb.taxonomy import parse_taxonomy, save_taxonomy
+from hieremb.taxonomy import TaxonomyError, parse_taxonomy, save_taxonomy
 
 from conftest import make_samples, t0_document
 
@@ -500,6 +501,37 @@ class TestStageInputChecks:
                 argv += ["--fold", "0", "--losses", "L"]
         with pytest.raises(SplitError, match=re.escape(f"{split}: {error}")):
             main(argv + ["--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("command", ["split", "sample-triplets", "train", "evaluate", "run"])
+    @pytest.mark.parametrize("fault", ["internal", "unknown"])
+    def test_label_off_the_leaves_is_named(self, trained, tmp_path, command, fault):
+        # each used to fail with a bare TaxonomyError naming no file
+        tax, samples, _, _ = trained
+        split, _, checkpoint = write_stage_inputs(tmp_path, trained)
+        dataset = tmp_path / "dataset.jsonl"
+        bad = samples[5]
+        if fault == "internal":
+            label = tax.name(tax.parent(tax.id_of(bad.leaf)))
+            error = "an internal node as leaf label"
+        else:
+            label, error = "no-such-leaf", "unknown leaf label"
+        save_dataset(dataset, [replace(s, leaf=label) if s is bad else s for s in samples])
+        inputs = ["--taxonomy", str(tmp_path / "taxonomy.json"), "--dataset", str(dataset)]
+        if command == "split":
+            argv = ["split", *inputs, "--folds", "2"]
+        elif command == "evaluate":
+            argv = ["evaluate", "--checkpoint", str(checkpoint), "--set", "test"]
+        elif command == "run":
+            paths = {"taxonomy": inputs[1], "dataset": inputs[3]}
+            argv = ["run", "--config", str(write_config(tmp_path / "run.cfg", paths))]
+        else:
+            argv = [command, *inputs, "--split", str(split)]
+            if command == "train":
+                argv += ["--fold", "0", "--losses", "L"]
+        error = f"{dataset}: sample {bad.id!r} has {error} {label!r}"
+        with pytest.raises(TaxonomyError, match=re.escape(error)):
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "edit, error",

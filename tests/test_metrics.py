@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from functools import partial
 from unittest import mock
@@ -20,6 +21,7 @@ from hieremb.metrics import (
     ndcg,
     relevance_tables,
     rp_at_k,
+    score_pool,
 )
 from hieremb.taxonomy import parse_taxonomy
 
@@ -411,6 +413,29 @@ class TestBlockedEvaluation:
         }
         with mock.patch.object(metrics, "_BLOCK_BYTES", block_rows * 8 * n):
             assert_matches_oracles(tax, ids, leaf_of, embeddings)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_working_memory_is_bounded_by_the_block_budget(self):
+        # a pool the size of the largest benchmark pool, over 36 to 64 leaves
+        rng = np.random.default_rng(17)
+        tax = parse_taxonomy(uniform_tree_doc(rng, depth=2, min_children=6, max_children=8))
+        n, dim = 2400, 16
+        ids = [f"s{i:04d}" for i in range(n)]
+        leaf_of = dict(zip(ids, rng.choice(sorted(tax.leaf_ids), n).tolist()))
+        embeddings = dict(zip(ids, rng.normal(size=(n, dim))))
+        tracemalloc.start()
+        try:
+            ranking = build_ranked_lists(embeddings, ids)
+            score_pool(ranking, tax, leaf_of)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        working = peak - ranking.order.nbytes
+        # a block's scores, its int64 keys and their comparison, plus the
+        # pool's vectors: stacked, unit, and np.unique's copies of them
+        assert working < 3 * metrics._BLOCK_BYTES + 4 * n * dim * 8
+        # and the budget keeps that small next to the order matrix
+        assert working < ranking.order.nbytes / 2
 
 
 class TestLeafCodes:
