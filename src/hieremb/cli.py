@@ -97,6 +97,8 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{combo_name(combo)!r} is not one of the six supported combinations"
                 )
+            if self.combos.count(combo) > 1:  # its cell would be trained twice
+                raise ValueError(f"{combo_name(combo)!r} is listed more than once")
 
 
 # -- config file ---------------------------------------------------------------
@@ -371,33 +373,42 @@ def _format_cell(values: list[float]) -> str:
     return f"{100 * mean:.1f} ({100 * sem:.1f})"
 
 
-def aggregate_rows(
-    reports: dict[tuple[int, str], dict[str, MetricsReport]],
-    combo_names: list[str],
-) -> list[dict[str, str]]:
-    """Mean and standard error of the mean across folds, formatted as in
-    percent like `62.1 (0.3)`; metrics absent in every fold show `-`."""
-    folds = sorted({fold for fold, _ in reports})
+def read_metrics(path: Path) -> MetricsReport:
+    """A cell's `test.json` or `prediction.json`; a file that is not a JSON
+    object of finite numbers and nulls raises a `ValueError` naming it."""
+    try:  # integers are read as floats, so one too large to hold reads as inf
+        data = json.loads(path.read_text("utf-8"), parse_int=float)
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not a JSON file: {err}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    for key, value in data.items():
+        if value is not None and not (type(value) is float and np.isfinite(value)):
+            raise ValueError(f"{path}: {key!r} is {value!r}, not a finite number or null")
+    return MetricsReport.from_json(data)
+
+
+def write_aggregate(path: Path, cells: dict[str, list[Path]]) -> list[dict[str, str]]:
+    """Write to `path` and return one row per name of `cells`, which lists
+    that combination's cell directories in fold order: each metric of their
+    `test.json` and `prediction.json` as mean (SEM) across folds in percent,
+    like `62.1 (0.3)`, or `-` where no file has it."""
     rows = []
-    for name in combo_names:
+    for name, dirs in cells.items():
+        reports = {subset: [read_metrics(f) for d in dirs if (f := d / f"{subset}.json").exists()]
+                   for subset in ("test", "prediction")}
         row = {"combo": name}
         for subset, metric, column in AGGREGATE_COLUMNS:
-            values = []
-            for fold in folds:
-                entry = reports.get((fold, name))
-                if entry is None or subset not in entry:
-                    continue
-                value = getattr(entry[subset], metric)
-                if value is not None:
-                    values.append(value)
+            values = [v for r in reports[subset] if (v := getattr(r, metric)) is not None]
             row[column] = _format_cell(values)
         rows.append(row)
+    _write_csv(path, AGGREGATE_HEADER, rows)
     return rows
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:
     """Full pipeline: split, train, and evaluate every fold x combination,
-    then aggregate into a Table-style CSV. Returns the aggregate rows."""
+    then aggregate its cells into a Table-style CSV. Returns the rows."""
     out = Path(config.out_dir)
     taxonomy, dataset = load_experiment_data(config)
     splits = make_fold_splits(taxonomy, dataset, config.k_folds, config.seed)
@@ -405,22 +416,19 @@ def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:
     if not config.dataset_path:
         save_taxonomy(out / "data" / "taxonomy.json", taxonomy)
         save_dataset(out / "data" / "dataset.jsonl", dataset)
-    reports: dict[tuple[int, str], dict[str, MetricsReport]] = {}
-    combo_names = [combo_name(c) for c in config.combos]
     for split in splits:
         fold_dir = out / f"fold_{split.fold_index}"
         _write_json(fold_dir / "split.json", split_to_json(taxonomy, split))
-        for combo, name in zip(config.combos, combo_names):
-            run_dir = fold_dir / name
+        for combo in config.combos:
+            run_dir = fold_dir / combo_name(combo)
             model, _ = train_cell(taxonomy, dataset, split, config, combo, run_dir)
-            entry = {}
             for subset in ("test", "prediction"):
-                entry[subset] = evaluate_model(model, taxonomy, dataset, split, subset)
-                _write_json(run_dir / f"{subset}.json", entry[subset].to_json())
-            reports[(split.fold_index, name)] = entry
-    rows = aggregate_rows(reports, combo_names)
-    _write_csv(out / "aggregate.csv", AGGREGATE_HEADER, rows)
-    return rows
+                report = evaluate_model(model, taxonomy, dataset, split, subset)
+                _write_json(run_dir / f"{subset}.json", report.to_json())
+    # the cells run, in config order; a fold_<k> left by an earlier run is not read
+    cells = {combo_name(c): [out / f"fold_{s.fold_index}" / combo_name(c) for s in splits]
+             for c in config.combos}
+    return write_aggregate(out / "aggregate.csv", cells)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -495,6 +503,8 @@ def cmd_evaluate(args) -> None:
     model, extra = load_checkpoint(args.checkpoint)
     paths = {key: getattr(args, key) or extra.get(key) for key in ("taxonomy", "dataset", "split")}
     for label, value in paths.items():
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{args.checkpoint}: 'extra' records {label} {value!r}, not a path")
         if not value:
             raise SystemExit(f"--{label} required (checkpoint does not record a {label} path)")
     taxonomy, dataset = load_labeled_data(paths["taxonomy"], paths["dataset"])
@@ -510,8 +520,6 @@ def cmd_evaluate(args) -> None:
 
 def cmd_report(args) -> None:
     runs = Path(args.runs)
-    reports: dict[tuple[int, str], dict[str, MetricsReport]] = {}
-    combo_names: list[str] = []
     folds = []
     for d in runs.iterdir():
         if d.is_dir() and d.name.startswith("fold_"):
@@ -519,23 +527,15 @@ def cmd_report(args) -> None:
             if not (index.isascii() and index.isdigit()):
                 raise ValueError(f"{d.name!r} in {runs} is not a fold_<number> directory")
             folds.append((int(index), d))
-    folds.sort()
-    for fold, fold_dir in folds:
+    cells: dict[str, list[Path]] = {}
+    for _, fold_dir in sorted(folds):
         for run_dir in sorted(d for d in fold_dir.iterdir() if d.is_dir()):
-            entry = {}
-            for subset in ("test", "prediction"):
-                path = run_dir / f"{subset}.json"
-                if path.exists():
-                    entry[subset] = MetricsReport.from_json(json.loads(path.read_text("utf-8")))
-            if entry:
-                reports[(fold, run_dir.name)] = entry
-                if run_dir.name not in combo_names:
-                    combo_names.append(run_dir.name)
+            if (run_dir / "test.json").exists() or (run_dir / "prediction.json").exists():
+                cells.setdefault(run_dir.name, []).append(run_dir)
     known = [combo_name(c) for c in VALID_COMBOS]
-    combo_names.sort(key=lambda n: (known.index(n) if n in known else len(known), n))
-    rows = aggregate_rows(reports, combo_names)
-    _write_csv(Path(args.out), AGGREGATE_HEADER, rows)
-    print(f"wrote aggregate of {len(reports)} runs to {args.out}")
+    names = sorted(cells, key=lambda n: (known.index(n) if n in known else len(known), n))
+    write_aggregate(Path(args.out), {name: cells[name] for name in names})
+    print(f"wrote aggregate of {sum(map(len, cells.values()))} runs to {args.out}")
 
 
 def cmd_run(args) -> None:

@@ -128,6 +128,13 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="six supported"):
             ExperimentConfig(combos=(frozenset({"B", "T"}),))
 
+    def test_repeated_combo_rejected(self, tmp_path):
+        # `L+T,T+L` used to train one cell twice into one directory and write
+        # two identical L+T rows
+        path = write_config(tmp_path / "exp.cfg", {"combos": "L+T,PL,T+L"})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: 'L+T' is listed more than once")):
+            load_experiment_config(str(path))
+
 
 @pytest.fixture(scope="module", name="trained")
 def fixture_trained():
@@ -289,6 +296,60 @@ class TestReport:
         ):
             main(["report", "--runs", str(runs), "--out", str(out)])
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"mnr": "x"}', "'mnr' is 'x', not a finite number or null"),
+            ("not json", "not a JSON file: Expecting value"),
+            ("[1,2]", "not a JSON object"),
+            ('{"mnr": 1e999}', "'mnr' is inf, not a finite number or null"),
+            ('{"mnr": true}', "'mnr' is True, not a finite number or null"),
+        ],
+        ids=["string", "not-json", "list", "overflow", "bool"],
+    )
+    def test_bad_metric_file_is_named(self, tmp_path, text, error):
+        # these used to escape as a bare TypeError, JSONDecodeError or
+        # AttributeError, or to be aggregated as inf or 1
+        runs = tmp_path / "runs"
+        (runs / "fold_0" / "L").mkdir(parents=True)
+        bad = runs / "fold_0" / "L" / "test.json"
+        bad.write_text(text)
+        out = tmp_path / "aggregate.csv"
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: {error}")):
+            main(["report", "--runs", str(runs), "--out", str(out)])
+        assert not out.exists()
+
+    def test_report_on_a_run_writes_its_aggregate(self, tmp_path):
+        # combos in canonical order: `run` and `report` aggregate one way
+        runs = tmp_path / "runs"
+        main(["run", "--config", str(write_config(tmp_path / "exp.cfg")), "--out", str(runs)])
+        main(["report", "--runs", str(runs), "--out", str(tmp_path / "report.csv")])
+        assert (tmp_path / "report.csv").read_bytes() == (runs / "aggregate.csv").read_bytes()
+
+    def test_run_leaves_out_a_stale_cell(self, tmp_path):
+        # a 3-fold run, then a 2-fold run into the same directory: fold_2 is
+        # stale, and the second aggregate is a fresh 2-fold run's
+        for folds, out in (("3", "runs"), ("2", "runs"), ("2", "fresh")):
+            cfg = write_config(tmp_path / "exp.cfg", {"k_folds": folds, "epochs": "1", "combos": "L"})
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / out)])
+        assert (tmp_path / "runs" / "fold_2" / "L" / "test.json").exists()
+        aggregate = (tmp_path / "runs" / "aggregate.csv").read_bytes()
+        assert aggregate == (tmp_path / "fresh" / "aggregate.csv").read_bytes()
+
+    def test_run_keeps_the_config_combo_order(self, tmp_path):
+        runs = tmp_path / "runs"
+        config = load_experiment_config(
+            str(write_config(tmp_path / "exp.cfg", {"combos": "PL+T,L"})), {"out": str(runs)}
+        )
+        rows = run_experiment(config)
+        assert [row["combo"] for row in rows] == ["PL+T", "L"]
+        with open(runs / "aggregate.csv", newline="") as fh:
+            assert list(csv.DictReader(fh)) == rows
+        # `report` orders the same rows canonically
+        main(["report", "--runs", str(runs), "--out", str(tmp_path / "report.csv")])
+        with open(tmp_path / "report.csv", newline="") as fh:
+            assert list(csv.DictReader(fh)) == rows[::-1]
 
 
 class TestSubcommandPipeline:
@@ -541,12 +602,18 @@ class TestStageInputChecks:
              "a parameter is not finite"),
             (lambda payload: payload["layout"]["leaf"]["weights"].__setitem__(1, float("inf")),
              "head leaf has a non-finite class weight"),
+            (lambda payload: payload["extra"].update(taxonomy=True),
+             "'extra' records taxonomy True, not a path"),
+            (lambda payload: payload["extra"].update(split=["a"]),
+             "'extra' records split ['a'], not a path"),
         ],
-        ids=["extra-list", "nan-parameter", "inf-class-weight"],
+        ids=["extra-list", "nan-parameter", "inf-class-weight", "bool-path", "list-path"],
     )
     def test_malformed_checkpoint_is_named(self, trained, tmp_path, edit, error):
         # a list `extra` used to escape as an AttributeError, a NaN parameter
-        # as a dead-embedding MetricError, and an inf weight was accepted
+        # as a dead-embedding MetricError, and an inf weight was accepted; a
+        # recorded path of `true` was opened as file descriptor 1 (stdout)
+        # and closed it, and a list one escaped as a TypeError
         _, _, checkpoint = write_stage_inputs(tmp_path, trained)
         payload = json.loads(checkpoint.read_text())
         edit(payload)
