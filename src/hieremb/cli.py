@@ -105,17 +105,26 @@ class ExperimentConfig:
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Flat `key = value` lines; blank lines and # comments are ignored."""
+    """Flat `key = value` lines; blank lines and # comments are ignored. A
+    repeated key, or bytes that are not UTF-8, raise a `ValueError` naming
+    the file."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    set_on: dict[str, int] = {}  # the line that set each key
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"{path}:{line_no}: expected 'key = value'")
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key in set_on:
+                    first = set_on[key]
+                    raise ValueError(f"{path}:{line_no}: {key!r} is already set on line {first}")
+                values[key], set_on[key] = value, line_no
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not a UTF-8 file: {err}") from None
     return values
 
 
@@ -508,6 +517,17 @@ def cmd_evaluate(args) -> None:
         if not value:
             raise SystemExit(f"--{label} required (checkpoint does not record a {label} path)")
     taxonomy, dataset = load_labeled_data(paths["taxonomy"], paths["dataset"])
+    # the heads name nodes of the training tree; the embedder reads fixed-length features
+    names = {taxonomy.name(nid) for nid in range(len(taxonomy))}
+    for head in model.layout.heads():
+        unknown = [name for name in head.classes if name not in names]
+        if unknown:
+            raise ValueError(f"{args.checkpoint}: head {head.name} class {unknown[0]!r} "
+                             f"is not a node of {paths['taxonomy']}")
+    width = model.config.input_dim
+    if dataset and len(dataset[0].features) != width:
+        raise ValueError(f"{args.checkpoint}: the model reads {width} features, but the samples "
+                         f"of {paths['dataset']} have {len(dataset[0].features)}")
     split = load_split(paths["split"], taxonomy, dataset)
     if not args.diagnostics:
         report = evaluate_model(model, taxonomy, dataset, split, args.set)

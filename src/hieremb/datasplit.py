@@ -105,11 +105,6 @@ def make_fold_splits(
     return splits
 
 
-def is_seen_node(taxonomy: Taxonomy, split: SplitAssignment, node_id: int) -> bool:
-    """True iff the node has at least one seen leaf as descendant-or-self."""
-    return any(l in split.seen_leaves for l in taxonomy.leaves_under(node_id))
-
-
 def lowest_seen_ancestor(taxonomy: Taxonomy, split: SplitAssignment, unseen_leaf: int) -> int:
     """First node above an unseen leaf with training data beneath it.
 
@@ -119,7 +114,7 @@ def lowest_seen_ancestor(taxonomy: Taxonomy, split: SplitAssignment, unseen_leaf
         raise SplitError(f"{taxonomy.name(unseen_leaf)!r} is not an unseen leaf of this fold")
     path = taxonomy.path_to_root(unseen_leaf)
     for node in path[1:]:
-        if is_seen_node(taxonomy, split, node):
+        if not split.seen_leaves.isdisjoint(taxonomy.leaves_under(node)):
             return node
     return path[-1]
 
@@ -131,17 +126,11 @@ def pruned_seen_taxonomy(taxonomy: Taxonomy, split: SplitAssignment) -> Taxonomy
     """
     if not split.seen_leaves:
         raise SplitError("cannot prune: the fold has no seen leaves")
-    # pre-order with children in order, as `parse_taxonomy` numbers nodes
-    names: list[str] = []
-    parents: list[int | None] = []
-    stack: list[tuple[int, int | None]] = [(taxonomy.root, None)]
-    while stack:
-        node, parent = stack.pop()
-        names.append(taxonomy.name(node))
-        parents.append(parent)
-        kept = [c for c in taxonomy.children(node) if is_seen_node(taxonomy, split, c)]
-        stack.extend((c, len(names) - 1) for c in reversed(kept))
-    return Taxonomy(names, parents)
+    # the seen leaves' ancestors in id order are the pruned tree's pre-order
+    kept = sorted({node for leaf in split.seen_leaves for node in taxonomy.path_to_root(leaf)})
+    new_id = {node: index for index, node in enumerate(kept)}
+    parents = [None] + [new_id[taxonomy.parent(node)] for node in kept[1:]]
+    return Taxonomy([taxonomy.name(node) for node in kept], parents)
 
 
 def split_to_json(taxonomy: Taxonomy, split: SplitAssignment) -> dict:

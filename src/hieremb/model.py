@@ -124,13 +124,10 @@ def build_head_layout(
     its subtree.
     """
     leaf_counts = Counter(pruned.leaf_id_for(sample) for sample in train_samples)
-    node_counts = [0] * len(pruned)
-    for leaf, count in leaf_counts.items():
-        for node in pruned.path_to_root(leaf):
-            node_counts[node] += count
 
     def head(name: str, level: int | None, node_ids: list[int]) -> Head:
-        w = losses.class_weights({nid: node_counts[nid] for nid in node_ids})
+        counts = {nid: sum(leaf_counts[l] for l in pruned.leaves_under(nid)) for nid in node_ids}
+        w = losses.class_weights(counts)
         weights = np.array([w[nid] for nid in node_ids], dtype=np.float64)
         return Head(name, level, [pruned.name(nid) for nid in node_ids], weights)
 

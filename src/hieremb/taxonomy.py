@@ -45,6 +45,12 @@ class Taxonomy:
         self._parents = list(parents)
         self._children = [tuple(c) for c in children]
         self._depths = [len(path) - 1 for path in paths]
+        leaves: list[list[int]] = [[] for _ in names]
+        for nid, path in enumerate(paths):  # ascending ids keep each list sorted
+            if not children[nid]:
+                for node in path:
+                    leaves[node].append(nid)
+        self._leaves = [tuple(under) for under in leaves]
         # (nodes, height + 1): column d of a node's row is its ancestor at
         # depth d, or the node itself past its own depth
         width = max(self._depths) + 1
@@ -53,8 +59,7 @@ class Taxonomy:
         )
         self._name_to_id = {name: nid for nid, name in enumerate(names)}
         self.root = 0
-        self.leaf_ids = frozenset(nid for nid, c in enumerate(self._children) if not c)
-        self._leaves_under_cache: dict[int, tuple[int, ...]] = {}
+        self.leaf_ids = frozenset(self._leaves[0])
 
     def __len__(self) -> int:
         return len(self._names)
@@ -97,29 +102,19 @@ class Taxonomy:
         """Deepest node that is an ancestor-or-self of both arguments."""
         self._check_id(n1)
         self._check_id(n2)
-        while self._depths[n1] > self._depths[n2]:
-            n1 = self._parents[n1]
-        while self._depths[n2] > self._depths[n1]:
-            n2 = self._parents[n2]
-        while n1 != n2:
-            n1 = self._parents[n1]
-            n2 = self._parents[n2]
-        return n1
+        # two rows agree exactly on their shared root path
+        row1, row2 = self._ancestors[n1], self._ancestors[n2]
+        return int(row1[np.count_nonzero(row1 == row2) - 1])
 
     def is_ancestor_or_self(self, ancestor: int, descendant: int) -> bool:
         self._check_id(ancestor)
         self._check_id(descendant)
-        while self._depths[descendant] > self._depths[ancestor]:
-            descendant = self._parents[descendant]
-        return descendant == ancestor
+        return bool(self._ancestors[descendant, self._depths[ancestor]] == ancestor)
 
     def path_to_root(self, node_id: int) -> list[int]:
         """Nodes from the argument up to and including the root."""
         self._check_id(node_id)
-        path = [node_id]
-        while self._parents[path[-1]] is not None:
-            path.append(self._parents[path[-1]])
-        return path
+        return self._ancestors[node_id, self._depths[node_id]::-1].tolist()
 
     def leaf_ancestors(self, leaves: list[int]) -> np.ndarray:
         """(len(leaves), height + 1) ids whose column d is each leaf's class at
@@ -135,37 +130,20 @@ class Taxonomy:
 
     def height_and_diameter(self) -> tuple[int, int]:
         """Longest root-to-leaf path and longest leaf-to-leaf path, in edges."""
-        # children have larger ids than their parents, so one pass in
-        # descending id order sees every subtree before its root; the
-        # longest leaf-to-leaf path bends at the node whose two deepest
-        # child subtrees are longest together
-        below = [0] * len(self._names)  # edges down to the deepest leaf
+        # the longest leaf-to-leaf path bends at the node whose two deepest
+        # child subtrees reach furthest down together
+        deepest = [max(self._depths[leaf] for leaf in under) for under in self._leaves]
         diameter = 0
-        for nid in reversed(range(len(self._names))):
-            reach = sorted(below[c] + 1 for c in self._children[nid])
-            if reach:
-                below[nid] = reach[-1]
-            if len(reach) > 1:
-                diameter = max(diameter, reach[-1] + reach[-2])
-        return below[self.root], diameter
+        for nid, kids in enumerate(self._children):
+            if len(kids) > 1:
+                reach = sorted(deepest[c] for c in kids)
+                diameter = max(diameter, reach[-1] + reach[-2] - 2 * self._depths[nid])
+        return deepest[self.root], diameter
 
     def leaves_under(self, node_id: int) -> tuple[int, ...]:
         """Leaf ids in the subtree rooted at the node (ascending id order)."""
         self._check_id(node_id)
-        cached = self._leaves_under_cache.get(node_id)
-        if cached is not None:
-            return cached
-        found = []
-        stack = [node_id]
-        while stack:
-            nid = stack.pop()
-            if not self._children[nid]:
-                found.append(nid)
-            else:
-                stack.extend(reversed(self._children[nid]))
-        result = tuple(sorted(found))
-        self._leaves_under_cache[node_id] = result
-        return result
+        return self._leaves[node_id]
 
     def levels_with_multiple_classes(self) -> list[tuple[int, list[int]]]:
         """Classification levels of the tree.

@@ -69,6 +69,20 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="key = value"):
             read_config_file(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        # the last value used to win: this file trained 3 epochs
+        path = tmp_path / "exp.cfg"
+        path.write_text("epochs = 1\nseed = 0\n\nepochs = 3\n")
+        error = f"{path}:4: 'epochs' is already set on line 1"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            read_config_file(path)
+
+    def test_bytes_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"epochs = 1\nseed = \xff\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a UTF-8 file: ")):
+            read_config_file(path)
+
     def test_ranges(self):
         assert parse_int_range("3-4") == (3, 4)
         assert parse_int_range("7") == (7, 7)
@@ -621,6 +635,41 @@ class TestStageInputChecks:
         argv = ["evaluate", "--checkpoint", str(checkpoint), "--set", "test"]
         with pytest.raises(ValueError, match=re.escape(f"{checkpoint}: {error}")):
             main(argv + ["--out", str(tmp_path / "test.json")])
+
+    def test_checkpoint_of_another_tree_is_named(self, trained, tmp_path):
+        # used to die in head_argmax on a TaxonomyError naming neither file
+        tax, samples, split, models = trained
+        _, _, checkpoint = write_stage_inputs(tmp_path, trained)
+        old = models[frozenset({"L"})].layout.leaf.classes[0]
+        other = tmp_path / "other"
+        other.mkdir()
+        inputs = {
+            "taxonomy": other / "taxonomy.json",
+            "dataset": other / "dataset.jsonl",
+            "split": other / "split.json",
+        }
+        document = json.dumps(tax.to_document()).replace(json.dumps(old), '"renamed"')
+        renamed = parse_taxonomy(json.loads(document))
+        save_taxonomy(inputs["taxonomy"], renamed)
+        save_dataset(inputs["dataset"],
+                     [replace(s, leaf="renamed") if s.leaf == old else s for s in samples])
+        inputs["split"].write_text(json.dumps(split_to_json(renamed, split)))
+        argv = ["evaluate", "--checkpoint", str(checkpoint), "--set", "test"]
+        argv += [arg for key, path in inputs.items() for arg in (f"--{key}", str(path))]
+        error = f"{checkpoint}: head leaf class {old!r} is not a node of {inputs['taxonomy']}"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            main(argv + ["--out", str(tmp_path / "test.json")])
+
+    def test_dataset_of_another_feature_length_is_named(self, trained, tmp_path):
+        # used to fail in forward_batch with a bare shape message
+        _, samples, _, _ = trained
+        _, _, checkpoint = write_stage_inputs(tmp_path, trained)
+        dataset = tmp_path / "short.jsonl"
+        save_dataset(dataset, [replace(s, features=s.features[:-1]) for s in samples])
+        argv = ["evaluate", "--checkpoint", str(checkpoint), "--dataset", str(dataset)]
+        error = f"{checkpoint}: the model reads 8 features, but the samples of {dataset} have 7"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            main(argv + ["--set", "test", "--out", str(tmp_path / "test.json")])
 
 
 @pytest.fixture(name="blas_threads")

@@ -5,7 +5,6 @@ import pytest
 
 from hieremb.datasplit import (
     SplitError,
-    is_seen_node,
     lowest_seen_ancestor,
     make_fold_splits,
     partition_samples,
@@ -18,7 +17,12 @@ from hieremb.datasplit import (
 from hieremb.taxonomy import parse_taxonomy
 
 from conftest import all_train_split, make_samples, manual_split
-from oracles import pruned_seen_taxonomy_oracle, random_tree_doc
+from oracles import (
+    leaves_under_oracle,
+    lowest_seen_ancestor_oracle,
+    pruned_seen_taxonomy_oracle,
+    random_tree_doc,
+)
 
 
 def star_taxonomy(n_leaves):
@@ -135,24 +139,16 @@ class TestFoldSplits:
 
 
 class TestSeenQueries:
-    def test_is_seen_node(self, t0):
-        samples = make_samples(t0, {"a1": 1, "a2": 1, "b1": 1})
-        split = manual_split(t0, samples, unseen_names=["a2"])
-        assert is_seen_node(t0, split, t0.id_of("a1"))
-        assert is_seen_node(t0, split, t0.id_of("A"))  # via a1
-        assert not is_seen_node(t0, split, t0.id_of("a2"))
-
-    def test_all_unseen_subtree_not_seen(self, t0):
-        samples = make_samples(t0, {"a1": 1, "a2": 1, "b1": 1})
-        split = manual_split(t0, samples, unseen_names=["a1", "a2"])
-        assert not is_seen_node(t0, split, t0.id_of("A"))
-
     def test_lsa_walks_to_first_seen(self, t0):
         samples = make_samples(t0, {"a1": 1, "a2": 1, "b1": 1})
-        split = manual_split(t0, samples, unseen_names=["a2"])
-        assert lowest_seen_ancestor(t0, split, t0.id_of("a2")) == t0.id_of("A")
-        split2 = manual_split(t0, samples, unseen_names=["a1", "a2"])
-        assert lowest_seen_ancestor(t0, split2, t0.id_of("a2")) == t0.root
+        a1, a2, big_a = t0.id_of("a1"), t0.id_of("a2"), t0.id_of("A")
+        assert t0.leaves_under(big_a) == (a1, a2) == tuple(leaves_under_oracle(t0, big_a))
+        # A is seen through a1 while only a2 is unseen, and not once a1 is unseen too
+        for unseen, lsa in ((["a2"], big_a), (["a1", "a2"], t0.root)):
+            split = manual_split(t0, samples, unseen_names=unseen)
+            for leaf in split.unseen_leaves:
+                assert lowest_seen_ancestor(t0, split, leaf) == lsa
+                assert lowest_seen_ancestor_oracle(t0, split, leaf) == lsa
 
     def test_lsa_requires_unseen_leaf(self, t0):
         samples = make_samples(t0, {"a1": 1, "a2": 1, "b1": 1})
@@ -175,7 +171,7 @@ class TestSeenQueries:
                 lsa = lowest_seen_ancestor(tax, split, leaf)
                 assert lsa != leaf
                 assert tax.is_ancestor_or_self(lsa, leaf)
-                assert is_seen_node(tax, split, lsa)
+                assert lsa == lowest_seen_ancestor_oracle(tax, split, leaf)
 
 
 class TestPruning:

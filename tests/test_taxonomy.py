@@ -16,6 +16,7 @@ from oracles import (
     lca_oracle,
     leaf_pair_diameter_oracle,
     leaves_under_oracle,
+    path_from_root,
     random_tree_doc,
     retained_levels_oracle,
 )
@@ -264,6 +265,14 @@ class TestLevels:
                 depth = depth_oracle(tax, node)
                 for d in range(height + 1):
                     assert table[row, d] == ancestor_at_depth_oracle(tax, node, min(d, depth))
+        # the other queries read the same tables: every node, every pair;
+        # the leaves under a node are `leaves_under_oracle`'s, from paths walked once
+        paths = [path_from_root(tax, node) for node in range(len(tax))]
+        for node, path in enumerate(paths):
+            assert tax.path_to_root(node) == path[::-1]
+            assert tax.leaves_under(node) == tuple(l for l in leaves if node in paths[l])
+            ancestors = [a for a in range(len(tax)) if tax.is_ancestor_or_self(a, node)]
+            assert ancestors == sorted(path)
         # an invalid id anywhere in the list is named
         for bad in (-1, len(tax), 2**70, 1.0, "n1", None):
             nodes = leaves[:]

@@ -12,7 +12,8 @@
 #   - wide-tree: `hieremb run` on the `wide-tree` benchmark shape (branching
 #     6,6,5, 14 samples per leaf, 5 folds x PL+B+T, 2 epochs);
 #   - staged: the stage commands on the rerun grid's data: `gen-data`,
-#     `split`, `train` (fold 0, PL+B+T), then `evaluate --diagnostics` on the
+#     `split`, `sample-triplets` (fold 0, whose lines name the pruned tree's
+#     nodes), `train` (fold 0, PL+B+T), then `evaluate --diagnostics` on the
 #     test and the prediction set, so the per-query CSVs are compared too;
 #   - staged-large: the same chain on the `staged-large` benchmark shape
 #     (branching 3,4,4, 240 samples per leaf, 5 folds, 20 epochs), whose
@@ -51,6 +52,9 @@ staged() {
   python3 -m hieremb.cli gen-data --config "$config" --seed "$seed" --out data
   python3 -m hieremb.cli split --taxonomy data/taxonomy.json --dataset data/dataset.jsonl \
     --folds "$folds" --seed "$seed" --out splits
+  python3 -m hieremb.cli sample-triplets --taxonomy data/taxonomy.json \
+    --dataset data/dataset.jsonl --split splits/split_fold_0.json --epoch-seed "$seed" \
+    --out triplets.jsonl
   python3 -m hieremb.cli train --config "$config" --seed "$seed" \
     --taxonomy data/taxonomy.json --dataset data/dataset.jsonl \
     --split splits/split_fold_0.json --fold 0 --losses PL+B+T --out cell
