@@ -361,11 +361,15 @@ def train_cell(
     return model, log
 
 
-def check_pool_sizes(splits: list[SplitAssignment]) -> None:
-    """Reject, before any training, a fold whose test pool is too small for
-    RP@k or whose prediction pool is too small to rank."""
+def check_pool_sizes(
+    splits: list[SplitAssignment], subsets: tuple[str, ...] = ("test", "prediction")
+) -> None:
+    """Reject a fold whose test pool is too small for RP@k or whose prediction
+    pool is too small to rank, of the given subsets: `run` checks both before
+    any training, `evaluate` the one it scores."""
     for split in splits:
-        for subset, needed in (("test", RP_K + 1), ("prediction", 2)):
+        for subset in subsets:
+            needed = RP_K + 1 if subset == "test" else 2
             count = sum(1 for name in split.partition.values() if name == subset)
             if count < needed:
                 raise MetricError(
@@ -529,6 +533,10 @@ def cmd_evaluate(args) -> None:
         raise ValueError(f"{args.checkpoint}: the model reads {width} features, but the samples "
                          f"of {paths['dataset']} have {len(dataset[0].features)}")
     split = load_split(paths["split"], taxonomy, dataset)
+    try:
+        check_pool_sizes([split], subsets=(args.set,))
+    except MetricError as err:
+        raise MetricError(f"{paths['split']}: {err}") from None
     if not args.diagnostics:
         report = evaluate_model(model, taxonomy, dataset, split, args.set)
     else:

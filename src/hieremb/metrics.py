@@ -96,16 +96,24 @@ def build_ranked_lists(embeddings: dict[str, np.ndarray], pool_ids: list[str]) -
     unit = vectors / norms[:, None]
     # BLAS may round one dot product differently by its place in the output,
     # so score the distinct rows once and gather: duplicates then tie exactly
-    # (a pool without duplicates has nothing to tie and is scored directly)
-    distinct, column = np.unique(unit, axis=0, return_inverse=True)
-    column = column.ravel()  # numpy 2.0.0 returns it as a column
-    duplicates = len(distinct) < n
+    # (a pool without duplicates has nothing to tie and is scored directly).
+    # Duplicate rows share their first column, so a pool whose first column
+    # has no repeat skips the row-wise unique
+    first = np.sort(unit[:, 0])
+    duplicates = False
+    if (first[1:] == first[:-1]).any():
+        distinct, column = np.unique(unit, axis=0, return_inverse=True)
+        column = column.ravel()  # numpy 2.0.0 returns it as a column
+        duplicates = len(distinct) < n
     queries = np.arange(n)
     order = np.empty((n, n - 1), dtype=np.min_scalar_type(n - 1))
-    # each row sorts packed int64 keys: the bits of 2 - score (positive, so
-    # as integers they order as the float does) with the low `bits` replaced
-    # by the candidate's column: no two keys are equal, so every sort numpy
-    # may dispatch to gives the same order
+    # each row sorts packed keys: the bits of 2 - score with the low `bits`
+    # replaced by the candidate's column, and the query's own key its
+    # column. Every key is then the bit pattern of a positive finite double
+    # (2 - score lies in about [1, 3]; the query's key is a subnormal or
+    # +0.0, below every other), positive doubles order as their bit patterns
+    # do, and no two keys are equal, so the float sort gives the integer
+    # order and every sort numpy may dispatch to gives the same order
     bits = (n - 1).bit_length()
     for rows in _blocks(n, n):
         own = queries[rows]
@@ -118,7 +126,7 @@ def build_ranked_lists(embeddings: dict[str, np.ndarray], pool_ids: list[str]) -
         keys &= -1 << bits
         keys |= queries
         keys[np.arange(len(own)), own] = own  # each query sorts first, then is cut
-        keys.sort(axis=1)
+        keys.view(np.float64).sort(axis=1)
         np.bitwise_and(keys[:, 1:], (1 << bits) - 1, out=order[rows], casting="unsafe")
         # two candidates whose keys agree above the column bits have equal
         # or nearly equal scores (every duplicate pair among them), so their
@@ -137,14 +145,12 @@ def build_ranked_lists(embeddings: dict[str, np.ndarray], pool_ids: list[str]) -
 
 
 def _pool_leaves(ranking: Ranking, leaf_of: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
-    """The pool's L distinct leaves, each pool member's index into them (its
-    leaf code, in the narrowest unsigned dtype that holds L * L - 1), and the
-    candidate count of every query."""
+    """The pool's L distinct leaves, each pool member's intp index into them
+    (its leaf code), and the candidate count of every query."""
     n = ranking.order.shape[1]
     if n < 1 and len(ranking):
         raise MetricError(f"query {ranking.ids[ranking.queries[0]]!r} has no candidates")
-    leaves, index = np.unique([leaf_of[sid] for sid in ranking.ids], return_inverse=True)
-    code = index.astype(np.min_scalar_type(len(leaves) ** 2 - 1))
+    leaves, code = np.unique([leaf_of[sid] for sid in ranking.ids], return_inverse=True)
     return leaves, code, n
 
 
@@ -248,22 +254,26 @@ def score_pool(
             del pool_gains  # one kind's block at a time
     levels = [level for level, _ in taxonomy.levels_with_multiple_classes()] if ranks else []
     # a candidate lies under the query's ancestor at a level exactly when
-    # the LCA of both leaves is at that level or deeper
-    same = [lca_depth >= level for level in levels]
+    # the LCA of both leaves is at that level or deeper; 0/1 floats, which
+    # the rank product reads without a cast and which sum exactly
+    same = [(lca_depth >= level).astype(np.float64) for level in levels]
     shifted = np.arange(n) / n  # (rank - 1) / n
     means = np.empty((len(ranking), len(levels)))
     values = {kind: np.empty(len(ranking)) for kind in KINDS}
     query_code = code[ranking.queries]
     for rows in _blocks(len(ranking), n):
-        # each candidate's flat (query leaf, candidate leaf) cell of an L x L table
-        cells = np.take(code, ranking.order[rows])
+        # each candidate's flat (query leaf, candidate leaf) cell of an L x L
+        # table, in intp: gathering with uint16 indices took 3-4x as long as
+        # widening them once and gathering with intp (README)
+        cells = np.take(code, ranking.order[rows].astype(np.intp))
         cells += query_code[rows, None] * len(leaves)
         with np.errstate(invalid="ignore"):  # 0 / 0: no correct candidate, or no relevance
             for k, table in enumerate(same):
                 hits = np.take(table, cells)
                 means[rows, k] = (hits @ shifted) / hits.sum(axis=1)
+                del hits  # one gathered block at a time
             for kind in KINDS:
-                dcg = gains[kind].ravel()[cells] @ discounts  # widens cells in chunks
+                dcg = np.take(gains[kind], cells) @ discounts
                 values[kind][rows] = dcg / ideal[kind][query_code[rows]]
     return PoolScores(levels, means, values)
 

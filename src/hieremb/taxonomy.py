@@ -51,6 +51,15 @@ class Taxonomy:
                 for node in path:
                     leaves[node].append(nid)
         self._leaves = [tuple(under) for under in leaves]
+        # the longest leaf-to-leaf path bends at the node whose two deepest
+        # child subtrees reach furthest down together
+        deepest = [max(self._depths[leaf] for leaf in under) for under in self._leaves]
+        diameter = 0
+        for nid, kids in enumerate(children):
+            if len(kids) > 1:
+                reach = sorted(deepest[c] for c in kids)
+                diameter = max(diameter, reach[-1] + reach[-2] - 2 * self._depths[nid])
+        self._height_and_diameter = (deepest[0], diameter)
         # (nodes, height + 1): column d of a node's row is its ancestor at
         # depth d, or the node itself past its own depth
         width = max(self._depths) + 1
@@ -130,15 +139,7 @@ class Taxonomy:
 
     def height_and_diameter(self) -> tuple[int, int]:
         """Longest root-to-leaf path and longest leaf-to-leaf path, in edges."""
-        # the longest leaf-to-leaf path bends at the node whose two deepest
-        # child subtrees reach furthest down together
-        deepest = [max(self._depths[leaf] for leaf in under) for under in self._leaves]
-        diameter = 0
-        for nid, kids in enumerate(self._children):
-            if len(kids) > 1:
-                reach = sorted(deepest[c] for c in kids)
-                diameter = max(diameter, reach[-1] + reach[-2] - 2 * self._depths[nid])
-        return deepest[self.root], diameter
+        return self._height_and_diameter
 
     def leaves_under(self, node_id: int) -> tuple[int, ...]:
         """Leaf ids in the subtree rooted at the node (ascending id order)."""

@@ -417,7 +417,7 @@ def wide_index_metrics_oracle(ranking, tax, leaf_of, k=5):
     blocks of query rows (a product's last bits can depend on its shape).
     The gain table comes from `relevance_tables` and the level classes from
     the taxonomy, which this form shares with the library, so it checks only
-    that reading them through narrow leaf codes changes no bit. None where a
+    that reading them through flat cells of leaf codes changes no bit. None where a
     metric is undefined."""
     from hieremb.metrics import _blocks, relevance_tables
 

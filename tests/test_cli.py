@@ -660,6 +660,22 @@ class TestStageInputChecks:
         with pytest.raises(ValueError, match=re.escape(error)):
             main(argv + ["--out", str(tmp_path / "test.json")])
 
+    def test_test_pool_too_small_is_named(self, trained, tmp_path):
+        # used to die inside rp_at_k with "every query needs at least 5
+        # candidates", naming neither the split file nor the fold
+        split, payload, checkpoint = write_stage_inputs(tmp_path, trained)
+        partition = payload["partition"]
+        for sid in [sid for sid, subset in partition.items() if subset == "test"][4:]:
+            partition[sid] = "train"
+        split.write_text(json.dumps(payload))
+        argv = ["evaluate", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "m.json")]
+        error = f"{split}: fold 0: the test partition holds 4 samples; its metrics need at least 6"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            main(argv + ["--set", "test"])
+        assert not (tmp_path / "m.json").exists()
+        main(argv + ["--set", "prediction"])  # only the evaluated pool is checked
+        assert json.loads((tmp_path / "m.json").read_text())["ndcg_sum"] is not None
+
     def test_dataset_of_another_feature_length_is_named(self, trained, tmp_path):
         # used to fail in forward_batch with a bare shape message
         _, samples, _, _ = trained

@@ -273,6 +273,56 @@ class TestTieRepair:
                 build_ranked_lists(embeddings, list(embeddings))
 
 
+class TestDuplicateCheck:
+    """Duplicate rows share their first column, so the row-wise `np.unique`
+    runs only for a pool whose first column repeats; any other pool is
+    scored directly, as a pool without duplicates always was."""
+
+    def test_unrepeated_first_column_makes_no_unique_call(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        ids = [f"s{i:03d}" for i in range(60)]
+        embeddings = dict(zip(ids, rng.normal(size=(60, 8))))
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 7 * 8 * 60)
+        with mock.patch.object(np, "unique", wraps=np.unique) as spy:
+            order = build_ranked_lists(embeddings, ids).order
+        assert spy.call_count == 0
+        assert np.array_equal(order, stable_order(embeddings, ids))
+
+    @pytest.mark.parametrize("block", ["1", "3", "n"])
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_repeated_first_column_without_duplicates(self, monkeypatch, block):
+        rng = np.random.default_rng(37)
+        for n in (5, 12, 40, 97):
+            tax = parse_taxonomy(random_tree_doc(rng, max_children=3))
+            vectors = rng.normal(size=(n, 3))
+            vectors[1] = vectors[0, [0, 2, 1]]  # same norm, so the same unit first column
+            vectors[2], vectors[3] = [0.0, 1.0, 2.0], [-0.0, 2.0, 1.0]  # +0.0 == -0.0
+            vectors = vectors[rng.permutation(n)]
+            ids = [f"s{i:03d}" for i in range(n)]
+            embeddings = dict(zip(ids, vectors))
+            leaf_of = {sid: int(rng.choice(sorted(tax.leaf_ids))) for sid in ids}
+            block_rows = n if block == "n" else int(block)
+            monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_rows * 8 * n)
+            with mock.patch.object(np, "unique", wraps=np.unique) as spy:
+                ranking = build_ranked_lists(embeddings, ids)
+            assert spy.call_count == 1
+            assert np.array_equal(ranking.order, stable_order(embeddings, ids))
+            expected = wide_index_metrics_oracle(ranking, tax, leaf_of)
+            scores = score_pool(ranking, tax, leaf_of)
+            lib = {
+                "ndcg_sum": partial(ndcg, ranking, tax, leaf_of, "sum", scores=scores),
+                "ndcg_max": partial(ndcg, ranking, tax, leaf_of, "max", scores=scores),
+                "mnr": partial(mnr, ranking, tax, leaf_of, scores=scores),
+                "rp_at_k": partial(rp_at_k, ranking, leaf_of),
+            }
+            for name, metric in lib.items():
+                try:
+                    value = metric()
+                except MetricError:
+                    value = None
+                assert value == expected[name], name
+
+
 def ulp_pool(rng, n, gap):
     """A shuffled pool of n members: the first axis, two unit vectors in the
     first two axes whose first components lie `gap` ulps apart, and random
@@ -439,7 +489,7 @@ class TestBlockedEvaluation:
 
 
 class TestLeafCodes:
-    """NDCG, MNR and RP@k read leaves through narrow leaf codes and flat
+    """NDCG, MNR and RP@k read leaves through intp leaf codes and flat
     cells of leaf x leaf tables; every value equals the intp-index form."""
 
     @pytest.mark.parametrize("block_rows", [1, 3, None])
