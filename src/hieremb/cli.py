@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabeledSample, atomic_open, features_matrix, load_dataset, save_dataset
+from .dataset import (LabeledSample, atomic_open, features_matrix, load_dataset, named,
+                      read_json, save_dataset)
 from .datasplit import (
     SplitAssignment,
     load_split,
@@ -92,6 +93,11 @@ class ExperimentConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
 
     def __post_init__(self):
+        for name, least in (("k_folds", 2), ("epochs", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not self.margin > 0:
+            raise ValueError(f"margin must be positive, got {self.margin}")
         for combo in self.combos:
             if combo not in VALID_COMBOS:
                 raise ValueError(
@@ -107,24 +113,24 @@ class ExperimentConfig:
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Flat `key = value` lines; blank lines and # comments are ignored. A
     repeated key, or bytes that are not UTF-8, raise a `ValueError` naming
-    the file."""
+    the file and the line."""
     values: dict[str, str] = {}
     set_on: dict[str, int] = {}  # the line that set each key
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key in set_on:
-                    first = set_on[key]
-                    raise ValueError(f"{path}:{line_no}: {key!r} is already set on line {first}")
-                values[key], set_on[key] = value, line_no
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path}: not a UTF-8 file: {err}") from None
+    with open(path, "rb") as fh:  # each line is decoded on its own, so a bad byte is placed
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line = line.decode().split("#", 1)[0].strip()
+            except UnicodeDecodeError as err:
+                raise named(f"{path}:{line_no}", err) from None
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{line_no}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in set_on:
+                first = set_on[key]
+                raise ValueError(f"{path}:{line_no}: {key!r} is already set on line {first}")
+            values[key], set_on[key] = value, line_no
     return values
 
 
@@ -167,7 +173,7 @@ def config_from_values(values: dict[str, str], overrides: dict | None = None) ->
         try:
             return cast(merged[key])
         except ValueError as err:
-            raise ValueError(f"{key}: {err}") from None
+            raise named(key, err) from None
 
     combos_text = take("combos", str, "")
     combos = (
@@ -209,7 +215,7 @@ def load_experiment_config(path: str | None, overrides: dict | None = None) -> E
     try:
         return config_from_values(values, overrides)
     except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+        raise named(path, err) from None
 
 
 # -- evaluation glue -----------------------------------------------------------
@@ -317,15 +323,15 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 def load_labeled_data(taxonomy_path, dataset_path) -> tuple[Taxonomy, list[LabeledSample]]:
     """The taxonomy and the dataset at these paths. A sample whose label is
     not a leaf of the taxonomy raises a `TaxonomyError` naming the dataset
-    file, the sample and the label."""
+    file, the sample, the label and the taxonomy file."""
     taxonomy, dataset = load_taxonomy(taxonomy_path), load_dataset(dataset_path)
     checked = set()
     for sample in dataset:
         if sample.leaf not in checked:  # one lookup per distinct label
             try:
                 taxonomy.leaf_id_for(sample)
-            except TaxonomyError as err:
-                raise TaxonomyError(f"{dataset_path}: {err}") from None
+            except TaxonomyError as err:  # either file may be at fault, so both are named
+                raise named(dataset_path, f"{err} in {taxonomy_path}", TaxonomyError) from None
             checked.add(sample.leaf)
     return taxonomy, dataset
 
@@ -389,12 +395,7 @@ def _format_cell(values: list[float]) -> str:
 def read_metrics(path: Path) -> MetricsReport:
     """A cell's `test.json` or `prediction.json`; a file that is not a JSON
     object of finite numbers and nulls raises a `ValueError` naming it."""
-    try:  # integers are read as floats, so one too large to hold reads as inf
-        data = json.loads(path.read_text("utf-8"), parse_int=float)
-    except ValueError as err:  # not JSON, or not UTF-8
-        raise ValueError(f"{path}: not a JSON file: {err}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: not a JSON object")
+    data = read_json(path, parse_int=float)  # an integer too large to hold reads as inf
     for key, value in data.items():
         if value is not None and not (type(value) is float and np.isfinite(value)):
             raise ValueError(f"{path}: {key!r} is {value!r}, not a finite number or null")
@@ -523,11 +524,15 @@ def cmd_evaluate(args) -> None:
     taxonomy, dataset = load_labeled_data(paths["taxonomy"], paths["dataset"])
     # the heads name nodes of the training tree; the embedder reads fixed-length features
     names = {taxonomy.name(nid) for nid in range(len(taxonomy))}
+    height = taxonomy.height_and_diameter()[0]
     for head in model.layout.heads():
         unknown = [name for name in head.classes if name not in names]
         if unknown:
             raise ValueError(f"{args.checkpoint}: head {head.name} class {unknown[0]!r} "
                              f"is not a node of {paths['taxonomy']}")
+        if head.level is not None and not 1 <= head.level <= height:
+            raise ValueError(f"{args.checkpoint}: head {head.name} is not at a level "
+                             f"1-{height} of {paths['taxonomy']}")
     width = model.config.input_dim
     if dataset and len(dataset[0].features) != width:
         raise ValueError(f"{args.checkpoint}: the model reads {width} features, but the samples "
@@ -536,7 +541,7 @@ def cmd_evaluate(args) -> None:
     try:
         check_pool_sizes([split], subsets=(args.set,))
     except MetricError as err:
-        raise MetricError(f"{paths['split']}: {err}") from None
+        raise named(paths["split"], err, MetricError) from None
     if not args.diagnostics:
         report = evaluate_model(model, taxonomy, dataset, split, args.set)
     else:

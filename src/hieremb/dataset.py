@@ -22,12 +22,14 @@ class LabeledSample:
 
 
 def load_dataset(path: str | Path) -> list[LabeledSample]:
-    """Read samples from a JSON Lines file (one record per line).
+    """Read samples from a JSON Lines file: per line one UTF-8 JSON object
+    with string `id` and `leaf` and a list of numbers as `features`, every
+    feature vector finite and as long as the first; a fault raises a
+    `ValueError` naming the file and the line.
 
-    Every feature vector must be finite and as long as the first one. The
-    samples come from the sidecar `<path>.npz` that `save_dataset` writes when
-    it records the SHA-256 of the file's current bytes and passes the same
-    checks; in every other case the file is parsed.
+    The samples come from the sidecar `<path>.npz` that `save_dataset`
+    writes when it records the SHA-256 of the file's current bytes and
+    passes the same checks; in every other case the file is parsed.
     """
     samples = _sidecar_samples(path)
     if samples is not None:
@@ -35,31 +37,28 @@ def load_dataset(path: str | Path) -> list[LabeledSample]:
     samples = []
     line_nos = []
     shape = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # each line is decoded on its own, so a bad byte is placed
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode().strip()
+                if not line:
+                    continue
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: malformed JSON record") from exc
-            try:
-                sample = LabeledSample(
-                    id=str(record["id"]),
-                    leaf=str(record["leaf"]),
-                    features=np.asarray(record["features"], dtype=np.float64),
-                )
-            except KeyError as exc:
-                raise ValueError(f"{path}:{line_no}: record lacks key {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: malformed record: {exc}") from None
-            shape = shape or sample.features.shape
-            if sample.features.ndim != 1 or sample.features.shape != shape:
-                raise ValueError(
-                    f"{path}:{line_no}: sample {sample.id!r} has features of shape "
-                    f"{sample.features.shape}, expected {shape}"
-                )
+                if type(record) is not dict:
+                    raise TypeError("not a JSON object")
+                sid, leaf, features = record["id"], record["leaf"], record["features"]
+                if type(sid) is not str or type(leaf) is not str:
+                    key = "id" if type(sid) is not str else "leaf"
+                    raise TypeError(f"{key!r} is {record[key]!r}, not a string")
+                if type(features) is not list or not set(map(type, features)) <= {float, int}:
+                    raise TypeError(f"sample {sid!r} has features that are not a list of numbers")
+                sample = LabeledSample(sid, leaf, np.asarray(features, dtype=np.float64))
+                shape = shape or sample.features.shape
+                if sample.features.shape != shape:
+                    raise ValueError(f"sample {sid!r} has features of shape "
+                                     f"{sample.features.shape}, expected {shape}")
+            except (KeyError, TypeError, ValueError, OverflowError) as err:
+                raise named(f"{path}:{line_no}", err) from None
             samples.append(sample)
             line_nos.append(line_no)
     # one pass over all features: a per-record isfinite call costs a sixth
@@ -123,6 +122,27 @@ def atomic_open(path: str | Path, mode: str = "w"):
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
+
+
+def read_json(path: str | Path, error: type[ValueError] = ValueError, **options) -> dict:
+    """The top-level object of the UTF-8 JSON file at `path`, parsed with
+    `json.load` `options`; any other content raises `error` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh, **options)
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise error(f"{path}: not a JSON file: {err}") from None
+    if not isinstance(data, dict):
+        raise error(f"{path}: not a JSON object")
+    return data
+
+
+def named(where: str | Path, err: Exception | str, error: type[ValueError] = ValueError) -> ValueError:
+    """`err` (an error or a fault's text), met while reading `where` (a path,
+    `path:line` or a config key), as an `error` naming it, a `KeyError` as
+    the missing key; raise it `from None`."""
+    fault = f"missing key {err}" if isinstance(err, KeyError) else err
+    return error(f"{where}: {fault}")
 
 
 def save_dataset(path: str | Path, samples: list[LabeledSample]) -> None:

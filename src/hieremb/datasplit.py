@@ -1,13 +1,12 @@
 """Seen/unseen leaf folds and train/valid/test/prediction sample partitions."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabeledSample
+from .dataset import LabeledSample, named, read_json
 from .taxonomy import Taxonomy
 
 SUBSETS = ("train", "valid", "test", "prediction")
@@ -169,13 +168,11 @@ def load_split(
     fault in it is a `SplitError` that names the file. Every sample must have
     a subset, `prediction` exactly when its leaf is unseen in the fold, and
     every partition entry must name a dataset sample."""
+    data = read_json(path, SplitError)
     try:
-        with open(path, encoding="utf-8") as fh:
-            split = split_from_json(taxonomy, json.load(fh))
-    except KeyError as err:
-        raise SplitError(f"{path}: missing key {err}") from None
-    except (ValueError, TypeError, AttributeError) as err:
-        raise SplitError(f"{path}: {err}") from None
+        split = split_from_json(taxonomy, data)
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
+        raise named(path, err, SplitError) from None
     for sample in dataset:
         subset = split.partition.get(sample.id)
         if subset is None:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
-from .dataset import LabeledSample, atomic_open, features_matrix
+from .dataset import LabeledSample, atomic_open, features_matrix, named, read_json
 from .datasplit import SplitAssignment, partition_samples, pruned_seen_taxonomy
 from .losses import LossConfig, LossValue
 from .sampler import TripletInstance, enumerate_node_triples, instantiate_epoch, triplet_pools
@@ -104,9 +104,16 @@ class HeadLayout:
         def head(entry, name, level=None, key="classes"):
             if entry is None:
                 return None
-            return Head(name, level, list(entry[key]), np.array(entry["weights"], dtype=np.float64))
+            classes = list(entry[key])
+            for c in classes:
+                if type(c) is not str:
+                    raise TypeError(f"head {name} class {c!r} is not a string")
+            return Head(name, level, classes, np.array(entry["weights"], dtype=np.float64))
 
-        levels = [(int(entry["level"]), entry) for entry in data["levels"]]
+        levels = [(entry["level"], entry) for entry in data["levels"]]
+        for level, _ in levels:
+            if type(level) is not int:
+                raise TypeError(f"level {level!r} of a level head is not an integer")
         return cls(
             leaf=head(data["leaf"], "leaf"),
             levels=[head(entry, f"level_{level}", level) for level, entry in levels],
@@ -556,13 +563,9 @@ def save_checkpoint(path: str | Path, model: EmbeddingModel, extra: dict | None 
 
 
 def load_checkpoint(path: str | Path) -> tuple[EmbeddingModel, dict]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as err:  # not JSON, or not UTF-8
-        raise ValueError(f"{path}: not a JSON file: {err}") from None
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
+    payload = read_json(path)
+    if payload.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     try:
         loss = payload["loss"]
         model = EmbeddingModel(
@@ -571,16 +574,13 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingModel, dict]:
             HeadLayout.from_json(payload["layout"]),
             np.array(payload["params"], dtype=np.float64),
         )
-    except KeyError as err:
-        raise ValueError(f"{path}: missing key {err}") from None
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{path}: {err}") from None
-    extra = payload.get("extra", {})
-    if not isinstance(extra, dict):
-        raise ValueError(f"{path}: 'extra' must be an object")
-    if not np.isfinite(model.vector).all():
-        raise ValueError(f"{path}: a parameter is not finite")
-    for head in model.layout.heads():
-        if not np.isfinite(head.weights).all():
-            raise ValueError(f"{path}: head {head.name} has a non-finite class weight")
+        if not isinstance(extra := payload.get("extra", {}), dict):
+            raise TypeError("'extra' must be an object")
+        if not np.isfinite(model.vector).all():
+            raise ValueError("a parameter is not finite")
+        for head in model.layout.heads():
+            if not np.isfinite(head.weights).all():
+                raise ValueError(f"head {head.name} has a non-finite class weight")
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise named(path, err) from None
     return model, extra

@@ -38,6 +38,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.feature_dim < 2:
             raise ValueError("feature_dim must be at least 2")
         if self.offset_scale < 0 or self.noise < 0:

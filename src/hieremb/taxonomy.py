@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabeledSample, atomic_open
+from .dataset import LabeledSample, atomic_open, named, read_json
 
 
 class TaxonomyError(ValueError):
@@ -201,10 +201,12 @@ def parse_taxonomy(document: dict) -> Taxonomy:
         if id(node_doc) in seen_objects:
             raise TaxonomyError("cycle detected: a node object appears twice")
         seen_objects.add(id(node_doc))
+        if type(node_doc["name"]) is not str:
+            raise TaxonomyError(f"node name {node_doc['name']!r} is not a string")
         nid = len(names)
-        names.append(str(node_doc["name"]))
+        names.append(node_doc["name"])
         parents.append(parent)
-        children = node_doc.get("children") or []
+        children = node_doc.get("children", [])
         if not isinstance(children, list):
             raise TaxonomyError(f"'children' of {node_doc['name']!r} must be a list")
         stack.extend((children[i], nid, i) for i in reversed(range(len(children))))
@@ -214,11 +216,11 @@ def parse_taxonomy(document: dict) -> Taxonomy:
 def load_taxonomy(path: str | Path) -> Taxonomy:
     """Parse a taxonomy from a JSON file with one top-level object; a file
     that is not UTF-8 JSON of a valid tree raises a `TaxonomyError` naming it."""
+    document = read_json(path, TaxonomyError)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_taxonomy(json.load(fh))
-    except ValueError as err:  # also the JSON, UTF-8 and tree errors
-        raise TaxonomyError(f"{path}: {err}") from None
+        return parse_taxonomy(document)
+    except ValueError as err:
+        raise named(path, err, TaxonomyError) from None
 
 
 def save_taxonomy(path: str | Path, taxonomy: Taxonomy) -> None:

@@ -253,9 +253,13 @@ def acc_blind_uniform_baseline(tax, split, true_leaf_of: dict[str, int], lsa_fn)
     return sum(per_sample) / len(per_sample)
 
 
-def random_tree_doc(rng: np.random.Generator, max_depth=4, max_children=4, p_leaf=0.35):
+def random_tree_doc(
+    rng: np.random.Generator, max_depth=4, max_children=4, p_leaf=0.35, max_nodes=math.inf
+):
     """Random nested tree document with at least two leaves; may be unbalanced
-    and may contain single-child chains."""
+    and may contain single-child chains. Every node made after the first
+    `max_nodes` is a leaf, so a tree holds at most `max_nodes + max_depth *
+    max_children` nodes; the default cap draws the trees an uncapped call drew."""
     counter = [0]
 
     def fresh():
@@ -264,7 +268,7 @@ def random_tree_doc(rng: np.random.Generator, max_depth=4, max_children=4, p_lea
 
     def build(depth):
         node = {"name": fresh()}
-        at_bottom = depth >= max_depth
+        at_bottom = depth >= max_depth or counter[0] > max_nodes
         if not at_bottom and (depth == 0 or rng.random() > p_leaf):
             n_children = int(rng.integers(2 if depth == 0 else 1, max_children + 1))
             node["children"] = [build(depth + 1) for _ in range(n_children)]

@@ -80,7 +80,7 @@ class TestConfigParsing:
     def test_bytes_not_utf8_name_the_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_bytes(b"epochs = 1\nseed = \xff\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: not a UTF-8 file: ")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: 'utf-8' codec can't decode byte 0xff")):
             read_config_file(path)
 
     def test_ranges(self):
@@ -115,6 +115,13 @@ class TestConfigParsing:
             ("batch_size", "0", "batch_size must be an integer of at least 1, got 0"),
             ("learning_rate", "0", "learning_rate must be positive and finite, got 0.0"),
             ("batch_size", "2.5", "batch_size: invalid literal for int() with base 10: '2.5'"),
+            # these were read, and training or splitting failed naming no file
+            ("epochs", "0", "epochs must be at least 1, got 0"),
+            ("k_folds", "1", "k_folds must be at least 2, got 1"),
+            ("seed", "-1", "seed must be at least 0, got -1"),
+            ("synth_seed", "-1", "seed must be at least 0, got -1"),
+            ("margin", "-1", "margin must be positive, got -1.0"),
+            ("margin", "nan", "margin must be positive, got nan"),
         ],
     )
     def test_invalid_model_setting_names_the_file(self, tmp_path, key, value, message):
@@ -501,8 +508,8 @@ class TestSubcommandPipeline:
         "text, error",
         [
             ('{"fold": 0, "unseen": [], "partition": {}}', "missing key 'seen'"),
-            ('{"fold": 0, "seen": ["a1"', "Expecting"),
-            ("[]", "list indices must be"),
+            ('{"fold": 0, "seen": ["a1"', "not a JSON file: Expecting"),
+            ("[]", "not a JSON object"),
         ],
         ids=["missing-key", "truncated", "not-an-object"],
     )
@@ -603,7 +610,7 @@ class TestStageInputChecks:
             argv = [command, *inputs, "--split", str(split)]
             if command == "train":
                 argv += ["--fold", "0", "--losses", "L"]
-        error = f"{dataset}: sample {bad.id!r} has {error} {label!r}"
+        error = f"{dataset}: sample {bad.id!r} has {error} {label!r} in {tmp_path / 'taxonomy.json'}"
         with pytest.raises(TaxonomyError, match=re.escape(error)):
             main(argv + ["--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
@@ -659,6 +666,22 @@ class TestStageInputChecks:
         error = f"{checkpoint}: head leaf class {old!r} is not a node of {inputs['taxonomy']}"
         with pytest.raises(ValueError, match=re.escape(error)):
             main(argv + ["--out", str(tmp_path / "test.json")])
+
+    @pytest.mark.parametrize("level", [3, 7, 0, -1])
+    def test_level_head_off_the_tree_is_named(self, trained, tmp_path, level):
+        # level 7 used to be scored silently, and -1 only warned that
+        # acc_aware skipped samples
+        _, _, _, models = trained
+        _, _, checkpoint = write_stage_inputs(tmp_path, trained)
+        paths = json.loads(checkpoint.read_text())["extra"]
+        save_checkpoint(checkpoint, models[frozenset({"PL", "T"})], extra=paths)
+        payload = json.loads(checkpoint.read_text())
+        payload["layout"]["levels"][0]["level"] = level
+        checkpoint.write_text(json.dumps(payload))
+        argv = ["evaluate", "--checkpoint", str(checkpoint), "--set", "prediction"]
+        error = f"{checkpoint}: head level_{level} is not at a level 1-2 of {paths['taxonomy']}"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            main(argv + ["--out", str(tmp_path / "prediction.json")])
 
     def test_test_pool_too_small_is_named(self, trained, tmp_path):
         # used to die inside rp_at_k with "every query needs at least 5

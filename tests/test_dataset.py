@@ -71,16 +71,42 @@ def test_non_finite_features_name_line_and_sample(tmp_path, bad):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ('{"id": "s1", "leaf": "a1"}', "record lacks key 'features'"),
-        ('["s1", "a1", [0.5]]', "malformed record: list indices must be integers"),
-        ('{"id": "s1", "leaf": "a1", "features": "ab"}', "malformed record: could not convert"),
+        ('{"id": "s1", "leaf": "a1"}', "missing key 'features'"),
+        ('["s1", "a1", [0.5]]', "not a JSON object"),
+        ('{"id": "s1", "leaf": "a1", "features": "ab"}',
+         "sample 's1' has features that are not a list of numbers"),
+        # these were read: the id as "12345" (and the split file blamed for
+        # it), the leaf as "None", true as 1.0 and "0.5" as 0.5; the huge
+        # integer escaped as a bare OverflowError
+        ('{"id": 12345, "leaf": "a1", "features": [0.5]}', "'id' is 12345, not a string"),
+        ('{"id": "s1", "leaf": null, "features": [0.5]}', "'leaf' is None, not a string"),
+        ('{"id": "s1", "leaf": "a1", "features": [true]}',
+         "sample 's1' has features that are not a list of numbers"),
+        ('{"id": "s1", "leaf": "a1", "features": ["0.5"]}',
+         "sample 's1' has features that are not a list of numbers"),
+        ('{"id": "s1", "leaf": "a1", "features": [1' + "0" * 400 + "]}",
+         "int too large to convert to float"),
     ],
-    ids=["no-features", "list", "string-features"],
+    ids=["no-features", "list", "string-features",
+         "integer-id", "null-leaf", "true-feature", "string-feature", "huge-integer"],
 )
 def test_bad_record_names_its_line(tmp_path, line, message):
     path = tmp_path / "d.jsonl"
     path.write_text(json.dumps(record("s0", [0.5])) + "\n" + line + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+        load_dataset(path)
+
+
+def test_bytes_not_utf8_name_the_line(tmp_path):
+    # used to escape as a bare UnicodeDecodeError naming neither file nor
+    # line; line 250 lies past the first chunk a text reader decodes
+    path = tmp_path / "d.jsonl"
+    lines = [json.dumps(record(f"s{i}", [0.5])).encode() for i in range(300)]
+    lines[249] = b'{"id": "r\xe9sum\xe9", "leaf": "a1", "features": [0.5]}'  # Latin-1
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert path.stat().st_size > 8192
+    error = f"{path}:250: 'utf-8' codec can't decode byte 0xe9 in position 9"
+    with pytest.raises(ValueError, match=re.escape(error)):
         load_dataset(path)
 
 
@@ -197,7 +223,7 @@ def test_jsonl_edited_after_save_is_parsed(tmp_path, parses):
     assert loaded[-1].features[0] == 0.25
     # an edit that breaks the file is reported as without a sidecar
     path.write_text("".join(lines[:3]) + '{"id": "s900", "leaf": "a1"}\n')
-    with pytest.raises(ValueError, match=re.escape(f"{path}:4: record lacks key 'features'")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: missing key 'features'")):
         load_dataset(path)
 
 
@@ -297,6 +323,9 @@ def test_sidecar_left_out_when_it_would_not_read_back(tmp_path, case):
     assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]
     if case == "ragged":
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: sample 's2' has features of shape (3,)")):
+            load_dataset(path)
+    elif case == "int-id":  # the JSON integer is no longer read as the string "7"
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: 'id' is 7, not a string")):
             load_dataset(path)
     else:
         assert load_dataset(path)[2].id == str(samples[2].id)

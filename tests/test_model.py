@@ -674,7 +674,7 @@ class TestCheckpoint:
     def test_top_level_list_rejected(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         path.write_text("[1, 2]")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not a hieremb-checkpoint-v2 file$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a JSON object$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("combo", VALID_COMBOS, ids=combo_name)
@@ -769,8 +769,23 @@ class TestCheckpoint:
             (lambda payload: payload["layout"].update(levels=None), "'NoneType' object is not iterable"),
             (lambda payload: payload["layout"].update(binary=[1]), "list indices must be integers"),
             (lambda payload: payload["loss"].update(active=3), "'int' object is not iterable"),
+            # these loaded: a list or dict class then failed in `evaluate` as
+            # a bare "unhashable type", and the levels were cast with int()
+            (lambda payload: payload["layout"]["leaf"]["classes"].__setitem__(0, ["a1"]),
+             "head leaf class ['a1'] is not a string"),
+            (lambda payload: payload["layout"]["binary"]["nodes"].__setitem__(2, {"name": "a2"}),
+             "head binary class {'name': 'a2'} is not a string"),
+            (lambda payload: payload["layout"]["levels"][1]["classes"].__setitem__(4, 7),
+             "head level_2 class 7 is not a string"),
+            (lambda payload: payload["layout"]["levels"][1].update(level="2"),
+             "level '2' of a level head is not an integer"),
+            (lambda payload: payload["layout"]["levels"][0].update(level=1.0),
+             "level 1.0 of a level head is not an integer"),
+            (lambda payload: payload["params"].__setitem__(0, 10**400),
+             "int too large to convert to float"),
         ],
-        ids=["levels-null", "binary-list", "loss-active-int"],
+        ids=["levels-null", "binary-list", "loss-active-int", "list-class", "dict-node",
+             "number-class", "string-level", "float-level", "huge-integer"],
     )
     def test_wrongly_typed_entry_rejected(self, tmp_path, edit, message):
         # each used to escape as a bare TypeError that named no file
@@ -784,5 +799,5 @@ class TestCheckpoint:
             payload["params"] = {"embed.1.W": {"shape": [1], "data": payload["params"][:1]}}
 
         path, _ = self.corrupted(tmp_path, to_v1)
-        with pytest.raises(ValueError, match="is not a hieremb-checkpoint-v2 file"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a hieremb-checkpoint-v2 file$"):
             load_checkpoint(path)

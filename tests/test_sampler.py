@@ -214,7 +214,7 @@ class TestEpochDrawOracle:
         self, seed, max_per_leaf, empty_share, valid_share
     ):
         rng = np.random.default_rng(seed)
-        tax = parse_taxonomy(random_tree_doc(rng))
+        tax = parse_taxonomy(random_tree_doc(rng, max_nodes=48))  # bounds the oracle's time
         per_leaf = {
             tax.name(l): 0 if rng.random() < empty_share else int(rng.integers(2, max_per_leaf + 1))
             for l in tax.leaf_ids

@@ -1,9 +1,10 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hieremb.metrics import _depths
 from hieremb.taxonomy import Taxonomy, TaxonomyError, load_taxonomy, parse_taxonomy
@@ -20,6 +21,10 @@ from oracles import (
     random_tree_doc,
     retained_levels_oracle,
 )
+
+# the node cap of the derandomised random trees: an edit that draws other
+# trees cannot make them large (uncapped, one drew 1,734 nodes)
+MAX_NODES = 200
 
 
 class TestParse:
@@ -71,7 +76,26 @@ class TestLoad:
     def test_non_utf8_is_named(self, tmp_path):
         path = tmp_path / "taxonomy.json"
         path.write_bytes(b'{"name": "r\xe9sum\xe9"}')  # Latin-1
-        with pytest.raises(TaxonomyError, match=re.escape(f"{path}: 'utf-8' codec")):
+        with pytest.raises(TaxonomyError, match=re.escape(f"{path}: not a JSON file: 'utf-8' codec")):
+            load_taxonomy(path)
+
+    @pytest.mark.parametrize(
+        "key, value, fault",
+        [
+            ("name", 7, "node name 7 is not a string"),
+            ("name", ["A"], "node name ['A'] is not a string"),
+            ("name", None, "node name None is not a string"),
+            *(("children", value, "'children' of 'A' must be a list") for value in (0, False, "", {}, None)),
+        ],
+    )
+    def test_entry_of_the_wrong_type_is_named(self, tmp_path, key, value, fault):
+        # a name used to be read as its str() ("7", "['A']", "None"), and such
+        # children as none, making A a leaf
+        doc = t0_document()
+        doc["children"][0][key] = value
+        path = tmp_path / "taxonomy.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(TaxonomyError, match=f"^{re.escape(f'{path}: {fault}')}$"):
             load_taxonomy(path)
 
     def test_nameless_node_is_placed(self, tmp_path):
@@ -152,10 +176,18 @@ class TestQueries:
         max_depth=st.integers(1, 6),
         max_children=st.integers(2, 5),
         p_leaf=st.floats(0.0, 0.8),
+        max_nodes=st.just(MAX_NODES),
     )
-    def test_one_pass_diameter_matches_leaf_pair_loop(self, seed, max_depth, max_children, p_leaf):
-        doc = random_tree_doc(np.random.default_rng(seed), max_depth, max_children, p_leaf)
+    @example(seed=0, max_depth=6, max_children=5, p_leaf=0.2, max_nodes=math.inf)  # 1,003 nodes
+    def test_one_pass_diameter_matches_leaf_pair_loop(
+        self, seed, max_depth, max_children, p_leaf, max_nodes
+    ):
+        doc = random_tree_doc(np.random.default_rng(seed), max_depth, max_children, p_leaf, max_nodes)
         tax = parse_taxonomy(doc)
+        if max_nodes == math.inf:  # the explicit case keeps a large tree covered
+            assert len(tax) >= 1000
+        else:
+            assert len(tax) <= max_nodes + max_depth * max_children
         height, diameter = tax.height_and_diameter()
         assert diameter == leaf_pair_diameter_oracle(tax)
         assert height == max(depth_oracle(tax, l) for l in tax.leaf_ids)
@@ -253,7 +285,7 @@ class TestLevels:
     )
     def test_leaf_ancestors_match_path_oracle(self, seed, max_depth, max_children, p_leaf):
         rng = np.random.default_rng(seed)
-        tax = parse_taxonomy(random_tree_doc(rng, max_depth, max_children, p_leaf))
+        tax = parse_taxonomy(random_tree_doc(rng, max_depth, max_children, p_leaf, MAX_NODES))
         leaves = sorted(tax.leaf_ids)
         height = max(depth_oracle(tax, l) for l in leaves)
         # every leaf in order, then any nodes, internal ones and repeats included
