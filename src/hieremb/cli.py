@@ -98,6 +98,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not self.margin > 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
+        if not self.combos:  # `combos = ,`: a run would train nothing
+            raise ValueError("combos lists no loss combination")
         for combo in self.combos:
             if combo not in VALID_COMBOS:
                 raise ValueError(
@@ -221,18 +223,13 @@ def load_experiment_config(path: str | None, overrides: dict | None = None) -> E
 # -- evaluation glue -----------------------------------------------------------
 
 
-def head_argmax(
-    model: EmbeddingModel, taxonomy: Taxonomy, samples: list[LabeledSample], logits: np.ndarray
-) -> dict[str, dict[str, int]]:
-    """Per classification head, the argmax class of every sample, as node
-    ids of the given (full) taxonomy; `logits` are the samples' fused head
-    logits, one row per sample."""
-    ids = [s.id for s in samples]
+def head_argmax(model: EmbeddingModel, taxonomy: Taxonomy, logits: np.ndarray) -> dict[str, np.ndarray]:
+    """Per classification head, the argmax class of each row of the fused head
+    `logits` (one row per sample), as node ids of the given (full) taxonomy."""
     result = {}
     for head in model.layout.class_heads():
-        class_ids = np.array([taxonomy.id_of(name) for name in head.classes])
-        picks = logits[:, head.columns].argmax(axis=1)
-        result[head.name] = dict(zip(ids, class_ids[picks].tolist()))
+        class_ids = np.array([taxonomy.id_of(name) for name in head.classes], dtype=np.intp)
+        result[head.name] = class_ids[logits[:, head.columns].argmax(axis=1)]
     return result
 
 
@@ -263,13 +260,14 @@ def _evaluate_ranked(
     samples = partition_samples(dataset, split, subset)
     if not samples:
         raise MetricError(f"the {subset} partition is empty")
-    leaf_of = {s.id: taxonomy.leaf_id_for(s) for s in samples}
+    ids = [s.id for s in samples]
+    true_leaf = np.array([taxonomy.leaf_id_for(s) for s in samples], dtype=np.intp)
+    leaf_of = dict(zip(ids, true_leaf.tolist()))  # the ranking metrics read leaves by id
     # one forward pass; only the embeddings are kept through the ranking,
     # where the memory peaks
     embeddings, logits = model.forward_batch(features_matrix(samples))[:2]
-    predictions = head_argmax(model, taxonomy, samples, logits)
+    predictions = head_argmax(model, taxonomy, logits)
     del logits
-    ids = [s.id for s in samples]
     ranked = build_ranked_lists(dict(zip(ids, embeddings)), ids)
     # leaves are predicted by the leaf head, else by the deepest level head,
     # whose class set is the full leaf set
@@ -285,10 +283,10 @@ def _evaluate_ranked(
         report.mnr = mnr(ranked, taxonomy, leaf_of, scores=scores)
         report.leaf_rp_at_5 = rp_at_k(ranked, leaf_of, k=RP_K)
         if leaf_preds is not None:
-            report.leaf_f1 = leaf_f1(leaf_preds, leaf_of, sorted(split.seen_leaves))
+            report.leaf_f1 = leaf_f1(leaf_preds, true_leaf, sorted(split.seen_leaves))
     else:
         if leaf_preds is not None:
-            report.acc_blind = acc_blind(leaf_preds, leaf_of, taxonomy, split)
+            report.acc_blind = acc_blind(leaf_preds, true_leaf, taxonomy, split)
         if layout.levels:
             level_predictions = {head.level: predictions[head.name] for head in layout.levels}
             level_classes = {
@@ -296,7 +294,7 @@ def _evaluate_ranked(
                 for head in layout.levels
             }
             report.acc_aware = acc_aware(
-                level_predictions, level_classes, leaf_of, taxonomy, split
+                level_predictions, level_classes, true_leaf, taxonomy, split
             )
             if report.acc_blind is not None and report.acc_aware:
                 report.ratio_blind_aware = report.acc_blind / report.acc_aware
@@ -394,12 +392,19 @@ def _format_cell(values: list[float]) -> str:
 
 def read_metrics(path: Path) -> MetricsReport:
     """A cell's `test.json` or `prediction.json`; a file that is not a JSON
-    object of finite numbers and nulls raises a `ValueError` naming it."""
+    object of finite numbers and nulls under exactly `MetricsReport`'s keys
+    raises a `ValueError` naming it."""
     data = read_json(path, parse_int=float)  # an integer too large to hold reads as inf
     for key, value in data.items():
         if value is not None and not (type(value) is float and np.isfinite(value)):
             raise ValueError(f"{path}: {key!r} is {value!r}, not a finite number or null")
-    return MetricsReport.from_json(data)
+    keys = [f.name for f in fields(MetricsReport)]
+    for key in [*data, *keys]:  # an unknown key is named before a missing one
+        if key not in keys:
+            raise named(path, f"unknown key {key!r}")
+        if key not in data:
+            raise named(path, KeyError(key))
+    return MetricsReport(**data)
 
 
 def write_aggregate(path: Path, cells: dict[str, list[Path]]) -> list[dict[str, str]]:

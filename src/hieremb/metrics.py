@@ -3,12 +3,12 @@
 Covers classification (macro leaf F1, unseen-class LSA accuracies) and
 retrieval (RP@5, mean normalised rank over tree levels, tree-relevance
 NDCG). Ranked lists order candidates by descending cosine similarity with
-ties broken by ascending sample id, and never contain the query itself.
+ties broken by ascending sample id, and never contain the query itself. The
+classification metrics read arrays of node ids, one entry per sample.
 """
 from __future__ import annotations
 
 import warnings
-from itertools import compress
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -36,11 +36,6 @@ class MetricsReport:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MetricsReport":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 # Byte budget of one block of float64 query rows (similarities, gains);
@@ -154,22 +149,17 @@ def _pool_leaves(ranking: Ranking, leaf_of: dict[str, int]) -> tuple[np.ndarray,
     return leaves, code, n
 
 
-def leaf_f1(predictions: dict[str, int], truths: dict[str, int], classes: list[int]) -> float:
+def leaf_f1(predictions: np.ndarray, truths: np.ndarray, classes: list[int]) -> float:
     """Macro-averaged F1 over the given classes.
 
     A class absent from both predictions and truths still counts, with F1 0.
     """
-    if not truths:
-        raise MetricError("empty evaluation set")
-    missing = sorted(set(truths) - set(predictions))
-    if missing:
-        raise MetricError(f"missing predictions for samples: {missing[:5]}")
     n = len(truths)
-    labels = np.concatenate([
-        np.fromiter(truths.values(), dtype=np.int64, count=n),
-        np.fromiter(map(predictions.__getitem__, truths), dtype=np.int64, count=n),
-        np.asarray(classes, dtype=np.int64),
-    ])
+    if not n:
+        raise MetricError("empty evaluation set")
+    if len(predictions) != n:
+        raise MetricError(f"{len(predictions)} predictions for {n} samples")
+    labels = np.concatenate([truths, predictions, classes])
     distinct, code = np.unique(labels, return_inverse=True)
     true, pred, cls = code[:n], code[n : 2 * n], code[2 * n :]
     size = len(distinct)
@@ -344,20 +334,20 @@ def per_query_diagnostics(ranking: Ranking, scores: PoolScores) -> list[dict]:
 
 
 def _lowest_seen(
-    true_leaf: dict[str, int], taxonomy: Taxonomy, split: SplitAssignment
+    true_leaf: np.ndarray, taxonomy: Taxonomy, split: SplitAssignment
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's true lowest seen ancestor and its depth, from one walk
     per distinct true leaf, in the order the samples first name them."""
-    leaves = list(dict.fromkeys(true_leaf.values()))
+    leaves = list(dict.fromkeys(true_leaf.tolist()))
     lsa_of = np.zeros(len(taxonomy), dtype=np.intp)
     lsa_of[leaves] = [lowest_seen_ancestor(taxonomy, split, leaf) for leaf in leaves]
-    lsa = lsa_of[np.fromiter(true_leaf.values(), dtype=np.intp, count=len(true_leaf))]
+    lsa = lsa_of[true_leaf]
     return lsa, _depths(taxonomy.leaf_ancestors(lsa))
 
 
 def acc_blind(
-    predicted_leaf: dict[str, int],
-    true_leaf: dict[str, int],
+    predicted_leaf: np.ndarray,
+    true_leaf: np.ndarray,
     taxonomy: Taxonomy,
     split: SplitAssignment,
 ) -> float:
@@ -366,17 +356,17 @@ def acc_blind(
     The predicted leaf is traced up to the LSA's depth (or kept as is when
     already shallower) and compared against the true LSA.
     """
-    if not true_leaf:
+    if not len(true_leaf):
         raise MetricError("empty prediction set")
-    lifts = taxonomy.leaf_ancestors(list(map(predicted_leaf.__getitem__, true_leaf)))
+    lifts = taxonomy.leaf_ancestors(predicted_leaf)
     lsa, depth = _lowest_seen(true_leaf, taxonomy, split)
-    return np.count_nonzero(lifts[np.arange(len(lsa)), depth] == lsa) / len(true_leaf)
+    return np.count_nonzero(lifts[np.arange(len(lsa)), depth] == lsa) / len(lsa)
 
 
 def acc_aware(
-    level_predictions: dict[int, dict[str, int]],
+    level_predictions: dict[int, np.ndarray],
     level_classes: dict[int, set[int]],
-    true_leaf: dict[str, int],
+    true_leaf: np.ndarray,
     taxonomy: Taxonomy,
     split: SplitAssignment,
 ) -> float | None:
@@ -387,7 +377,7 @@ def acc_aware(
     be evaluated and is skipped with a warning. Returns None when nothing
     is evaluable.
     """
-    if not true_leaf:
+    if not len(true_leaf):
         raise MetricError("empty prediction set")
     retained = sorted(level_predictions)
     lsa, _ = _lowest_seen(true_leaf, taxonomy, split)
@@ -407,9 +397,7 @@ def acc_aware(
     correct = 0
     for level in retained:
         at = use == level
-        picks = map(level_predictions[level].__getitem__, compress(true_leaf, at.tolist()))
-        picked = np.fromiter(picks, dtype=np.intp, count=int(at.sum()))
-        correct += int(np.count_nonzero(picked == lsa[at]))
+        correct += int(np.count_nonzero(level_predictions[level][at] == lsa[at]))
     if skipped:
         warnings.warn(f"acc_aware skipped {skipped} samples whose LSA level has no head")
     if skipped == len(use):

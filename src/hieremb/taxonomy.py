@@ -73,13 +73,6 @@ class Taxonomy:
     def __len__(self) -> int:
         return len(self._names)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Taxonomy)
-            and self._names == other._names
-            and self._parents == other._parents
-        )
-
     def name(self, node_id: int) -> str:
         self._check_id(node_id)
         return self._names[node_id]

@@ -307,11 +307,14 @@ def instantiate_epoch_oracle(
         if split.partition.get(sample.id) == subset:
             by_leaf.setdefault(taxonomy.id_of(sample.leaf), []).append(sample.id)
 
+    # each leaf's root path, walked once: a node's pool is the leaves whose
+    # path holds it
+    paths = {leaf: set(path_from_root(taxonomy, leaf)) for leaf in leaves_oracle(taxonomy)}
     pools = {}
 
     def pool(node):
         if node not in pools:
-            leaves = leaves_under_oracle(taxonomy, node)
+            leaves = [leaf for leaf, path in paths.items() if node in path]
             pools[node] = sorted(sid for leaf in leaves for sid in by_leaf.get(leaf, ()))
         return pools[node]
 

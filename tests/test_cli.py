@@ -122,6 +122,8 @@ class TestConfigParsing:
             ("synth_seed", "-1", "seed must be at least 0, got -1"),
             ("margin", "-1", "margin must be positive, got -1.0"),
             ("margin", "nan", "margin must be positive, got nan"),
+            # parsed to no combination, and `run` trained nothing
+            ("combos", ",", "combos lists no loss combination"),
         ],
     )
     def test_invalid_model_setting_names_the_file(self, tmp_path, key, value, message):
@@ -326,12 +328,15 @@ class TestReport:
             ("[1,2]", "not a JSON object"),
             ('{"mnr": 1e999}', "'mnr' is inf, not a finite number or null"),
             ('{"mnr": true}', "'mnr' is True, not a finite number or null"),
+            ('{"leaf_f1x": 0.5}', "unknown key 'leaf_f1x'"),
+            ("{}", "missing key 'leaf_f1'"),
         ],
-        ids=["string", "not-json", "list", "overflow", "bool"],
+        ids=["string", "not-json", "list", "overflow", "bool", "unknown-key", "empty"],
     )
     def test_bad_metric_file_is_named(self, tmp_path, text, error):
         # these used to escape as a bare TypeError, JSONDecodeError or
-        # AttributeError, or to be aggregated as inf or 1
+        # AttributeError, or to be aggregated as inf or 1; the last two
+        # as a row of '-'
         runs = tmp_path / "runs"
         (runs / "fold_0" / "L").mkdir(parents=True)
         bad = runs / "fold_0" / "L" / "test.json"

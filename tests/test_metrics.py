@@ -523,22 +523,26 @@ class TestLeafCodes:
 
 class TestLeafF1:
     def test_perfect(self):
-        truths = {"a": 0, "b": 1, "c": 0, "d": 1}
-        assert leaf_f1(dict(truths), truths, classes=[0, 1]) == 1.0
+        truths = np.array([0, 1, 0, 1])
+        assert leaf_f1(truths.copy(), truths, classes=[0, 1]) == 1.0
 
     def test_single_class_predictor_on_balanced_classes(self):
-        truths = {"a": 0, "b": 0, "c": 1, "d": 1}
-        predictions = {k: 0 for k in truths}
+        truths = np.array([0, 0, 1, 1])
+        predictions = np.zeros(4, dtype=np.intp)
         assert leaf_f1(predictions, truths, classes=[0, 1]) == pytest.approx(1 / 3)
 
     def test_absent_class_counts_as_zero(self):
-        truths = {"a": 0, "b": 0}
-        predictions = {"a": 0, "b": 0}
+        truths = np.array([0, 0])
+        predictions = np.array([0, 0])
         assert leaf_f1(predictions, truths, classes=[0, 7]) == pytest.approx(0.5)
 
     def test_empty_rejected(self):
+        none = np.array([], dtype=np.intp)
         with pytest.raises(MetricError, match="empty"):
-            leaf_f1({}, {}, classes=[0])
+            leaf_f1(none, none, classes=[0])
+        # predictions and truths are aligned by position, so their lengths agree
+        with pytest.raises(MetricError, match="^3 predictions for 4 samples$"):
+            leaf_f1(np.array([0, 1, 0]), np.array([0, 1, 0, 1]), classes=[0, 1])
 
 
 class TestRpAtK:
@@ -750,9 +754,9 @@ class TestAccBlind:
     def test_t0_examples(self, t0):
         samples = make_samples(t0, {"a1": 1, "a2": 1, "b1": 1})
         split = manual_split(t0, samples, unseen_names=["a2"])
-        true_leaf = {"x": t0.id_of("a2")}
-        assert acc_blind({"x": t0.id_of("a1")}, true_leaf, t0, split) == 1.0
-        assert acc_blind({"x": t0.id_of("b1")}, true_leaf, t0, split) == 0.0
+        true_leaf = np.array([t0.id_of("a2")])
+        assert acc_blind(np.array([t0.id_of("a1")]), true_leaf, t0, split) == 1.0
+        assert acc_blind(np.array([t0.id_of("b1")]), true_leaf, t0, split) == 0.0
 
     def test_prediction_shallower_than_lsa(self):
         doc = {
@@ -767,35 +771,35 @@ class TestAccBlind:
         tax = parse_taxonomy(doc)
         samples = make_samples(tax, {"x": 1, "u": 1, "shallow": 1})
         split = manual_split(tax, samples, unseen_names=["u"])
-        true_leaf = {"p": tax.id_of("u")}  # LSA is m at depth 2
+        true_leaf = np.array([tax.id_of("u")])  # LSA is m at depth 2
         # predicted leaf 'shallow' sits at depth 1 < 2: compared as itself
-        assert acc_blind({"p": tax.id_of("shallow")}, true_leaf, tax, split) == 0.0
-        assert acc_blind({"p": tax.id_of("x")}, true_leaf, tax, split) == 1.0
+        assert acc_blind(np.array([tax.id_of("shallow")]), true_leaf, tax, split) == 0.0
+        assert acc_blind(np.array([tax.id_of("x")]), true_leaf, tax, split) == 1.0
 
     def test_empty_rejected(self, t0):
         samples = make_samples(t0, {"a1": 1, "a2": 1, "b1": 1})
         split = manual_split(t0, samples, unseen_names=["a2"])
         with pytest.raises(MetricError, match="empty"):
-            acc_blind({}, {}, t0, split)
+            acc_blind(np.array([], dtype=np.intp), np.array([], dtype=np.intp), t0, split)
 
 
 class TestAccAware:
     def test_level_head_at_lsa_depth(self, t0):
         samples = make_samples(t0, {"a1": 1, "a2": 1, "b1": 1})
         split = manual_split(t0, samples, unseen_names=["a2"])
-        true_leaf = {"x": t0.id_of("a2")}  # LSA = A at depth 1
+        true_leaf = np.array([t0.id_of("a2")])  # LSA = A at depth 1
         level_classes = {1: {t0.id_of("A"), t0.id_of("B")}}
-        hit = acc_aware({1: {"x": t0.id_of("A")}}, level_classes, true_leaf, t0, split)
-        miss = acc_aware({1: {"x": t0.id_of("B")}}, level_classes, true_leaf, t0, split)
+        hit = acc_aware({1: np.array([t0.id_of("A")])}, level_classes, true_leaf, t0, split)
+        miss = acc_aware({1: np.array([t0.id_of("B")])}, level_classes, true_leaf, t0, split)
         assert hit == 1.0
         assert miss == 0.0
 
     def test_missing_level_head_skips_sample(self, t0):
         samples = make_samples(t0, {"a1": 1, "a2": 1, "b1": 1})
         split = manual_split(t0, samples, unseen_names=["a2"])
-        true_leaf = {"x": t0.id_of("a2")}
+        true_leaf = np.array([t0.id_of("a2")])
         with pytest.warns(UserWarning, match="skipped"):
-            value = acc_aware({2: {"x": t0.id_of("a1")}}, {2: set()}, true_leaf, t0, split)
+            value = acc_aware({2: np.array([t0.id_of("a1")])}, {2: set()}, true_leaf, t0, split)
         assert value is None
 
 
@@ -815,17 +819,22 @@ class TestCountingMetrics:
         split = SplitAssignment(0, frozenset(seen), frozenset(unseen), {})
         ids = [f"s{i:03d}" for i in range(n)]
 
+        def column(per_sample: dict) -> np.ndarray:  # the metrics' form: one entry per sample
+            return np.array([per_sample[sid] for sid in ids], dtype=np.intp)
+
         truths = {sid: int(rng.choice(seen)) for sid in ids}
         predicted = {sid: int(rng.choice(leaves)) for sid in ids}  # unseen leaves too
         for sid in ids:
             if rng.random() < hit_rate:
                 predicted[sid] = truths[sid]
         classes = seen[: int(rng.integers(1, len(seen) + 1))]
-        assert leaf_f1(predicted, truths, classes) == leaf_f1_oracle(predicted, truths, classes)
+        assert leaf_f1(column(predicted), column(truths), classes) == leaf_f1_oracle(
+            predicted, truths, classes
+        )
 
         true_leaf = {sid: int(rng.choice(unseen)) for sid in ids}
         lsa = {sid: lowest_seen_ancestor_oracle(tax, split, t) for sid, t in true_leaf.items()}
-        assert acc_blind(predicted, true_leaf, tax, split) == acc_blind_oracle(
+        assert acc_blind(column(predicted), column(true_leaf), tax, split) == acc_blind_oracle(
             tax, split, predicted, true_leaf
         )
 
@@ -846,8 +855,10 @@ class TestCountingMetrics:
             }
             for level in heads
         }
-        args = (level_predictions, level_classes, true_leaf)
-        assert acc_aware(*args, tax, split) == acc_aware_oracle(tax, split, *args)
+        level_columns = {level: column(picks) for level, picks in level_predictions.items()}
+        assert acc_aware(
+            level_columns, level_classes, column(true_leaf), tax, split
+        ) == acc_aware_oracle(tax, split, level_predictions, level_classes, true_leaf)
 
 
 class TestPerQueryDiagnostics:
@@ -877,4 +888,4 @@ class TestReportSerialisation:
         report = MetricsReport(leaf_f1=0.9, mnr=0.1, ndcg_sum=0.95, ndcg_max=0.95)
         data = report.to_json()
         assert data["acc_blind"] is None
-        assert MetricsReport.from_json(data) == report
+        assert MetricsReport(**data) == report

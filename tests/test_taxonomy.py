@@ -61,7 +61,7 @@ class TestParse:
 
     def test_parse_is_deterministic(self):
         doc = t0_document()
-        assert parse_taxonomy(doc) == parse_taxonomy(t0_document())
+        assert parse_taxonomy(doc).to_document() == parse_taxonomy(t0_document()).to_document()
 
 
 class TestLoad:

@@ -23,6 +23,9 @@
 # left behind. It names each file that differs; for a CSV of the same shape
 # on both sides (the per-query diagnostics) it also counts the rows that
 # differ and their largest gap in units in the last place (ulp).
+# Last it prints, without failing on them, the line count of
+# `src/hieremb/*.py` at the ref and in the working tree, and whether
+# `tests/test_acceptance.py` differs from the ref.
 set -euo pipefail
 
 ref=${1:?usage: tools/compare_outputs.sh <git-ref>}
@@ -110,6 +113,13 @@ done
 if find "$tmp/out" -name '*.partial' | grep .; then
   echo "partial files left behind"
   status=1
+fi
+echo "src/hieremb/*.py: $(cat "$tmp"/ref/src/hieremb/*.py | wc -l) lines at the ref," \
+  "$(cat "$repo"/src/hieremb/*.py | wc -l) in the working tree"
+if git -C "$repo" diff --quiet "$ref" -- tests/test_acceptance.py; then
+  echo "tests/test_acceptance.py: as at the ref"
+else
+  echo "tests/test_acceptance.py: differs from the ref"
 fi
 [ "$status" = 0 ] && echo "every file identical, no .partial file"
 exit "$status"
