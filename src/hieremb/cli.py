@@ -98,6 +98,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not self.margin > 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
+        if bool(self.taxonomy_path) != bool(self.dataset_path):
+            raise ValueError("taxonomy and dataset paths must be given together")
         if not self.combos:  # `combos = ,`: a run would train nothing
             raise ValueError("combos lists no loss combination")
         for combo in self.combos:
@@ -336,9 +338,7 @@ def load_labeled_data(taxonomy_path, dataset_path) -> tuple[Taxonomy, list[Label
 
 def load_experiment_data(config: ExperimentConfig) -> tuple[Taxonomy, list[LabeledSample]]:
     """Load taxonomy and dataset from files, or generate them synthetically."""
-    if config.dataset_path or config.taxonomy_path:
-        if not (config.dataset_path and config.taxonomy_path):
-            raise ValueError("taxonomy and dataset paths must be given together")
+    if config.dataset_path:  # the config holds both paths or neither
         return load_labeled_data(config.taxonomy_path, config.dataset_path)
     return generate(config.synth)
 
@@ -547,10 +547,14 @@ def cmd_evaluate(args) -> None:
         check_pool_sizes([split], subsets=(args.set,))
     except MetricError as err:
         raise named(paths["split"], err, MetricError) from None
+    # only the pool is kept: the other samples and the sidecar's feature block,
+    # which views of its rows would hold, are freed before the ranking
+    pool = [replace(s, features=s.features.copy()) for s in partition_samples(dataset, split, args.set)]
+    del dataset
     if not args.diagnostics:
-        report = evaluate_model(model, taxonomy, dataset, split, args.set)
+        report = evaluate_model(model, taxonomy, pool, split, args.set)
     else:
-        report, rows = _evaluate_ranked(model, taxonomy, dataset, split, args.set, diagnostics=True)
+        report, rows = _evaluate_ranked(model, taxonomy, pool, split, args.set, diagnostics=True)
         _write_csv(Path(args.diagnostics), list(rows[0]), rows)
     _write_json(Path(args.out), report.to_json())
     print(f"wrote {args.set} metrics to {args.out}")

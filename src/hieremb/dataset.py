@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LabeledSample:
     """One data point: unique id, fine-grained leaf label, dense feature vector."""
 
@@ -37,6 +37,7 @@ def load_dataset(path: str | Path) -> list[LabeledSample]:
     samples = []
     line_nos = []
     shape = None
+    labels: dict[str, str] = {}  # one string per distinct label, shared by its samples
     with open(path, "rb") as fh:  # each line is decoded on its own, so a bad byte is placed
         for line_no, line in enumerate(fh, start=1):
             try:
@@ -52,7 +53,8 @@ def load_dataset(path: str | Path) -> list[LabeledSample]:
                     raise TypeError(f"{key!r} is {record[key]!r}, not a string")
                 if type(features) is not list or not set(map(type, features)) <= {float, int}:
                     raise TypeError(f"sample {sid!r} has features that are not a list of numbers")
-                sample = LabeledSample(sid, leaf, np.asarray(features, dtype=np.float64))
+                sample = LabeledSample(sid, labels.setdefault(leaf, leaf),
+                                       np.asarray(features, dtype=np.float64))
                 shape = shape or sample.features.shape
                 if sample.features.shape != shape:
                     raise ValueError(f"sample {sid!r} has features of shape "
@@ -103,7 +105,9 @@ def _sidecar_samples(path: str | Path) -> list[LabeledSample] | None:
             sha256.update(chunk)
     if sha256.hexdigest() != str(digest):
         return None
-    return [LabeledSample(i, leaf, x) for i, leaf, x in zip(ids, leaves.tolist(), features)]
+    labels: dict[str, str] = {}  # `tolist` makes a string per entry; keep one per label
+    return [LabeledSample(i, labels.setdefault(leaf, leaf), x)
+            for i, leaf, x in zip(ids, leaves.tolist(), features)]
 
 
 @contextmanager

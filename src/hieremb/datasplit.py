@@ -153,6 +153,8 @@ def split_from_json(taxonomy: Taxonomy, data: dict) -> SplitAssignment:
     bad = sorted({v for v in partition.values()} - set(SUBSETS))
     if bad:
         raise SplitError(f"unknown partition subsets: {bad}")
+    subsets = dict(zip(SUBSETS, SUBSETS))  # each value becomes its one `SUBSETS` string
+    partition = {sid: subsets[name] for sid, name in partition.items()}
     return SplitAssignment(
         fold_index=int(data["fold"]),
         seen_leaves=seen,

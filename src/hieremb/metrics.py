@@ -149,16 +149,24 @@ def _pool_leaves(ranking: Ranking, leaf_of: dict[str, int]) -> tuple[np.ndarray,
     return leaves, code, n
 
 
+def _sample_count(truths: np.ndarray, *predictions: np.ndarray) -> int:
+    """The number of samples; none, or a prediction array of another length,
+    raises a `MetricError`."""
+    n = len(truths)
+    if not n:
+        raise MetricError("empty evaluation set")
+    for predicted in predictions:
+        if len(predicted) != n:
+            raise MetricError(f"{len(predicted)} predictions for {n} samples")
+    return n
+
+
 def leaf_f1(predictions: np.ndarray, truths: np.ndarray, classes: list[int]) -> float:
     """Macro-averaged F1 over the given classes.
 
     A class absent from both predictions and truths still counts, with F1 0.
     """
-    n = len(truths)
-    if not n:
-        raise MetricError("empty evaluation set")
-    if len(predictions) != n:
-        raise MetricError(f"{len(predictions)} predictions for {n} samples")
+    n = _sample_count(truths, predictions)
     labels = np.concatenate([truths, predictions, classes])
     distinct, code = np.unique(labels, return_inverse=True)
     true, pred, cls = code[:n], code[n : 2 * n], code[2 * n :]
@@ -356,11 +364,10 @@ def acc_blind(
     The predicted leaf is traced up to the LSA's depth (or kept as is when
     already shallower) and compared against the true LSA.
     """
-    if not len(true_leaf):
-        raise MetricError("empty prediction set")
+    n = _sample_count(true_leaf, predicted_leaf)
     lifts = taxonomy.leaf_ancestors(predicted_leaf)
     lsa, depth = _lowest_seen(true_leaf, taxonomy, split)
-    return np.count_nonzero(lifts[np.arange(len(lsa)), depth] == lsa) / len(lsa)
+    return np.count_nonzero(lifts[np.arange(n), depth] == lsa) / n
 
 
 def acc_aware(
@@ -377,8 +384,7 @@ def acc_aware(
     be evaluated and is skipped with a warning. Returns None when nothing
     is evaluable.
     """
-    if not len(true_leaf):
-        raise MetricError("empty prediction set")
+    _sample_count(true_leaf, *level_predictions.values())
     retained = sorted(level_predictions)
     lsa, _ = _lowest_seen(true_leaf, taxonomy, split)
     nodes, inverse = np.unique(lsa, return_inverse=True)

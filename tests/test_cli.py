@@ -124,6 +124,11 @@ class TestConfigParsing:
             ("margin", "nan", "margin must be positive, got nan"),
             # parsed to no combination, and `run` trained nothing
             ("combos", ",", "combos lists no loss combination"),
+            ("synth_branching", "1-2-3", "synth_branching: bad range '1-2-3', expected 'lo-hi'"),
+            ("synth_feature_dim", "1", "feature_dim must be at least 2"),
+            ("synth_offset_scale", "-1", "scales must be non-negative"),
+            # used to fail in load_experiment_data, naming no file
+            ("taxonomy", "taxonomy.json", "taxonomy and dataset paths must be given together"),
         ],
     )
     def test_invalid_model_setting_names_the_file(self, tmp_path, key, value, message):
@@ -251,6 +256,31 @@ class TestEvaluateModel:
             assert list(csv.DictReader(fh)) == expected
         report = evaluate_model(model, tax, samples, split, subset)
         assert json.loads((tmp_path / "metrics.json").read_text()) == report.to_json()
+
+    @pytest.mark.parametrize("diagnostics", [False, True])
+    @pytest.mark.parametrize("subset", ["test", "prediction"])
+    def test_evaluate_hands_over_only_the_pool(self, trained, tmp_path, monkeypatch,
+                                               subset, diagnostics):
+        # the other samples, and the sidecar block their features are rows
+        # of, are not kept while the pool is ranked
+        _, samples, split, _ = trained
+        _, _, checkpoint = write_stage_inputs(tmp_path, trained)
+        handed = []
+        for name in ("evaluate_model", "_evaluate_ranked"):
+            def record(model, taxonomy, dataset, *args, _wrapped=getattr(cli, name), **kwargs):
+                handed.append(dataset)
+                return _wrapped(model, taxonomy, dataset, *args, **kwargs)
+
+            monkeypatch.setattr(cli, name, record)
+        argv = ["evaluate", "--checkpoint", str(checkpoint), "--set", subset,
+                "--out", str(tmp_path / "metrics.json")]
+        main(argv + (["--diagnostics", str(tmp_path / "diag.csv")] if diagnostics else []))
+        pool = partition_samples(samples, split, subset)
+        assert handed  # `evaluate_model` hands its list on to `_evaluate_ranked`
+        assert all([s.id for s in dataset] == [s.id for s in pool] for dataset in handed)
+        for loaded, sample in zip(handed[0], pool):
+            assert loaded.features.base is None
+            assert np.array_equal(loaded.features, sample.features)
 
 
 class TestRunExperiment:
@@ -515,8 +545,12 @@ class TestSubcommandPipeline:
             ('{"fold": 0, "unseen": [], "partition": {}}', "missing key 'seen'"),
             ('{"fold": 0, "seen": ["a1"', "not a JSON file: Expecting"),
             ("[]", "not a JSON object"),
+            ('{"fold": 0, "seen": ["a1", "b1"], "unseen": ["a1", "a2"], "partition": {}}',
+             "seen and unseen leaf sets overlap"),
+            ('{"fold": 0, "seen": ["a1", "b1"], "unseen": ["a2"], '
+             '"partition": {"s00000": "holdout"}}', "unknown partition subsets: ['holdout']"),
         ],
-        ids=["missing-key", "truncated", "not-an-object"],
+        ids=["missing-key", "truncated", "not-an-object", "overlap", "unknown-subset"],
     )
     def test_bad_split_file_is_named(self, tmp_path, command, text, error):
         tax = parse_taxonomy(t0_document())
@@ -703,6 +737,33 @@ class TestStageInputChecks:
         assert not (tmp_path / "m.json").exists()
         main(argv + ["--set", "prediction"])  # only the evaluated pool is checked
         assert json.loads((tmp_path / "m.json").read_text())["ndcg_sum"] is not None
+
+    def test_unsupported_combination_is_named(self, trained, tmp_path):
+        split, _, _ = write_stage_inputs(tmp_path, trained)
+        argv = ["train", "--taxonomy", str(tmp_path / "taxonomy.json"),
+                "--dataset", str(tmp_path / "dataset.jsonl"), "--split", str(split),
+                "--fold", "0", "--losses", "L+B", "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit, match=re.escape("unsupported loss combination 'L+B'")):
+            main(argv)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("given, missing", [
+        ((), "taxonomy"), (("taxonomy",), "dataset"), (("taxonomy", "dataset"), "split"),
+    ])
+    def test_path_a_run_checkpoint_lacks_is_named(self, trained, tmp_path, given, missing):
+        # `run` records fold, combination and seed in a checkpoint, no paths
+        _, _, _, models = trained
+        write_stage_inputs(tmp_path, trained)
+        checkpoint = tmp_path / "run_checkpoint.json"
+        save_checkpoint(checkpoint, models[frozenset({"L"})],
+                        extra={"fold": 0, "combo": "L", "seed": 0})
+        files = {"taxonomy": "taxonomy.json", "dataset": "dataset.jsonl"}
+        argv = ["evaluate", "--checkpoint", str(checkpoint), "--set", "test",
+                "--out", str(tmp_path / "test.json")]
+        argv += [arg for key in given for arg in (f"--{key}", str(tmp_path / files[key]))]
+        error = f"--{missing} required (checkpoint does not record a {missing} path)"
+        with pytest.raises(SystemExit, match=re.escape(error)):
+            main(argv)
 
     def test_dataset_of_another_feature_length_is_named(self, trained, tmp_path):
         # used to fail in forward_batch with a bare shape message

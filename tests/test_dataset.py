@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -196,6 +197,26 @@ def test_sidecar_load_equals_parse(tmp_path, parses):
     assert len(parses) == 150
     assert as_tuples(from_sidecar) == as_tuples(parsed) == as_tuples(sample_list(n=150))
     assert all(s.features.dtype == np.float64 and s.features.shape == (4,) for s in from_sidecar)
+
+
+def test_sample_has_no_instance_dict():
+    sample = sample_list(n=1)[0]
+    assert not hasattr(sample, "__dict__")
+    with pytest.raises(AttributeError):  # still frozen
+        sample.leaf = "leaf1"
+    assert sample == sample and sample != replace(sample) and hash(sample) == hash(sample)
+
+
+def test_samples_of_one_label_share_its_string(tmp_path, parses):
+    # whether they come from the sidecar or the parse
+    path = tmp_path / "d.jsonl"
+    save_dataset(path, sample_list(n=30))
+    from_sidecar = load_dataset(path)
+    (tmp_path / "d.jsonl.npz").unlink()
+    parsed = load_dataset(path)
+    assert len(parses) == 30
+    for loaded in (from_sidecar, parsed):
+        assert len({s.leaf for s in loaded}) == len({id(s.leaf) for s in loaded}) == 3
 
 
 def test_sidecar_of_empty_dataset(tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hieremb.datasplit import (
+    SUBSETS,
     SplitError,
+    load_split,
     lowest_seen_ancestor,
     make_fold_splits,
     partition_samples,
@@ -233,6 +235,16 @@ class TestSerialisation:
         data = split_to_json(t0, split)
         json.dumps(data)  # must be serialisable
         assert split_from_json(t0, data) == split
+
+    def test_partition_values_are_the_subset_names(self, t0, tmp_path):
+        # the JSON parse makes a string per entry; each becomes its SUBSETS entry
+        samples = make_samples(t0, {"a1": 12, "a2": 15, "b1": 11})
+        split = make_fold_splits(t0, samples, k_folds=2, seed=0)[1]
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(split_to_json(t0, split)))
+        loaded = load_split(path, t0, samples)
+        assert loaded == split
+        assert {id(v) for v in loaded.partition.values()} <= {id(name) for name in SUBSETS}
 
     def test_rejects_inconsistent_sets(self, t0):
         data = {"fold": 0, "seen": ["a1"], "unseen": ["a2"], "partition": {}}

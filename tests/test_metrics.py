@@ -781,6 +781,10 @@ class TestAccBlind:
         split = manual_split(t0, samples, unseen_names=["a2"])
         with pytest.raises(MetricError, match="empty"):
             acc_blind(np.array([], dtype=np.intp), np.array([], dtype=np.intp), t0, split)
+        # two predictions for one sample used to score only the first, as 1.0
+        predicted = np.array([t0.id_of("a1"), t0.id_of("b1")])
+        with pytest.raises(MetricError, match="^2 predictions for 1 samples$"):
+            acc_blind(predicted, np.array([t0.id_of("a2")]), t0, split)
 
 
 class TestAccAware:
@@ -801,6 +805,21 @@ class TestAccAware:
         with pytest.warns(UserWarning, match="skipped"):
             value = acc_aware({2: np.array([t0.id_of("a1")])}, {2: set()}, true_leaf, t0, split)
         assert value is None
+
+    def test_empty_rejected(self, t0):
+        samples = make_samples(t0, {"a1": 1, "a2": 1, "b1": 1})
+        split = manual_split(t0, samples, unseen_names=["a2"])
+        level_classes = {1: {t0.id_of("A"), t0.id_of("B")}, 2: set()}
+        empty = np.array([], dtype=np.intp)
+        with pytest.raises(MetricError, match="empty"):
+            acc_aware({1: empty}, level_classes, empty, t0, split)
+        # a level array of another length used to raise a bare IndexError;
+        # every level's array is checked, not only the first
+        true_leaf = np.array([t0.id_of("a2")])
+        one, two = np.array([t0.id_of("A")]), np.array([t0.id_of("A"), t0.id_of("B")])
+        for level_predictions in ({1: two}, {1: one, 2: two}):
+            with pytest.raises(MetricError, match="^2 predictions for 1 samples$"):
+                acc_aware(level_predictions, level_classes, true_leaf, t0, split)
 
 
 class TestCountingMetrics:
