@@ -429,6 +429,11 @@ def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:
     """Full pipeline: split, train, and evaluate every fold x combination,
     then aggregate its cells into a Table-style CSV. Returns the rows."""
     out = Path(config.out_dir)
+    if out.is_dir():
+        for k, fold_dir in _fold_dirs(out):
+            if k >= config.k_folds:  # `report` would average it in
+                raise ValueError(f"{fold_dir} is left by an earlier run with more than "
+                                 f"{config.k_folds} folds; remove it or choose another --out")
     taxonomy, dataset = load_experiment_data(config)
     splits = make_fold_splits(taxonomy, dataset, config.k_folds, config.seed)
     check_pool_sizes(splits)
@@ -444,7 +449,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:
             for subset in ("test", "prediction"):
                 report = evaluate_model(model, taxonomy, dataset, split, subset)
                 _write_json(run_dir / f"{subset}.json", report.to_json())
-    # the cells run, in config order; a fold_<k> left by an earlier run is not read
+    # the cells run, in config order
     cells = {combo_name(c): [out / f"fold_{s.fold_index}" / combo_name(c) for s in splits]
              for c in config.combos}
     return write_aggregate(out / "aggregate.csv", cells)
@@ -560,8 +565,8 @@ def cmd_evaluate(args) -> None:
     print(f"wrote {args.set} metrics to {args.out}")
 
 
-def cmd_report(args) -> None:
-    runs = Path(args.runs)
+def _fold_dirs(runs: Path) -> list[tuple[int, Path]]:
+    """The `fold_<k>` directories in `runs` as (k, path), in k order."""
     folds = []
     for d in runs.iterdir():
         if d.is_dir() and d.name.startswith("fold_"):
@@ -569,8 +574,13 @@ def cmd_report(args) -> None:
             if not (index.isascii() and index.isdigit()):
                 raise ValueError(f"{d.name!r} in {runs} is not a fold_<number> directory")
             folds.append((int(index), d))
+    return sorted(folds)
+
+
+def cmd_report(args) -> None:
+    runs = Path(args.runs)
     cells: dict[str, list[Path]] = {}
-    for _, fold_dir in sorted(folds):
+    for _, fold_dir in _fold_dirs(runs):
         for run_dir in sorted(d for d in fold_dir.iterdir() if d.is_dir()):
             if (run_dir / "test.json").exists() or (run_dir / "prediction.json").exists():
                 cells.setdefault(run_dir.name, []).append(run_dir)

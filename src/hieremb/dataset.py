@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -150,25 +152,45 @@ def named(where: str | Path, err: Exception | str, error: type[ValueError] = Val
 
 
 def save_dataset(path: str | Path, samples: list[LabeledSample]) -> None:
-    """Write samples as JSON Lines; float values round-trip exactly.
+    """Write samples as JSON Lines, each line the bytes `json.dumps` writes
+    for the record `{"id", "leaf", "features"}`, so float values round-trip
+    exactly. A sample whose features are not a vector raises a `ValueError`
+    before anything is written.
 
     Then write the sidecar `load_dataset` reads instead of parsing: the ids,
     leaves and features matrix, and the SHA-256 of the bytes just written. It
     is left out when the samples would not read back from it as they are
     (ragged features, or an id or leaf that is not a string numpy keeps)."""
-    sha256 = hashlib.sha256()
-    with atomic_open(path, "wb") as fh:
-        for start in range(0, len(samples), 64):  # per-line hash and write calls cost more
-            records = (
-                {"id": s.id, "leaf": s.leaf, "features": np.asarray(s.features, np.float64).tolist()}
-                for s in samples[start:start + 64]
-            )
-            chunk = "".join(json.dumps(record) + "\n" for record in records).encode()
-            sha256.update(chunk)
-            fh.write(chunk)
     try:
         features = features_matrix(samples)
-    except ValueError:
+    except ValueError:  # vectors of different lengths, or not all vectors
+        features = None
+    if features is None or features.ndim != 2:
+        vectors = [np.asarray(s.features, np.float64) for s in samples]
+        for s, v in zip(samples, vectors):
+            if v.ndim != 1:
+                raise ValueError(f"sample {s.id!r} has features of shape {v.shape}, not a vector")
+        values, counts, features = np.concatenate([np.zeros(0), *vectors]), list(map(len, vectors)), None
+    else:
+        values, counts = features.ravel(), [features.shape[1]] * len(samples)
+    edges = np.cumsum([0, *counts])  # row k holds values edges[k]:edges[k + 1]
+    sha256 = hashlib.sha256()
+    with atomic_open(path, "wb") as fh:
+        row = 0
+        while row < len(samples):  # whole rows of at most _BLOCK values, or one longer row
+            stop = max(row + 1, int(np.searchsorted(edges, edges[row] + _BLOCK, "right")) - 1)
+            text, lengths = _float_text(values[edges[row]:edges[stop]])
+            ends = np.concatenate([[0], np.cumsum(lengths)])[edges[row:stop + 1] - edges[row]]
+            stops = np.maximum(ends[1:] - 2, ends[:-1])  # a row's text less its last ", "
+            chunk = b"".join(
+                b'{"id": %b, "leaf": %b, "features": [%b]}\n'
+                % (_json_text(s.id), _json_text(s.leaf), text[a:b])
+                for s, a, b in zip(samples[row:stop], ends[:-1].tolist(), stops.tolist())
+            )
+            sha256.update(chunk)
+            fh.write(chunk)
+            row = stop
+    if features is None:
         return
     labels = [[s.id for s in samples], [s.leaf for s in samples]]
     ids, leaves = (np.array(column, dtype=str) for column in labels)
@@ -176,6 +198,129 @@ def save_dataset(path: str | Path, samples: list[LabeledSample]) -> None:
         return
     with atomic_open(f"{path}.npz", "wb") as fh:
         np.savez(fh, sha256=np.array(sha256.hexdigest()), ids=ids, leaves=leaves, features=features)
+
+
+def _json_text(value) -> bytes:
+    """`value` as `json.dumps` writes it inside a record."""
+    return (encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)).encode()
+
+
+# -- float64 values as JSON text, byte for byte as `json.dumps` writes them -----
+
+_BLOCK = 4096  # values per kernel pass: no array a pass makes reaches 128 KiB
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact up to 10**22
+_QUADS = np.frombuffer(b"".join(b"%04d" % k for k in range(10_000)), np.uint32)  # "0000" ... "9999"
+# a value's slot: its text right-aligned in 24 bytes, then the separator
+_SLOT = np.frombuffer(b"0" * 24 + b", ", np.uint8)
+# row c - 2: 255 in the columns after a point at column c; row c: True from column c on
+_AFTER_POINT = np.where(np.arange(26) > np.arange(2, 25)[:, None], 255, 0).astype(np.uint8)
+_FROM = np.arange(26) >= np.arange(26)[:, None]
+
+
+def _float_text(values: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The float64 `values` as `json.dumps` writes each, each followed by
+    ", ", as one byte string; and each value's length in it, separator
+    included."""
+    blocks = [_float_block(values[i:i + _BLOCK]) for i in range(0, len(values), _BLOCK)]
+    return b"".join(t for t, _ in blocks), np.concatenate([np.zeros(0, np.intp), *(n for _, n in blocks)])
+
+
+def _float_block(x: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """`_float_text` of at most `_BLOCK` values. Values the shortest-digits
+    search does not settle go through `json.dumps`.
+
+    The per-column choices are masks over whole (n, 26) slots, taken from
+    tables: numpy runs an operation on whole slots as one flat loop, and on
+    column ranges of them row by row, several times slower."""
+    exact, digits, precision, point = _shortest_digits(x)
+    n = len(x)
+    quads = np.empty((n, 5), np.uint32)  # `digits` as 20 decimal digits
+    for k in range(4, 0, -1):
+        higher = digits // 10_000
+        quads[:, k] = _QUADS[digits - higher * 10_000]
+        digits = higher
+    quads[:, 0] = _QUADS[digits]
+    significand = quads.view(np.uint8)[:, 3:]  # 17 digits, the last `precision` significant
+    # the 17 digits end at column 23; those before the point, `whole` of them,
+    # stand one column further left, and the point at column 6 + whole
+    whole = point + 17 - precision
+    slot, fraction = np.empty((n, len(_SLOT)), np.uint8), np.empty((n, len(_SLOT)), np.uint8)
+    slot[:], fraction[:] = _SLOT, _SLOT
+    slot[:, 6:23], fraction[:, 7:24] = significand, significand
+    slot ^= (slot ^ fraction) & np.take(_AFTER_POINT, whole + 4, axis=0)
+    # the text starts at the first significant digit, or at the "0" before
+    # the point; the sign, if any, one column before
+    start = 6 + np.minimum(17 - precision, whole - 1)
+    flat, rows = slot.reshape(-1), np.arange(0, slot.size, len(_SLOT))
+    flat[rows + 6 + whole] = ord(".")
+    flat[rows + start - 1] = ord("-")
+    start -= x < 0
+    other = np.flatnonzero(~exact)
+    if len(other):
+        # json.dumps writes a finite float as its repr, but at ten times the cost
+        text = [repr(v) if math.isfinite(v) else json.dumps(v) for v in x[other].tolist()]
+        slot[other] = np.frombuffer("".join(t.rjust(24) + ", " for t in text).encode(),
+                                    np.uint8).reshape(-1, len(_SLOT))
+        start[other] = [24 - len(t) for t in text]
+    return slot[np.take(_FROM, start, axis=0)].tobytes(), len(_SLOT) - start
+
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each float64 in `x`: whether it is settled here; the shortest
+    decimal that reads back as |x|, as the integer of its significant digits;
+    their count (15-17); and the number of digits before its decimal point
+    (for |x| < 1, minus the number of zeros right after the point).
+
+    |x| is scaled by 10**s into [1e16, 1e17), exactly, as the int64 `n` plus
+    `lo` in [0, 1). The nearest multiple of 10**(17 - p) reads back as x when
+    its gap to the scaled value is below the scaled half ulp `half`. Left
+    unsettled: zero, non-finite values and |x| outside [1e-4, 1e14); powers
+    of two, whose rounding interval is lopsided; a half-way candidate; a gap
+    within 1e-9 of `half` (the gap's float error is below 1e-12); and a value
+    whose 14-digit candidate already reads back."""
+    a = np.abs(x)
+    exact = (a >= 1e-4) & (a < 1e14)  # False for NaN
+    a[~exact] = 1.0  # keep non-finite and subnormal values out of the arithmetic
+    mantissa, exponent = np.frexp(a)
+    s = 16 - np.floor(np.log10(a)).astype(np.intp)
+    n, lo = _scaled(a, s)
+    shift = (n < 10**16).view(np.int8) - (n >= 10**17).view(np.int8)
+    if shift.any():  # log10 rounds to a power of ten just below one
+        s += shift
+        n, lo = _scaled(a, s)
+    half = np.ldexp(_POW10[s], exponent - 54)
+    exact &= (n >= 10**16) & (n < 10**17) & (mantissa != 0.5) & (lo != 0.5)
+    r, precision = (n % 1000).astype(np.float64), np.full(len(n), 17)
+    for unit in (10.0, 100.0, 1000.0):
+        # the scaled value less the multiple of `unit` below it, rounded: it
+        # reads unit / 2 for a tie and for too near a tie to tell the side
+        below = r - unit * np.floor(r / unit) + lo  # np.fmod is ten times slower
+        gap = np.minimum(below, unit - below)
+        exact &= (below != unit / 2) & (np.abs(gap - half) > 1e-9)
+        precision -= gap < half
+    exact &= precision > 14
+    unit = 10 ** (17 - precision)
+    digits = (n + unit // 2) // unit + ((unit == 1) & (lo > 0.5))  # the nearest multiple
+    return exact, digits, precision, 17 - s
+
+
+def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`a * 10**s` as an int64 `n` plus a float64 `lo` in [0, 1), exactly:
+    Dekker's product of Veltkamp-split factors (numpy has no fused
+    multiply-add) gives the rounded product and its error."""
+    scale = _POW10[s]
+    product = a * scale
+    (ah, al), (sh, sl) = _split(a), _split(scale)
+    error = ((ah * sh - product) + ah * sl + al * sh) + al * sl
+    whole = np.floor(error)
+    return product.astype(np.int64) + whole.astype(np.int64), error - whole
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`v` as a high part of at most 26 significant bits plus the rest."""
+    c = v * 134217729.0  # 2**27 + 1
+    high = c - (c - v)
+    return high, v - high
 
 
 def features_matrix(samples: list[LabeledSample]) -> np.ndarray:

@@ -94,18 +94,10 @@ def generate(config: SynthConfig) -> tuple[Taxonomy, list[LabeledSample]]:
         means[nid] = means[taxonomy.parent(nid)] + scale * rng.normal(size=dim)
 
     samples = []
-    counter = 0
     lo, hi = config.samples_per_leaf
     for leaf in sorted(taxonomy.leaf_ids):
         count = int(rng.integers(lo, hi + 1))
-        noise = config.noise * rng.normal(size=(count, dim))
-        for row in noise:
-            samples.append(
-                LabeledSample(
-                    id=f"s{counter:06d}",
-                    leaf=taxonomy.name(leaf),
-                    features=means[leaf] + row,
-                )
-            )
-            counter += 1
+        name = taxonomy.name(leaf)
+        block = means[leaf] + config.noise * rng.normal(size=(count, dim))  # a row per sample
+        samples += [LabeledSample(f"s{len(samples) + k:06d}", name, row) for k, row in enumerate(block)]
     return taxonomy, samples

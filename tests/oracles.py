@@ -7,6 +7,7 @@ Only the Taxonomy accessors parent/children/name are used for tree walks.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -463,3 +464,42 @@ def wide_index_metrics_oracle(ranking, tax, leaf_of, k=5):
     hits = leaf[ranking.order[:, :k]] == leaf[ranking.queries, None]
     values["rp_at_k"] = float(np.mean(hits.sum(axis=1) / k)) if n >= k else None
     return values
+
+
+def dataset_jsonl_oracle(samples) -> bytes:
+    """The JSON Lines bytes of a per-record writer: one `json.dumps` of
+    `{"id", "leaf", "features"}` per sample, features as Python floats."""
+    return "".join(
+        json.dumps({"id": s.id, "leaf": s.leaf, "features": np.asarray(s.features, np.float64).tolist()})
+        + "\n" for s in samples
+    ).encode()
+
+
+def generate_samples_oracle(config):
+    """`synthdata.generate`'s samples drawn one sample at a time: the same
+    draws as the library's per-leaf blocks, each feature vector its leaf's
+    mean plus one row of noise."""
+    from hieremb.dataset import LabeledSample
+    from hieremb.synthdata import generate
+
+    taxonomy, _ = generate(config)
+    # replay the draws in generate's order: branch counts, means, leaves
+    rng = np.random.default_rng(config.seed)
+    frontier = 1
+    for lo, hi in config.level_branching():
+        frontier = sum(int(rng.integers(lo, hi + 1)) for _ in range(frontier))
+    dim = config.feature_dim
+    means = np.zeros((len(taxonomy), dim))
+    for nid in range(1, len(taxonomy)):
+        scale = config.offset_scale * config.decay ** (depth_oracle(taxonomy, nid) - 1)
+        means[nid] = means[taxonomy.parent(nid)] + scale * rng.normal(size=dim)
+    samples = []
+    counter = 0
+    lo, hi = config.samples_per_leaf
+    for leaf in sorted(leaves_oracle(taxonomy)):
+        count = int(rng.integers(lo, hi + 1))
+        noise = config.noise * rng.normal(size=(count, dim))
+        for row in noise:
+            samples.append(LabeledSample(f"s{counter:06d}", taxonomy.name(leaf), means[leaf] + row))
+            counter += 1
+    return samples

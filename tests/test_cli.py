@@ -383,15 +383,18 @@ class TestReport:
         main(["report", "--runs", str(runs), "--out", str(tmp_path / "report.csv")])
         assert (tmp_path / "report.csv").read_bytes() == (runs / "aggregate.csv").read_bytes()
 
-    def test_run_leaves_out_a_stale_cell(self, tmp_path):
-        # a 3-fold run, then a 2-fold run into the same directory: fold_2 is
-        # stale, and the second aggregate is a fresh 2-fold run's
-        for folds, out in (("3", "runs"), ("2", "runs"), ("2", "fresh")):
-            cfg = write_config(tmp_path / "exp.cfg", {"k_folds": folds, "epochs": "1", "combos": "L"})
-            main(["run", "--config", str(cfg), "--out", str(tmp_path / out)])
-        assert (tmp_path / "runs" / "fold_2" / "L" / "test.json").exists()
-        aggregate = (tmp_path / "runs" / "aggregate.csv").read_bytes()
-        assert aggregate == (tmp_path / "fresh" / "aggregate.csv").read_bytes()
+    def test_run_refuses_a_stale_fold(self, tmp_path):
+        # a 3-fold run, then a 2-fold run into the same directory: `report`
+        # would average the first run's fold_2 into the second's aggregate
+        cfg = write_config(tmp_path / "exp.cfg", {"k_folds": "3", "epochs": "1", "combos": "L"})
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")])
+        before = {p: p.read_bytes() for p in (tmp_path / "runs").rglob("*") if p.is_file()}
+        cfg = write_config(tmp_path / "exp.cfg", {"k_folds": "2", "epochs": "1", "combos": "L"})
+        stale = tmp_path / "runs" / "fold_2"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(stale))} is left by an earlier run"):
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")])
+        # refused before anything is trained or written
+        assert {p: p.read_bytes() for p in (tmp_path / "runs").rglob("*") if p.is_file()} == before
 
     def test_run_keeps_the_config_combo_order(self, tmp_path):
         runs = tmp_path / "runs"

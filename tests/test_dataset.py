@@ -368,3 +368,70 @@ def test_failed_sidecar_write_leaves_no_sidecar_that_passes(tmp_path, monkeypatc
     # the sidecar left is the earlier one, for the earlier six samples: it
     # does not match the new file's bytes, so the new file is parsed
     assert as_tuples(load_dataset(path)) == as_tuples(sample_list(n=5))
+
+
+# -- the writer's bytes against one json.dumps per record --------------------
+
+
+def saved_bytes(tmp_path, samples):
+    path = tmp_path / "d.jsonl"
+    save_dataset(path, samples)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("text", ['quote"d', "back\\slash", "caf\u00e9 \u6f22 \U0001f600",
+                                  "tab\tnul\x00bell\x07", ""],
+                         ids=["quote", "backslash", "non-ascii", "control", "empty"])
+def test_saved_bytes_equal_per_record_json_for_any_id_and_leaf(tmp_path, text):
+    from oracles import dataset_jsonl_oracle
+
+    samples = sample_list(n=5)
+    samples[1] = LabeledSample(text, "leaf1", samples[1].features)
+    samples[3] = LabeledSample("s3", text, samples[3].features)
+    assert saved_bytes(tmp_path, samples) == dataset_jsonl_oracle(samples)
+
+
+@pytest.mark.parametrize("case", ["int-id", "ragged", "empty-rows", "empty-dataset", "long-row",
+                                  "int-features", "float32-features", "many-rows"])
+def test_saved_bytes_equal_per_record_json(tmp_path, case):
+    from oracles import dataset_jsonl_oracle
+
+    samples = sample_list(n=6)
+    rng = np.random.default_rng(4)
+    if case == "int-id":
+        samples[2] = LabeledSample(7, "leaf2", samples[2].features)
+    elif case == "ragged":
+        samples[2] = LabeledSample("s2", "leaf2", np.ones(3))
+        samples[4] = LabeledSample("s4", "leaf2", rng.normal(size=9))
+    elif case == "empty-rows":
+        samples = [LabeledSample(s.id, s.leaf, np.zeros(0)) for s in samples]
+        samples[3] = sample_list(n=6)[3]
+    elif case == "empty-dataset":
+        samples = []
+    elif case == "long-row":  # one row longer than a kernel block, between short ones
+        samples[3] = LabeledSample("s3", "leaf0", rng.normal(size=5000) * 1e5)
+    elif case == "int-features":
+        samples[1] = LabeledSample("s1", "leaf1", [1, -2, 3, 0])
+    elif case == "float32-features":
+        samples = [LabeledSample(s.id, s.leaf, s.features.astype(np.float32)) for s in samples]
+    else:  # rows that fill several kernel blocks
+        samples = sample_list(n=700, dim=7)
+    assert saved_bytes(tmp_path, samples) == dataset_jsonl_oracle(samples)
+
+
+@pytest.mark.parametrize("features, shape", [(np.float64(1.5), "()"), (np.ones((2, 4)), "(2, 4)"),
+                                             (np.ones((1, 4)), "(1, 4)")],
+                         ids=["scalar", "matrix", "row-matrix"])
+@pytest.mark.parametrize("where", ["one", "all"])
+def test_features_that_are_not_a_vector_are_refused(tmp_path, features, shape, where):
+    # such a file was written before, as `"features": 1.5` or nested lists,
+    # and `load_dataset` then refused it
+    samples = sample_list(n=4)
+    if where == "all":
+        samples = [LabeledSample(s.id, s.leaf, features) for s in samples]
+    else:
+        samples[2] = LabeledSample("s2", "leaf2", features)
+    first = samples[0 if where == "all" else 2].id
+    with pytest.raises(ValueError, match=f"^{re.escape(f'sample {first!r} has features of shape {shape}, not a vector')}$"):
+        save_dataset(tmp_path / "d.jsonl", samples)
+    assert list(tmp_path.iterdir()) == []

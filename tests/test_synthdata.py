@@ -130,3 +130,15 @@ class TestMeanDistanceLaw:
         assert np.mean(sq_cousin) == pytest.approx(expect_cousin, rel=0.05)
         # feature distance grows with tree distance
         assert np.mean(sq_cousin) > np.mean(sq_sibling)
+
+
+@pytest.mark.parametrize("config", [SynthConfig(seed=3), SynthConfig(
+    depth=4, branching=((3, 3), (4, 4), (4, 4)), samples_per_leaf=(240, 240), seed=1)],
+    ids=["default", "staged-large"])
+def test_samples_equal_the_per_sample_draws(config):
+    from oracles import generate_samples_oracle
+
+    _, samples = generate(config)
+    expected = generate_samples_oracle(config)
+    assert [(s.id, s.leaf) for s in samples] == [(s.id, s.leaf) for s in expected]
+    assert all(s.features.tobytes() == e.features.tobytes() for s, e in zip(samples, expected))
