@@ -24,6 +24,7 @@ from .dataset import (LabeledSample, atomic_open, features_matrix, load_dataset,
                       read_json, save_dataset)
 from .datasplit import (
     SplitAssignment,
+    SplitError,
     load_split,
     make_fold_splits,
     partition_samples,
@@ -51,7 +52,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .sampler import enumerate_node_triples, instantiate_epoch
+from .sampler import SamplerError, enumerate_node_triples, instantiate_epoch
 from .synthdata import SynthConfig, generate
 from .taxonomy import Taxonomy, TaxonomyError, load_taxonomy, save_taxonomy
 
@@ -510,7 +511,9 @@ def cmd_train(args) -> None:
     overrides = {"seed": args.seed, "taxonomy": args.taxonomy, "dataset": args.dataset}
     config = load_experiment_config(args.config, overrides)
     taxonomy, dataset = load_experiment_data(config)
-    split = replace(load_split(args.split, taxonomy, dataset), fold_index=args.fold)
+    split = load_split(args.split, taxonomy, dataset)
+    if args.fold is not None and args.fold != split.fold_index:
+        raise SplitError(f"{args.split}: the split is for fold {split.fold_index}, not --fold {args.fold}")
     combo = parse_combo(args.losses)
     if combo not in VALID_COMBOS:
         raise SystemExit(f"unsupported loss combination {args.losses!r}")
@@ -519,7 +522,7 @@ def cmd_train(args) -> None:
         paths = {"taxonomy": config.taxonomy_path, "dataset": config.dataset_path, "split": args.split}
     out = Path(args.out)
     _, log = train_cell(taxonomy, dataset, split, config, combo, out, paths)
-    print(f"trained {combo_name(combo)} fold {args.fold}: "
+    print(f"trained {combo_name(combo)} fold {split.fold_index}: "
           f"final validation loss {log[-1]['val_total']:.4f}; wrote {out / 'checkpoint.json'}")
 
 
@@ -593,7 +596,10 @@ def cmd_report(args) -> None:
 def cmd_run(args) -> None:
     overrides = {"seed": args.seed, "out": args.out}
     config = load_experiment_config(args.config, overrides)
-    rows = run_experiment(config)
+    try:
+        rows = run_experiment(config)
+    except (SplitError, SamplerError, MetricError) as err:  # data that do not fit the config
+        raise (named(args.config, err, type(err)) if args.config else err) from None
     if rows:
         columns = list(rows[0].keys())
         widths = [max(len(c), max(len(r[c]) for r in rows)) for c in columns]
@@ -660,7 +666,7 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--taxonomy")
     p.add_argument("--dataset")
     p.add_argument("--split", required=True, help="split JSON for the fold")
-    p.add_argument("--fold", type=int, required=True)
+    p.add_argument("--fold", type=int, help="if given, must equal the split file's fold")
     p.add_argument("--losses", required=True, help="e.g. PL+T")
     p.add_argument("--seed", type=int, help="override the base seed")
     p.add_argument("--out", required=True)

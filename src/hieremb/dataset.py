@@ -154,60 +154,54 @@ def named(where: str | Path, err: Exception | str, error: type[ValueError] = Val
 def save_dataset(path: str | Path, samples: list[LabeledSample]) -> None:
     """Write samples as JSON Lines, each line the bytes `json.dumps` writes
     for the record `{"id", "leaf", "features"}`, so float values round-trip
-    exactly. A sample whose features are not a vector raises a `ValueError`
-    before anything is written.
+    exactly. A sample `load_dataset` would refuse for its types or shape (an
+    id or leaf not a `str`, features not a vector as long as the first
+    sample's) raises a `ValueError` naming it, and nothing is written.
 
     Then write the sidecar `load_dataset` reads instead of parsing: the ids,
     leaves and features matrix, and the SHA-256 of the bytes just written. It
-    is left out when the samples would not read back from it as they are
-    (ragged features, or an id or leaf that is not a string numpy keeps)."""
+    is left out when an id or leaf ends in NUL, which numpy's str arrays drop."""
+    ids, leaves = [s.id for s in samples], [s.leaf for s in samples]
+    if not all(issubclass(t, str) for t in {*map(type, ids), *map(type, leaves)}):
+        s, key = next((s, k) for s in samples for k in ("id", "leaf") if not isinstance(getattr(s, k), str))
+        raise ValueError(f"sample {s.id!r}: {key!r} is {getattr(s, key)!r}, not a string")
     try:
         features = features_matrix(samples)
-    except ValueError:  # vectors of different lengths, or not all vectors
-        features = None
-    if features is None or features.ndim != 2:
-        vectors = [np.asarray(s.features, np.float64) for s in samples]
-        for s, v in zip(samples, vectors):
-            if v.ndim != 1:
-                raise ValueError(f"sample {s.id!r} has features of shape {v.shape}, not a vector")
-        values, counts, features = np.concatenate([np.zeros(0), *vectors]), list(map(len, vectors)), None
-    else:
-        values, counts = features.ravel(), [features.shape[1]] * len(samples)
-    edges = np.cumsum([0, *counts])  # row k holds values edges[k]:edges[k + 1]
+        if features.ndim != 2:
+            raise ValueError("not all vectors")
+    except ValueError:  # name the first sample that is not a vector as long as the first
+        first = None
+        for s in samples:
+            shape = np.asarray(s.features, np.float64).shape
+            if len(shape) != 1:
+                raise ValueError(f"sample {s.id!r} has features of shape {shape}, not a vector") from None
+            if shape != (first := first or shape):
+                raise ValueError(f"sample {s.id!r} has features of shape {shape}, expected {first}") from None
+        raise
+    rows = max(1, _BLOCK // max(features.shape[1], 1))  # rows per kernel pass
     sha256 = hashlib.sha256()
     with atomic_open(path, "wb") as fh:
-        row = 0
-        while row < len(samples):  # whole rows of at most _BLOCK values, or one longer row
-            stop = max(row + 1, int(np.searchsorted(edges, edges[row] + _BLOCK, "right")) - 1)
-            text, lengths = _float_text(values[edges[row]:edges[stop]])
-            ends = np.concatenate([[0], np.cumsum(lengths)])[edges[row:stop + 1] - edges[row]]
-            stops = np.maximum(ends[1:] - 2, ends[:-1])  # a row's text less its last ", "
+        for row in range(0, len(samples), rows):
+            block = features[row:row + rows]
+            text, lengths = _float_block(block.ravel())
+            ends = np.cumsum(lengths.reshape(block.shape).sum(axis=1)).tolist()  # of each row's text
+            # a row's values, less the last ", ", are text[a:e - 2]; rows of no values leave `text` empty
             chunk = b"".join(
                 b'{"id": %b, "leaf": %b, "features": [%b]}\n'
-                % (_json_text(s.id), _json_text(s.leaf), text[a:b])
-                for s, a, b in zip(samples[row:stop], ends[:-1].tolist(), stops.tolist())
+                % (encode_basestring_ascii(i).encode(), encode_basestring_ascii(leaf).encode(), text[a:e - 2])
+                for i, leaf, a, e in zip(ids[row:row + rows], leaves[row:row + rows], [0, *ends], ends)
             )
             sha256.update(chunk)
             fh.write(chunk)
-            row = stop
-    if features is None:
-        return
-    labels = [[s.id for s in samples], [s.leaf for s in samples]]
-    ids, leaves = (np.array(column, dtype=str) for column in labels)
-    if [ids.tolist(), leaves.tolist()] != labels:
-        return
-    with atomic_open(f"{path}.npz", "wb") as fh:
-        np.savez(fh, sha256=np.array(sha256.hexdigest()), ids=ids, leaves=leaves, features=features)
-
-
-def _json_text(value) -> bytes:
-    """`value` as `json.dumps` writes it inside a record."""
-    return (encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)).encode()
+    id_array, leaf_array = np.array(ids, dtype=str), np.array(leaves, dtype=str)
+    if id_array.tolist() == ids and leaf_array.tolist() == leaves:  # no NUL was dropped
+        with atomic_open(f"{path}.npz", "wb") as fh:
+            np.savez(fh, sha256=np.array(sha256.hexdigest()), ids=id_array, leaves=leaf_array, features=features)
 
 
 # -- float64 values as JSON text, byte for byte as `json.dumps` writes them -----
 
-_BLOCK = 4096  # values per kernel pass: no array a pass makes reaches 128 KiB
+_BLOCK = 4096  # values per kernel pass, so no array it makes reaches 128 KiB; only one longer row takes more
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact up to 10**22
 _QUADS = np.frombuffer(b"".join(b"%04d" % k for k in range(10_000)), np.uint32)  # "0000" ... "9999"
 # a value's slot: its text right-aligned in 24 bytes, then the separator
@@ -217,17 +211,11 @@ _AFTER_POINT = np.where(np.arange(26) > np.arange(2, 25)[:, None], 255, 0).astyp
 _FROM = np.arange(26) >= np.arange(26)[:, None]
 
 
-def _float_text(values: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """The float64 `values` as `json.dumps` writes each, each followed by
-    ", ", as one byte string; and each value's length in it, separator
-    included."""
-    blocks = [_float_block(values[i:i + _BLOCK]) for i in range(0, len(values), _BLOCK)]
-    return b"".join(t for t, _ in blocks), np.concatenate([np.zeros(0, np.intp), *(n for _, n in blocks)])
-
-
 def _float_block(x: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """`_float_text` of at most `_BLOCK` values. Values the shortest-digits
-    search does not settle go through `json.dumps`.
+    """The float64 values `x` as `json.dumps` writes each, each followed by
+    ", ", as one byte string; and each value's length in it, separator
+    included. Values the shortest-digits search does not settle go through
+    `json.dumps`.
 
     The per-column choices are masks over whole (n, 26) slots, taken from
     tables: numpy runs an operation on whole slots as one flat loop, and on

@@ -143,6 +143,9 @@ def split_to_json(taxonomy: Taxonomy, split: SplitAssignment) -> dict:
 
 
 def split_from_json(taxonomy: Taxonomy, data: dict) -> SplitAssignment:
+    fold = data["fold"]
+    if type(fold) is not int or fold < 0:  # JSON true, 1.7 and "1" are not fold numbers
+        raise SplitError(f"'fold' is {fold!r}, not a non-negative integer")
     seen = frozenset(taxonomy.id_of(name) for name in data["seen"])
     unseen = frozenset(taxonomy.id_of(name) for name in data["unseen"])
     if seen & unseen:
@@ -156,7 +159,7 @@ def split_from_json(taxonomy: Taxonomy, data: dict) -> SplitAssignment:
     subsets = dict(zip(SUBSETS, SUBSETS))  # each value becomes its one `SUBSETS` string
     partition = {sid: subsets[name] for sid, name in partition.items()}
     return SplitAssignment(
-        fold_index=int(data["fold"]),
+        fold_index=fold,
         seen_leaves=seen,
         unseen_leaves=unseen,
         partition=partition,

@@ -336,6 +336,22 @@ class TestRunExperiment:
             main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("fault", ["empty", "small"])
+    def test_dataset_too_small_for_the_folds_names_the_config(self, tmp_path, fault):
+        # the data do not fit `k_folds`: the error names the config that asked for it
+        tax, samples = generate(SynthConfig(depth=3, branching=((2, 2), (2, 3)),
+                                            samples_per_leaf=(16, 18), feature_dim=4, seed=0))
+        save_taxonomy(tmp_path / "taxonomy.json", tax)
+        save_dataset(tmp_path / "dataset.jsonl", [] if fault == "empty" else samples)
+        paths = {"taxonomy": tmp_path / "taxonomy.json", "dataset": tmp_path / "dataset.jsonl"}
+        cfg_path = write_config(tmp_path / "exp.cfg", paths)
+        error, message = {
+            "empty": (SplitError, "no leaf has enough samples to ever be seen"),
+            "small": (MetricError, "fold 0: the test partition holds 3 samples; its metrics need at least 6"),
+        }[fault]
+        with pytest.raises(error, match=f"^{re.escape(f'{cfg_path}: {message}')}$"):
+            main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
+
 
 class TestReport:
     def test_stray_fold_directory_is_named(self, tmp_path):
@@ -625,6 +641,26 @@ class TestStageInputChecks:
                 argv += ["--fold", "0", "--losses", "L"]
         with pytest.raises(SplitError, match=re.escape(f"{split}: {error}")):
             main(argv + ["--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("fold", [None, 1, 2], ids=["left-out", "matching", "other"])
+    def test_train_takes_its_fold_from_the_split(self, trained, tmp_path, fold):
+        # fold 1's split trains, seeds and records fold 1, whatever `--fold` says, or stops
+        split, payload, _ = write_stage_inputs(tmp_path, trained)
+        split.write_text(json.dumps(payload | {"fold": 1}))
+        out = tmp_path / "cell"
+        argv = ["train", "--config", str(write_config(tmp_path / "exp.cfg")),
+                "--taxonomy", str(tmp_path / "taxonomy.json"), "--dataset", str(tmp_path / "dataset.jsonl"),
+                "--split", str(split), "--losses", "L", "--out", str(out)]
+        if fold is not None:
+            argv += ["--fold", str(fold)]
+        if fold == 2:
+            with pytest.raises(SplitError, match=f"^{re.escape(f'{split}: the split is for fold 1, not --fold 2')}$"):
+                main(argv)
+            assert not out.exists()
+            return
+        main(argv)
+        extra = json.loads((out / "checkpoint.json").read_text())["extra"]
+        assert (extra["fold"], extra["seed"]) == (1, 1)  # seed 0 + fold 1
 
     @pytest.mark.parametrize("command", ["split", "sample-triplets", "train", "evaluate", "run"])
     @pytest.mark.parametrize("fault", ["internal", "unknown"])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -245,6 +246,16 @@ class TestSerialisation:
         loaded = load_split(path, t0, samples)
         assert loaded == split
         assert {id(v) for v in loaded.partition.values()} <= {id(name) for name in SUBSETS}
+
+    @pytest.mark.parametrize("fold", [1.7, "1", True, -1], ids=["float", "string", "true", "negative"])
+    def test_fold_that_is_not_a_non_negative_integer_is_named(self, t0, tmp_path, fold):
+        samples = make_samples(t0, {"a1": 12, "a2": 15, "b1": 11})
+        split = make_fold_splits(t0, samples, k_folds=2, seed=0)[1]
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(split_to_json(t0, split) | {"fold": fold}))
+        message = f"{path}: 'fold' is {fold!r}, not a non-negative integer"
+        with pytest.raises(SplitError, match=f"^{re.escape(message)}$"):
+            load_split(path, t0, samples)
 
     def test_rejects_inconsistent_sets(self, t0):
         data = {"fold": 0, "seen": ["a1"], "unseen": ["a2"], "partition": {}}

@@ -1,4 +1,5 @@
 """The dataset writer's float kernel against `json.dumps`, value for value.
+Each input goes through the kernel in one pass, of any length.
 
 The inputs are drawn from fixed seeds, so every run checks the same values
 (about 0.3 M, in about a second). Warnings are errors here, as in the whole
@@ -9,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from hieremb.dataset import _float_text
+from hieremb.dataset import _float_block
 
 
 def expected(values):
@@ -18,7 +19,7 @@ def expected(values):
 
 def assert_written_as_json(values):
     values = np.asarray(values, dtype=np.float64)
-    text, lengths = _float_text(values)
+    text, lengths = _float_block(values)
     want = expected(values)
     if text != want:
         wrong = [(v.hex(), g, w) for v, g, w in zip(values.tolist(), text.decode().split(", "),

@@ -1,11 +1,13 @@
-"""Structured mutations of every input file the stage commands read.
+"""Structured mutations of every input file the commands read.
 
-Each derandomised example copies one set of stage inputs (a taxonomy, a
-dataset with its sidecar, a fold split, a trained checkpoint and a config
-file), mutates one file and runs a stage command on the copy through
+Each derandomised example copies one set of inputs (a taxonomy, a dataset
+with its sidecar, a fold split, a trained checkpoint, a config file, a
+`run` config naming the taxonomy and the dataset, and a two-fold runs
+directory), mutates one file and runs a command on the copy through
 `cli.main`. It truncates the file, deletes a key (or a line), or swaps a
-value for a string, a number, -1, NaN, a list, a dict or null. Every outcome
-must be one of two:
+value for a string, a number, -1, NaN, a list, a dict or null; a fold
+directory of the runs directory is renamed instead. Every outcome must be
+one of two:
 - success; when the mutation keeps the file's content (layout, key order,
   line order, a damaged sidecar), with the same output bytes as the
   unmutated inputs;
@@ -31,7 +33,7 @@ from hieremb.taxonomy import load_taxonomy
 CONFIG = {
     "synth_depth": "3",
     "synth_branching": "2-2,2-3",
-    "synth_samples_per_leaf": "12-14",
+    "synth_samples_per_leaf": "20-24",  # each fold's test pool then holds the 6 that `run` needs
     "synth_feature_dim": "4",
     "k_folds": "2",
     "combos": "PL+B+T",
@@ -58,7 +60,19 @@ FILES = {
     "split": "split_fold_0.json",
     "checkpoint": "cell/checkpoint.json",
     "config": "experiment.cfg",
+    "run-config": "run.cfg",
+    "test-metrics": "runs/fold_0/PL+B+T/test.json",
+    "prediction-metrics": "runs/fold_1/PL+B+T/prediction.json",
+    "fold": "runs/fold_1",
+    "runs": "runs",
 }
+# the input whose path a fault in each of these must name
+NAMED_AT = {"sidecar": "dataset", "fold": "runs"}
+# what a fold directory is renamed to
+FOLD_NAMES = ["fold_x", "fold_", "fold_-1", "fold_1.0", "fold_\u0661", "fold_01", "fold_2", "Fold_1"]
+# the files `run` writes, under its output directory
+RUN_OUTPUTS = ["aggregate.csv"] + [f"fold_{k}/{name}" for k in (0, 1) for name in (
+    "split.json", "PL+B+T/checkpoint.json", "PL+B+T/log.csv", "PL+B+T/test.json", "PL+B+T/prediction.json")]
 EXAMPLES = settings(max_examples=30, deadline=None, database=None, derandomize=True)
 
 
@@ -78,6 +92,10 @@ def command_line(command, work):
         argv = [command, "--config", paths["config"], *inputs, "--fold", "0",
                 "--losses", "PL+B+T", "--out", str(out)]
         return argv, ["checkpoint.json", "log.csv"]
+    if command == "run":
+        return [command, "--config", paths["run-config"], "--out", str(out)], RUN_OUTPUTS
+    if command == "report":
+        return [command, "--runs", paths["runs"], "--out", str(out / "aggregate.csv")], ["aggregate.csv"]
     assert command == "gen-data"
     argv = [command, "--config", paths["config"], "--out", str(out)]
     return argv, ["taxonomy.json", "dataset.jsonl", "dataset.jsonl.npz"]
@@ -90,18 +108,25 @@ def stage(tmp_path_factory):
     base = tmp_path_factory.mktemp("mutations")
     inputs = base / "inputs"
     inputs.mkdir()
+    work = base / "work"
     (inputs / FILES["config"]).write_text("".join(f"{k} = {v}\n" for k, v in CONFIG.items()))
+    # `run` reads the data at the paths under `work` that its config names;
+    # the training size comes first, so that what a cut leaves trains little
+    run_config = {k: CONFIG[k] for k in ("epochs", "combos", "k_folds")}
+    run_config |= {k: v for k, v in CONFIG.items() if not k.startswith("synth_")}
+    run_config |= {"taxonomy": work / FILES["taxonomy"], "dataset": work / FILES["dataset"]}
+    (inputs / FILES["run-config"]).write_text("".join(f"{k} = {v}\n" for k, v in run_config.items()))
     main(["gen-data", "--config", str(inputs / FILES["config"]), "--out", str(inputs / "data")])
     main(["split", "--taxonomy", str(inputs / FILES["taxonomy"]),
           "--dataset", str(inputs / FILES["dataset"]), "--folds", "2", "--out", str(inputs)])
-    work = base / "work"
-    shutil.copytree(inputs, work)
-    argv, _ = command_line("train", work)
-    main(argv)  # the checkpoint records the paths under `work`, as every example sees them
-    shutil.copytree(work / "out", inputs / "cell")
-    shutil.rmtree(work)
+    for command, out in (("train", "cell"), ("run", "runs")):
+        shutil.copytree(inputs, work)
+        argv, _ = command_line(command, work)
+        main(argv)  # the checkpoint records the paths under `work`, as every example sees them
+        shutil.copytree(work / "out", inputs / out)
+        shutil.rmtree(work)
     baseline = {}
-    for command in ("sample-triplets", "evaluate", "train", "gen-data"):
+    for command in ("sample-triplets", "evaluate", "train", "gen-data", "run", "report"):
         shutil.copytree(inputs, work)
         argv, outputs = command_line(command, work)
         main(argv)
@@ -151,9 +176,14 @@ def mutate(kind, path, mutation):
     """Apply `mutation` to the `kind` input at `path`; True if the file's
     content is kept (its parse or its role is unchanged)."""
     op, n, k = mutation
+    if kind == "fold":  # the same content when the name still reads as a fold number
+        name = FOLD_NAMES[(n + k) % len(FOLD_NAMES)]
+        path.rename(path.with_name(name))
+        return name in ("fold_01", "fold_2")
     data = path.read_bytes()
     if op == "truncate":
-        path.write_bytes(data[:n % len(data)])
+        # an empty `run` config runs the default grid, which takes seconds
+        path.write_bytes(data[:n % len(data) or int(kind == "run-config")])
         return kind == "sidecar"
     if kind == "sidecar":
         arrays = dict(np.load(path))
@@ -167,7 +197,7 @@ def mutate(kind, path, mutation):
             return True
         np.savez(path, **arrays)
         return True
-    if kind == "config":
+    if kind.endswith("config"):
         lines = data.decode().splitlines()
         if op == "reformat":
             body = [f"  {line.replace(' = ', '=')}  # comment" for line in reversed(lines)]
@@ -223,7 +253,7 @@ def check(stage, kind, command, mutation):
     except (ValueError, SystemExit) as err:
         message = str(err)
         assert not isinstance(err, (json.JSONDecodeError, UnicodeDecodeError)), message
-        checked = str(work / FILES["dataset" if kind == "sidecar" else kind])
+        checked = str(work / FILES[NAMED_AT.get(kind, kind)])
         named_inputs = [key for key, name in FILES.items() if str(work / name) in message]
         assert not kept, f"{mutation} keeps the content of {kind}, but: {message}"
         assert checked in message or (named_inputs and reads_alone(kind, target)), message
@@ -271,3 +301,17 @@ def test_checkpoint(stage, mutation):
 @given(mutation=MUTATION)
 def test_config(stage, command, mutation):
     check(stage, "config", command, mutation)
+
+
+@pytest.mark.parametrize("kind", ["taxonomy", "dataset", "sidecar", "run-config"])
+@EXAMPLES
+@given(mutation=MUTATION)
+def test_run(stage, kind, mutation):
+    check(stage, kind, "run", mutation)
+
+
+@pytest.mark.parametrize("kind", ["test-metrics", "prediction-metrics", "fold"])
+@EXAMPLES
+@given(mutation=MUTATION)
+def test_report(stage, kind, mutation):
+    check(stage, kind, "report", mutation)
