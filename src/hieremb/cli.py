@@ -82,16 +82,16 @@ RP_K = 5  # the k of the test set's leaf RP@k; a test pool needs k + 1 samples
 
 @dataclass
 class ExperimentConfig:
-    out_dir: str = "runs"
-    taxonomy_path: str | None = None
-    dataset_path: str | None = None
-    k_folds: int = 5
+    out: str = "runs"
+    taxonomy: str | None = None
+    dataset: str | None = None
     combos: tuple[frozenset[str], ...] = VALID_COMBOS
+    seed: int = 0
+    k_folds: int = 5
     margin: float = 0.3
     epochs: int = 50
-    seed: int = 0
-    model: ModelConfig = field(default_factory=ModelConfig)  # input_dim is set from the data
-    synth: SynthConfig = field(default_factory=SynthConfig)
+    model: ModelConfig = field(default_factory=ModelConfig, metadata={"prefix": ""})
+    synth: SynthConfig = field(default_factory=SynthConfig, metadata={"prefix": "synth_"})
 
     def __post_init__(self):
         for name, least in (("k_folds", 2), ("epochs", 1), ("seed", 0)):
@@ -99,7 +99,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not self.margin > 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
-        if bool(self.taxonomy_path) != bool(self.dataset_path):
+        if bool(self.taxonomy) != bool(self.dataset):
             raise ValueError("taxonomy and dataset paths must be given together")
         if not self.combos:  # `combos = ,`: a run would train nothing
             raise ValueError("combos lists no loss combination")
@@ -154,60 +154,48 @@ def parse_branching(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(parse_int_range(part.strip()) for part in text.split(",") if part.strip())
 
 
+def parse_combos(text: str) -> tuple[frozenset[str], ...]:
+    """Combinations like `L,PL+T`; an empty value means all six."""
+    return tuple(parse_combo(p) for p in text.split(",") if p.strip()) if text else VALID_COMBOS
+
+
 # config values parsed otherwise than by the type of their field's default
-FIELD_PARSERS = {"branching": parse_branching, "samples_per_leaf": parse_int_range}
+FIELD_PARSERS = {"branching": parse_branching, "samples_per_leaf": parse_int_range,
+                 "combos": parse_combos, "taxonomy": str, "dataset": str}
 
 
 def config_from_values(values: dict[str, str], overrides: dict | None = None) -> ExperimentConfig:
     """The experiment config; a key this function does not read is rejected.
 
-    Every `ModelConfig` field but `input_dim` is a key of its own name, and
-    every `SynthConfig` field one named `synth_<field>`; both take their
-    defaults from the dataclass, except that the synth seed follows the
-    base seed."""
+    Each field of `ExperimentConfig` is a key of its own name, but for the
+    nested configs, whose fields are keys after the prefix in their field's
+    metadata: every `ModelConfig` field but `input_dim`, and every
+    `SynthConfig` field as `synth_<field>`. A key left out takes its field's
+    default, except that the synth seed follows the base seed. Keys are read
+    in field order, so of two bad values the first is named."""
     merged = dict(values)
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = str(value)
     unread = set(merged)
 
-    def take(key, cast, default):
-        unread.discard(key)
-        if key not in merged:
-            return default
-        try:
-            return cast(merged[key])
-        except ValueError as err:
-            raise named(key, err) from None
+    def from_fields(cls, prefix: str = "", **defaults):
+        read = {}
+        for f in fields(cls):
+            key = prefix + f.name
+            if "prefix" in f.metadata:  # a nested config; its seed, if any, follows the base seed
+                read[f.name] = from_fields(f.default_factory, f.metadata["prefix"], seed=read["seed"])
+            elif key in merged and f.name != "input_dim":  # input_dim is set from the data
+                unread.discard(key)
+                try:
+                    read[f.name] = FIELD_PARSERS.get(f.name, type(f.default))(merged[key])
+                except ValueError as err:  # `parse_combo`'s checks, like a dataclass's, name no key
+                    raise (err if f.name == "combos" else named(key, err)) from None
+            else:
+                read[f.name] = defaults.get(f.name, f.default)
+        return cls(**read)
 
-    combos_text = take("combos", str, "")
-    combos = (
-        tuple(parse_combo(p) for p in combos_text.split(",") if p.strip())
-        if combos_text
-        else VALID_COMBOS
-    )
-    base_seed = take("seed", int, 0)
-
-    def from_fields(cls, prefix: str, **defaults):
-        return cls(**{
-            f.name: take(prefix + f.name, FIELD_PARSERS.get(f.name, type(f.default)),
-                         defaults.get(f.name, f.default))
-            for f in fields(cls)
-            if f.name != "input_dim"
-        })
-
-    config = ExperimentConfig(
-        out_dir=take("out", str, "runs"),
-        taxonomy_path=take("taxonomy", str, None),
-        dataset_path=take("dataset", str, None),
-        k_folds=take("k_folds", int, 5),
-        combos=combos,
-        margin=take("margin", float, 0.3),
-        epochs=take("epochs", int, 50),
-        seed=base_seed,
-        model=from_fields(ModelConfig, ""),
-        synth=from_fields(SynthConfig, "synth_", seed=base_seed),
-    )
+    config = from_fields(ExperimentConfig)
     if unread:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unread))}")
     return config
@@ -339,8 +327,8 @@ def load_labeled_data(taxonomy_path, dataset_path) -> tuple[Taxonomy, list[Label
 
 def load_experiment_data(config: ExperimentConfig) -> tuple[Taxonomy, list[LabeledSample]]:
     """Load taxonomy and dataset from files, or generate them synthetically."""
-    if config.dataset_path:  # the config holds both paths or neither
-        return load_labeled_data(config.taxonomy_path, config.dataset_path)
+    if config.dataset:  # the config holds both paths or neither
+        return load_labeled_data(config.taxonomy, config.dataset)
     return generate(config.synth)
 
 
@@ -429,7 +417,7 @@ def write_aggregate(path: Path, cells: dict[str, list[Path]]) -> list[dict[str, 
 def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:
     """Full pipeline: split, train, and evaluate every fold x combination,
     then aggregate its cells into a Table-style CSV. Returns the rows."""
-    out = Path(config.out_dir)
+    out = Path(config.out)
     if out.is_dir():
         for k, fold_dir in _fold_dirs(out):
             if k >= config.k_folds:  # `report` would average it in
@@ -438,7 +426,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:
     taxonomy, dataset = load_experiment_data(config)
     splits = make_fold_splits(taxonomy, dataset, config.k_folds, config.seed)
     check_pool_sizes(splits)
-    if not config.dataset_path:
+    if not config.dataset:
         save_taxonomy(out / "data" / "taxonomy.json", taxonomy)
         save_dataset(out / "data" / "dataset.jsonl", dataset)
     for split in splits:
@@ -482,9 +470,12 @@ def cmd_split(args) -> None:
 def cmd_sample_triplets(args) -> None:
     taxonomy, dataset = load_labeled_data(args.taxonomy, args.dataset)
     split = load_split(args.split, taxonomy, dataset)
-    pruned = pruned_seen_taxonomy(taxonomy, split)
-    triples = enumerate_node_triples(pruned)
-    instances = instantiate_epoch(pruned, dataset, split, triples, args.epoch_seed)
+    try:
+        pruned = pruned_seen_taxonomy(taxonomy, split)
+        triples = enumerate_node_triples(pruned)
+        instances = instantiate_epoch(pruned, dataset, split, triples, args.epoch_seed)
+    except (SplitError, SamplerError) as err:  # a partition too small to sample from
+        raise named(args.split, err, type(err)) from None
     out = Path(args.out)
     with atomic_open(out) as fh:
         for triple, inst in zip(triples, instances):
@@ -518,10 +509,13 @@ def cmd_train(args) -> None:
     if combo not in VALID_COMBOS:
         raise SystemExit(f"unsupported loss combination {args.losses!r}")
     paths = None
-    if config.taxonomy_path:
-        paths = {"taxonomy": config.taxonomy_path, "dataset": config.dataset_path, "split": args.split}
+    if config.taxonomy:
+        paths = {"taxonomy": config.taxonomy, "dataset": config.dataset, "split": args.split}
     out = Path(args.out)
-    _, log = train_cell(taxonomy, dataset, split, config, combo, out, paths)
+    try:
+        _, log = train_cell(taxonomy, dataset, split, config, combo, out, paths)
+    except (SplitError, SamplerError) as err:  # a partition too small to train on
+        raise named(args.split, err, type(err)) from None
     print(f"trained {combo_name(combo)} fold {split.fold_index}: "
           f"final validation loss {log[-1]['val_total']:.4f}; wrote {out / 'checkpoint.json'}")
 
@@ -648,8 +642,8 @@ def main(argv: list[str] | None = None) -> None:
     p = sub.add_parser("split", help="write per-fold seen/unseen splits")
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--folds", type=int, default=ExperimentConfig.k_folds)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_split)
 

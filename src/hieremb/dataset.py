@@ -154,9 +154,9 @@ def named(where: str | Path, err: Exception | str, error: type[ValueError] = Val
 def save_dataset(path: str | Path, samples: list[LabeledSample]) -> None:
     """Write samples as JSON Lines, each line the bytes `json.dumps` writes
     for the record `{"id", "leaf", "features"}`, so float values round-trip
-    exactly. A sample `load_dataset` would refuse for its types or shape (an
-    id or leaf not a `str`, features not a vector as long as the first
-    sample's) raises a `ValueError` naming it, and nothing is written.
+    exactly. A sample `load_dataset` would refuse (an id or leaf not a `str`,
+    features not a vector of finite numbers as long as the first sample's, an
+    id already used) raises a `ValueError` naming it, and nothing is written.
 
     Then write the sidecar `load_dataset` reads instead of parsing: the ids,
     leaves and features matrix, and the SHA-256 of the bytes just written. It
@@ -169,15 +169,23 @@ def save_dataset(path: str | Path, samples: list[LabeledSample]) -> None:
         features = features_matrix(samples)
         if features.ndim != 2:
             raise ValueError("not all vectors")
-    except ValueError:  # name the first sample that is not a vector as long as the first
+    except (TypeError, ValueError):  # name the first sample at fault
         first = None
         for s in samples:
-            shape = np.asarray(s.features, np.float64).shape
+            try:
+                shape = np.asarray(s.features, np.float64).shape
+            except (TypeError, ValueError):
+                raise ValueError(f"sample {s.id!r} has features that are not numbers") from None
             if len(shape) != 1:
                 raise ValueError(f"sample {s.id!r} has features of shape {shape}, not a vector") from None
             if shape != (first := first or shape):
                 raise ValueError(f"sample {s.id!r} has features of shape {shape}, expected {first}") from None
-        raise
+    finite = np.isfinite(features).all(axis=1)  # a `None` feature reads as NaN
+    if not finite.all():
+        raise ValueError(f"sample {ids[int(np.argmin(finite))]!r} has non-finite features")
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        raise ValueError(f"duplicate sample id {next(i for i in ids if i in seen or seen.add(i))!r}")
     rows = max(1, _BLOCK // max(features.shape[1], 1))  # rows per kernel pass
     sha256 = hashlib.sha256()
     with atomic_open(path, "wb") as fh:

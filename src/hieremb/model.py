@@ -19,7 +19,7 @@ import numpy as np
 
 from . import losses
 from .dataset import LabeledSample, atomic_open, features_matrix, named, read_json
-from .datasplit import SplitAssignment, partition_samples, pruned_seen_taxonomy
+from .datasplit import SplitAssignment, SplitError, partition_samples, pruned_seen_taxonomy
 from .losses import LossConfig, LossValue
 from .sampler import TripletInstance, enumerate_node_triples, instantiate_epoch, triplet_pools
 from .taxonomy import Taxonomy
@@ -478,7 +478,7 @@ def fit(
     train_samples = partition_samples(dataset, split, "train")
     valid_samples = partition_samples(dataset, split, "valid")
     if not train_samples or not valid_samples:
-        raise ValueError("fit requires non-empty train and valid partitions")
+        raise SplitError("fit requires non-empty train and valid partitions")
     pruned = pruned_seen_taxonomy(taxonomy, split)
     layout = build_head_layout(pruned, train_samples, loss_config)
     train_table = build_target_table(pruned, layout, train_samples)
@@ -568,9 +568,14 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingModel, dict]:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     try:
         loss = payload["loss"]
+        active = frozenset(loss["active"])
+        if type(loss["active"]) is not list or len(active) != len(loss["active"]):
+            raise TypeError(f"loss 'active' is {loss['active']!r}, not a list of distinct names")
+        if type(loss["margin"]) not in (int, float):
+            raise TypeError(f"loss 'margin' is {loss['margin']!r}, not a number")
         model = EmbeddingModel(
             ModelConfig(**payload["model"]),
-            LossConfig(active=frozenset(loss["active"]), margin=loss["margin"]),
+            LossConfig(active=active, margin=loss["margin"]),
             HeadLayout.from_json(payload["layout"]),
             np.array(payload["params"], dtype=np.float64),
         )

@@ -503,3 +503,63 @@ def generate_samples_oracle(config):
             samples.append(LabeledSample(f"s{counter:06d}", taxonomy.name(leaf), means[leaf] + row))
             counter += 1
     return samples
+
+
+def config_oracle(values: dict[str, str], overrides: dict | None = None):
+    """`cli.config_from_values` with each experiment key read by hand: its
+    name, its parser and its default written out again here."""
+    from dataclasses import fields
+
+    from hieremb.cli import VALID_COMBOS, ExperimentConfig, parse_branching, parse_int_range
+    from hieremb.dataset import named
+    from hieremb.losses import parse_combo
+    from hieremb.model import ModelConfig
+    from hieremb.synthdata import SynthConfig
+
+    parsers = {"branching": parse_branching, "samples_per_leaf": parse_int_range}
+    merged = dict(values)
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            merged[key] = str(value)
+    unread = set(merged)
+
+    def take(key, cast, default):
+        unread.discard(key)
+        if key not in merged:
+            return default
+        try:
+            return cast(merged[key])
+        except ValueError as err:
+            raise named(key, err) from None
+
+    combos_text = take("combos", str, "")
+    combos = (
+        tuple(parse_combo(p) for p in combos_text.split(",") if p.strip())
+        if combos_text
+        else VALID_COMBOS
+    )
+    base_seed = take("seed", int, 0)
+
+    def from_fields(cls, prefix: str, **defaults):
+        return cls(**{
+            f.name: take(prefix + f.name, parsers.get(f.name, type(f.default)),
+                         defaults.get(f.name, f.default))
+            for f in fields(cls)
+            if f.name != "input_dim"
+        })
+
+    config = ExperimentConfig(
+        out=take("out", str, "runs"),
+        taxonomy=take("taxonomy", str, None),
+        dataset=take("dataset", str, None),
+        k_folds=take("k_folds", int, 5),
+        combos=combos,
+        margin=take("margin", float, 0.3),
+        epochs=take("epochs", int, 50),
+        seed=base_seed,
+        model=from_fields(ModelConfig, ""),
+        synth=from_fields(SynthConfig, "synth_", seed=base_seed),
+    )
+    if unread:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unread))}")
+    return config

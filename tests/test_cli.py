@@ -6,11 +6,12 @@ import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hieremb import cli
 from hieremb.cli import (
@@ -30,6 +31,7 @@ from hieremb.datasplit import SplitError, partition_samples, split_to_json
 from hieremb.losses import LossConfig
 from hieremb.metrics import MetricError, build_ranked_lists, per_query_diagnostics, score_pool
 from hieremb.model import ModelConfig, fit, save_checkpoint
+from hieremb.sampler import SamplerError
 from hieremb.synthdata import SynthConfig, generate
 from hieremb.taxonomy import TaxonomyError, parse_taxonomy, save_taxonomy
 
@@ -55,6 +57,24 @@ def write_config(path, extra=None):
     values.update(extra or {})
     path.write_text("# test config\n" + "\n".join(f"{k} = {v}" for k, v in values.items()) + "\n")
     return path
+
+
+# every field name of the three configs, `input_dim`, `model` and `synth`
+# among them, which are not keys, and two other unknown keys
+CONFIG_KEYS = ([f.name for f in fields(ExperimentConfig)] + [f.name for f in fields(ModelConfig)]
+               + [f"synth_{f.name}" for f in fields(SynthConfig)] + ["colour", "synth_input_dim"])
+FLOAT_KEYS = {"margin", "learning_rate", "synth_offset_scale", "synth_decay", "synth_noise"}
+GOOD_VALUES = {"out": ["runs"], "taxonomy": [""], "dataset": [""], "combos": ["", "L,PL+T"],
+               "synth_branching": ["2-2,2-3", "3-4"], "synth_samples_per_leaf": ["20-40", "7"]}
+BAD_VALUES = ["", " ", "-1", "0", "1", "2.5", "nan", "inf", "x", "1-2-3", ",", "B", "L+T,T+L", "t.json"]
+
+
+@st.composite
+def config_values(draw):
+    keys = draw(st.lists(st.sampled_from(CONFIG_KEYS), unique=True, max_size=6))
+    good = {key: ["0.5", "1"] if key in FLOAT_KEYS else ["2", "5"] for key in keys} | GOOD_VALUES
+    return {key: draw(st.one_of(st.sampled_from(good[key]), st.sampled_from(BAD_VALUES)))
+            for key in keys}
 
 
 class TestConfigParsing:
@@ -163,6 +183,26 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=re.escape(f"{path}: 'L+T' is listed more than once")):
             load_experiment_config(str(path))
 
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(values=config_values(), overrides=st.dictionaries(
+        st.sampled_from(["seed", "synth_seed", "out", "taxonomy"]), st.sampled_from([None, 3, -1, "t.json"]),
+        max_size=2))
+    # several bad values: the first read is named
+    @example(values={"epochs": "x", "seed": "x", "combos": "X"}, overrides={})
+    @example(values={"k_folds": "1", "synth_depth": "0", "hidden_dim": "0", "colour": "red"}, overrides={})
+    def test_reader_equals_the_oracle(self, values, overrides):
+        # every key, its parser and its default are read through the dataclass
+        # fields; the oracle writes out each experiment key by hand
+        from oracles import config_oracle
+
+        def outcome(reader):
+            try:
+                return repr(reader(values, overrides))  # `nan` settings compare equal
+            except Exception as err:  # the same type and text, or the same config
+                return type(err), str(err)
+
+        assert outcome(config_from_values) == outcome(config_oracle)
+
 
 @pytest.fixture(scope="module", name="trained")
 def fixture_trained():
@@ -192,6 +232,17 @@ class TestEvaluateModel:
         assert 0.0 <= report.mnr < 1.0
         assert 0.0 <= report.ndcg_sum <= 1.0
         assert report.acc_blind is None
+
+    def test_subset_other_than_test_or_prediction_rejected(self, trained):
+        tax, samples, split, models = trained
+        with pytest.raises(ValueError, match="^subset must be 'test' or 'prediction'$"):
+            evaluate_model(models[frozenset({"L"})], tax, samples, split, "valid")
+
+    def test_empty_partition_rejected(self, trained):
+        tax, samples, split, models = trained
+        split = replace(split, partition={k: "train" if v == "test" else v for k, v in split.partition.items()})
+        with pytest.raises(MetricError, match="^the test partition is empty$"):
+            evaluate_model(models[frozenset({"L"})], tax, samples, split, "test")
 
     def test_prediction_set_report_l_only_has_no_acc_aware(self, trained):
         tax, samples, split, models = trained
@@ -641,6 +692,31 @@ class TestStageInputChecks:
                 argv += ["--fold", "0", "--losses", "L"]
         with pytest.raises(SplitError, match=re.escape(f"{split}: {error}")):
             main(argv + ["--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("command, fault", [("sample-triplets", "one-train-sample"),
+                                                ("train", "one-train-sample"), ("train", "no-valid-sample")])
+    def test_partition_too_small_is_named(self, trained, tmp_path, command, fault):
+        # a consistent split that cannot be sampled from or trained on; the
+        # error used to name no file
+        _, samples, _, _ = trained
+        split, payload, _ = write_stage_inputs(tmp_path, trained)
+        partition = payload["partition"]
+        if fault == "one-train-sample":  # the other train samples of one seen leaf move to valid
+            leaf = next(s.leaf for s in samples if partition[s.id] == "train")
+            for s in [s for s in samples if s.leaf == leaf and partition[s.id] == "train"][1:]:
+                partition[s.id] = "valid"
+            error, message = SamplerError, f"{split}: node {leaf!r} has too few train samples for triple"
+        else:
+            partition.update({sid: "train" for sid, subset in partition.items() if subset == "valid"})
+            error, message = SplitError, f"{split}: fit requires non-empty train and valid partitions"
+        split.write_text(json.dumps(payload))
+        argv = [command, "--taxonomy", str(tmp_path / "taxonomy.json"), "--dataset", str(tmp_path / "dataset.jsonl"),
+                "--split", str(split), "--out", str(tmp_path / "out")]
+        if command == "train":
+            argv += ["--losses", "L"]
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            main(argv)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("fold", [None, 1, 2], ids=["left-out", "matching", "other"])
     def test_train_takes_its_fold_from_the_split(self, trained, tmp_path, fold):

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,11 @@ class TestSplitLeaves:
         with pytest.raises(SplitError, match="no leaf"):
             split_leaves(t0, counts, k_folds=2, seed=0)
 
+    def test_leaf_missing_from_counts_rejected(self, t0):
+        counts = {l: 20 for l in t0.leaf_ids if t0.name(l) != "a2"}
+        with pytest.raises(SplitError, match=re.escape("counts missing for leaves: ['a2']")):
+            split_leaves(t0, counts, k_folds=2, seed=0)
+
     def test_k_folds_validation(self, t0):
         counts = {l: 20 for l in t0.leaf_ids}
         with pytest.raises(SplitError, match="k_folds"):
@@ -140,14 +146,23 @@ class TestFoldSplits:
         with pytest.raises(SplitError, match="unknown subset"):
             partition_samples(samples, split, "nope")
 
+    def test_sample_missing_from_the_partition_is_named(self):
+        tax, samples, splits = self.make()
+        partition = dict(splits[0].partition)
+        del partition[samples[3].id]
+        split = replace(splits[0], partition=partition)
+        with pytest.raises(SplitError, match=f"^sample {re.escape(repr(samples[3].id))} is missing from the partition$"):
+            partition_samples(samples, split, "train")
+
 
 class TestSeenQueries:
     def test_lsa_walks_to_first_seen(self, t0):
         samples = make_samples(t0, {"a1": 1, "a2": 1, "b1": 1})
         a1, a2, big_a = t0.id_of("a1"), t0.id_of("a2"), t0.id_of("A")
         assert t0.leaves_under(big_a) == (a1, a2) == tuple(leaves_under_oracle(t0, big_a))
-        # A is seen through a1 while only a2 is unseen, and not once a1 is unseen too
-        for unseen, lsa in ((["a2"], big_a), (["a1", "a2"], t0.root)):
+        # A is seen through a1 while only a2 is unseen, and not once a1 is unseen
+        # too; with no seen leaf the walk ends at the root
+        for unseen, lsa in ((["a2"], big_a), (["a1", "a2"], t0.root), (["a1", "a2", "b1"], t0.root)):
             split = manual_split(t0, samples, unseen_names=unseen)
             for leaf in split.unseen_leaves:
                 assert lowest_seen_ancestor(t0, split, leaf) == lsa

@@ -439,6 +439,10 @@ class TestClassWeights:
         with pytest.raises(ValueError, match="zero count"):
             class_weights({"a": 0, "b": 3})
 
+    def test_no_classes_rejected(self):
+        with pytest.raises(ValueError, match="^no classes to weight$"):
+            class_weights({})
+
 
 class TestCombine:
     def test_sum(self):

@@ -652,6 +652,16 @@ class TestMnr:
                 assert backward >= forward
             done += 1
 
+    def test_query_without_candidates_rejected(self, t0):
+        with pytest.raises(MetricError, match="^query 'q' has no candidates$"):
+            mnr(ranking_of({"q": []}), t0, {"q": t0.id_of("a1")})
+
+    def test_tree_without_a_level_of_two_classes_rejected(self):
+        path = parse_taxonomy({"name": "root", "children": [{"name": "A", "children": [{"name": "a1"}]}]})
+        leaf = path.id_of("a1")
+        with pytest.raises(MetricError, match="^tree has no level with more than one class$"):
+            mnr(ranking_of({"q": ["c"]}), path, {"q": leaf, "c": leaf})
+
     def test_level_without_correct_candidates_is_skipped(self, t0):
         leaf_of = {"q": t0.id_of("a1"), "c1": t0.id_of("a2"), "c2": t0.id_of("b1")}
         ranked = ranking_of({"q": ["c1", "c2"]})

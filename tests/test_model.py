@@ -10,7 +10,7 @@ import hieremb.losses
 import hieremb.model
 import hieremb.sampler
 from hieremb.cli import VALID_COMBOS
-from hieremb.datasplit import make_fold_splits, partition_samples, pruned_seen_taxonomy
+from hieremb.datasplit import SplitError, make_fold_splits, partition_samples, pruned_seen_taxonomy
 from hieremb.losses import LossConfig, combo_name
 from hieremb.model import (
     AdamState,
@@ -305,6 +305,17 @@ class TestTrainStep:
             with pytest.raises(ValueError, match="empty batch"):
                 train_step(state, empty, table)
 
+    def test_non_finite_loss_names_the_epoch_and_components(self):
+        # the update is not applied: Adam would spread the NaN to every parameter
+        tax, samples, split, _, table, model = five_leaf_problem({"L", "T"})
+        model.vector[0] = np.nan
+        before = model.vector.copy()
+        instances = instantiate_epoch(tax, samples, split, enumerate_node_triples(tax), epoch_seed=0)
+        state = TrainState(model=model, adam=AdamState.for_params(model.params), epoch=3)
+        with pytest.raises(FloatingPointError, match=re.escape("non-finite loss at epoch 3: {'T': 0.0, 'L': nan}")):
+            train_step(state, instances, table)
+        assert np.array_equal(model.vector, before, equal_nan=True)
+
 
 def bits(value) -> list:
     """A LossValue as the bytes of its floats, for bitwise comparison."""
@@ -417,6 +428,15 @@ class TestFit:
         monkeypatch.setattr(hieremb.model, "build_head_layout", None)  # nothing is built
         with pytest.raises(ValueError, match="epochs must be at least 1, got 0"):
             fit(samples, tax, split, LossConfig(active=frozenset({"L"})), model_config, 0, seed=4)
+
+    @pytest.mark.parametrize("empty", ["train", "valid"])
+    def test_empty_partition_rejected(self, empty):
+        tax, samples, split = synthetic_experiment()
+        other = "valid" if empty == "train" else "train"
+        split = replace(split, partition={k: other if v == empty else v for k, v in split.partition.items()})
+        model_config = ModelConfig(input_dim=8, hidden_dim=16, embedding_dim=8)
+        with pytest.raises(SplitError, match="^fit requires non-empty train and valid partitions$"):
+            fit(samples, tax, split, LossConfig(active=frozenset({"L"})), model_config, 1, seed=4)
 
     def test_deterministic(self):
         tax, samples, split = synthetic_experiment()
@@ -783,9 +803,15 @@ class TestCheckpoint:
              "level 1.0 of a level head is not an integer"),
             (lambda payload: payload["params"].__setitem__(0, 10**400),
              "int too large to convert to float"),
+            # these loaded: "L" as the set of its characters, True as margin 1
+            (lambda payload: payload["loss"].update(active="L"), "loss 'active' is 'L', not a list of distinct names"),
+            (lambda payload: payload["loss"].update(active=["L", "L"]),
+             "loss 'active' is ['L', 'L'], not a list of distinct names"),
+            (lambda payload: payload["loss"].update(margin=True), "loss 'margin' is True, not a number"),
         ],
         ids=["levels-null", "binary-list", "loss-active-int", "list-class", "dict-node",
-             "number-class", "string-level", "float-level", "huge-integer"],
+             "number-class", "string-level", "float-level", "huge-integer", "loss-active-string",
+             "loss-active-repeated", "loss-margin-bool"],
     )
     def test_wrongly_typed_entry_rejected(self, tmp_path, edit, message):
         # each used to escape as a bare TypeError that named no file

@@ -52,6 +52,18 @@ class TestParse:
         with pytest.raises(TaxonomyError):
             parse_taxonomy({"name": ""})
 
+    @pytest.mark.parametrize("names, parents, message", [
+        ([], [], "empty taxonomy"),
+        (["root", "a"], [None], "names/parents length mismatch"),
+        (["root", "a"], [None, None], "exactly one root (node 0) is required"),
+        (["root", "a"], [0, 0], "exactly one root (node 0) is required"),
+        (["root", "a", "b"], [None, 2, 0], "node 1 has invalid parent 2"),
+        (["root", "a"], [None, -1], "node 1 has invalid parent -1"),
+    ], ids=["empty", "length-mismatch", "two-roots", "rootless", "parent-after-child", "negative-parent"])
+    def test_constructor_guards(self, names, parents, message):
+        with pytest.raises(TaxonomyError, match=f"^{re.escape(message)}$"):
+            Taxonomy(names, parents)
+
     def test_cycle_rejected(self):
         shared = {"name": "X"}
         doc = {"name": "root", "children": [shared]}
