@@ -214,13 +214,16 @@ def load_experiment_config(path: str | None, overrides: dict | None = None) -> E
 # -- evaluation glue -----------------------------------------------------------
 
 
-def head_argmax(model: EmbeddingModel, taxonomy: Taxonomy, logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Per classification head, the argmax class of each row of the fused head
+def head_argmax(
+    model: EmbeddingModel, taxonomy: Taxonomy, logits: np.ndarray
+) -> dict[int | None, tuple[np.ndarray, np.ndarray]]:
+    """Per classification head, keyed by its tree level (None for the leaf
+    head): its classes and the argmax class of each row of the fused head
     `logits` (one row per sample), as node ids of the given (full) taxonomy."""
     result = {}
     for head in model.layout.class_heads():
         class_ids = np.array([taxonomy.id_of(name) for name in head.classes], dtype=np.intp)
-        result[head.name] = class_ids[logits[:, head.columns].argmax(axis=1)]
+        result[head.level] = class_ids, class_ids[logits[:, head.columns].argmax(axis=1)]
     return result
 
 
@@ -257,14 +260,13 @@ def _evaluate_ranked(
     # one forward pass; only the embeddings are kept through the ranking,
     # where the memory peaks
     embeddings, logits = model.forward_batch(features_matrix(samples))[:2]
-    predictions = head_argmax(model, taxonomy, logits)
+    heads = head_argmax(model, taxonomy, logits)
     del logits
     ranked = build_ranked_lists(dict(zip(ids, embeddings)), ids)
     # leaves are predicted by the leaf head, else by the deepest level head,
     # whose class set is the full leaf set
-    layout = model.layout
-    leaf_head = layout.leaf or (layout.levels[-1] if layout.levels else None)
-    leaf_preds = predictions.get(leaf_head.name) if leaf_head else None
+    levels = sorted(level for level in heads if level is not None)
+    leaf_preds = heads[None if None in heads else levels[-1]][1] if heads else None
 
     report = MetricsReport()
     scores = score_pool(ranked, taxonomy, leaf_of, ranks=subset == "test" or diagnostics)
@@ -278,15 +280,10 @@ def _evaluate_ranked(
     else:
         if leaf_preds is not None:
             report.acc_blind = acc_blind(leaf_preds, true_leaf, taxonomy, split)
-        if layout.levels:
-            level_predictions = {head.level: predictions[head.name] for head in layout.levels}
-            level_classes = {
-                head.level: {taxonomy.id_of(name) for name in head.classes}
-                for head in layout.levels
-            }
-            report.acc_aware = acc_aware(
-                level_predictions, level_classes, true_leaf, taxonomy, split
-            )
+        if levels:
+            report.acc_aware = acc_aware({level: heads[level][1] for level in levels},
+                                         {level: set(heads[level][0].tolist()) for level in levels},
+                                         true_leaf, taxonomy, split)
             if report.acc_blind is not None and report.acc_aware:
                 report.ratio_blind_aware = report.acc_blind / report.acc_aware
     return report, per_query_diagnostics(ranked, scores) if diagnostics else None
@@ -332,18 +329,20 @@ def load_experiment_data(config: ExperimentConfig) -> tuple[Taxonomy, list[Label
     return generate(config.synth)
 
 
-def train_cell(
+def run_cell(
     taxonomy: Taxonomy,
     dataset: list[LabeledSample],
     split: SplitAssignment,
     config: ExperimentConfig,
     combo: frozenset[str],
     out: Path,
+    subsets: tuple[str, ...] = (),
     extra: dict | None = None,
-) -> tuple[EmbeddingModel, list[dict]]:
-    """Train one fold x combination cell and write its `checkpoint.json`,
-    whose extra record is fold, combo and seed followed by `extra`, and its
-    per-epoch `log.csv` under `out`."""
+) -> list[dict]:
+    """Train one fold x combination cell and write under `out` its
+    `checkpoint.json`, whose extra record is fold, combo and seed followed by
+    `extra`, its per-epoch `log.csv`, and a `<subset>.json` of the best
+    snapshot's metrics for each of `subsets`. Returns the log."""
     fold_seed = config.seed + split.fold_index
     loss_config = LossConfig(active=combo, margin=config.margin)
     model_config = replace(config.model, input_dim=len(dataset[0].features))
@@ -351,7 +350,10 @@ def train_cell(
     cell = {"fold": split.fold_index, "combo": combo_name(combo), "seed": fold_seed}
     save_checkpoint(out / "checkpoint.json", model, extra=cell | (extra or {}))
     _write_csv(out / "log.csv", list(dict.fromkeys(key for row in log for key in row)), log)
-    return model, log
+    for subset in subsets:
+        report = evaluate_model(model, taxonomy, dataset, split, subset)
+        _write_json(out / f"{subset}.json", report.to_json())
+    return log
 
 
 def check_pool_sizes(
@@ -429,18 +431,13 @@ def run_experiment(config: ExperimentConfig) -> list[dict[str, str]]:
     if not config.dataset:
         save_taxonomy(out / "data" / "taxonomy.json", taxonomy)
         save_dataset(out / "data" / "dataset.jsonl", dataset)
+    cells: dict[str, list[Path]] = {combo_name(c): [] for c in config.combos}  # in config order
     for split in splits:
         fold_dir = out / f"fold_{split.fold_index}"
         _write_json(fold_dir / "split.json", split_to_json(taxonomy, split))
-        for combo in config.combos:
-            run_dir = fold_dir / combo_name(combo)
-            model, _ = train_cell(taxonomy, dataset, split, config, combo, run_dir)
-            for subset in ("test", "prediction"):
-                report = evaluate_model(model, taxonomy, dataset, split, subset)
-                _write_json(run_dir / f"{subset}.json", report.to_json())
-    # the cells run, in config order
-    cells = {combo_name(c): [out / f"fold_{s.fold_index}" / combo_name(c) for s in splits]
-             for c in config.combos}
+        for combo, dirs in zip(config.combos, cells.values()):
+            dirs.append(fold_dir / combo_name(combo))
+            run_cell(taxonomy, dataset, split, config, combo, dirs[-1], ("test", "prediction"))
     return write_aggregate(out / "aggregate.csv", cells)
 
 
@@ -513,7 +510,7 @@ def cmd_train(args) -> None:
         paths = {"taxonomy": config.taxonomy, "dataset": config.dataset, "split": args.split}
     out = Path(args.out)
     try:
-        _, log = train_cell(taxonomy, dataset, split, config, combo, out, paths)
+        log = run_cell(taxonomy, dataset, split, config, combo, out, extra=paths)
     except (SplitError, SamplerError) as err:  # a partition too small to train on
         raise named(args.split, err, type(err)) from None
     print(f"trained {combo_name(combo)} fold {split.fold_index}: "

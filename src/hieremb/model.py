@@ -415,8 +415,6 @@ class TrainState:
     model: EmbeddingModel
     adam: AdamState
     epoch: int = 0
-    best_val: float = np.inf
-    best_params: np.ndarray | None = None
 
 
 def train_step(
@@ -494,9 +492,8 @@ def fit(
         )
     val_rows = triplet_rows(valid_table, val_instances)
     model = EmbeddingModel.initialise(model_config, loss_config, layout, seed=[seed, 1])
-    state = TrainState(
-        model=model, adam=AdamState.for_params(model.params), best_params=model.vector.copy()
-    )
+    state = TrainState(model=model, adam=AdamState.for_params(model.params))
+    best_val, best_params = np.inf, model.vector.copy()
     log: list[dict] = []
     for epoch in range(epochs):
         state.epoch = epoch
@@ -521,9 +518,8 @@ def fit(
             raise FloatingPointError(
                 f"non-finite validation loss at epoch {epoch}: {val_value.per_component}"
             )
-        if val_value.total < state.best_val:
-            state.best_val = val_value.total
-            state.best_params = state.model.vector.copy()
+        if val_value.total < best_val:
+            best_val, best_params = val_value.total, model.vector.copy()
         row: dict = {"epoch": epoch}
         for name in losses.LOSS_NAMES:
             if name in train_means:
@@ -534,8 +530,7 @@ def fit(
                 row[f"val_{name}"] = val_value.per_component[name]
         row["val_total"] = val_value.total
         log.append(row)
-    best_model = EmbeddingModel(model.config, model.loss_config, layout, state.best_params)
-    return best_model, log
+    return EmbeddingModel(model.config, model.loss_config, layout, best_params), log
 
 
 # -- checkpoint IO -------------------------------------------------------------
