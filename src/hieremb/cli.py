@@ -97,8 +97,7 @@ class ExperimentConfig:
         for name, least in (("k_folds", 2), ("epochs", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if not self.margin > 0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
+        LossConfig(frozenset({"T"}), self.margin)  # refuses a margin that is not positive and finite
         if bool(self.taxonomy) != bool(self.dataset):
             raise ValueError("taxonomy and dataset paths must be given together")
         if not self.combos:  # `combos = ,`: a run would train nothing
@@ -591,12 +590,11 @@ def cmd_run(args) -> None:
         rows = run_experiment(config)
     except (SplitError, SamplerError, MetricError) as err:  # data that do not fit the config
         raise (named(args.config, err, type(err)) if args.config else err) from None
-    if rows:
-        columns = list(rows[0].keys())
-        widths = [max(len(c), max(len(r[c]) for r in rows)) for c in columns]
-        print("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
-        for row in rows:
-            print("  ".join(row[c].ljust(w) for c, w in zip(columns, widths)))
+    columns = list(rows[0])  # `combos` is never empty, so neither is `rows`
+    widths = [max(len(c), max(len(r[c]) for r in rows)) for c in columns]
+    print("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
+    for row in rows:
+        print("  ".join(row[c].ljust(w) for c, w in zip(columns, widths)))
 
 
 def _one_blas_thread() -> contextlib.ExitStack:
@@ -623,6 +621,13 @@ def _one_blas_thread() -> contextlib.ExitStack:
     return stack
 
 
+def non_negative(text: str) -> int:
+    """A seed flag's value: an integer of at least 0."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(
         prog="hieremb",
@@ -633,14 +638,14 @@ def main(argv: list[str] | None = None) -> None:
     p = sub.add_parser("gen-data", help="generate a synthetic taxonomy and dataset")
     p.add_argument("--config", help="experiment config file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the base seed")
+    p.add_argument("--seed", type=non_negative, help="override the base seed")
     p.set_defaults(handler=cmd_gen_data)
 
     p = sub.add_parser("split", help="write per-fold seen/unseen splits")
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--folds", type=int, default=ExperimentConfig.k_folds)
-    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p.add_argument("--seed", type=non_negative, default=ExperimentConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_split)
 
@@ -648,7 +653,7 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--epoch-seed", type=int, default=0)
+    p.add_argument("--epoch-seed", type=non_negative, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_sample_triplets)
 
@@ -659,7 +664,7 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--split", required=True, help="split JSON for the fold")
     p.add_argument("--fold", type=int, help="if given, must equal the split file's fold")
     p.add_argument("--losses", required=True, help="e.g. PL+T")
-    p.add_argument("--seed", type=int, help="override the base seed")
+    p.add_argument("--seed", type=non_negative, help="override the base seed")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_train)
 
@@ -681,7 +686,7 @@ def main(argv: list[str] | None = None) -> None:
     p = sub.add_parser("run", help="run the whole experiment pipeline")
     p.add_argument("--config", help="experiment config file")
     p.add_argument("--out", help="override the output directory")
-    p.add_argument("--seed", type=int, help="override the base seed")
+    p.add_argument("--seed", type=non_negative, help="override the base seed")
     p.set_defaults(handler=cmd_run)
 
     args = parser.parse_args(argv)

@@ -32,6 +32,8 @@ class LossConfig:
             raise ValueError("at least one loss component must be active")
         if not self.margin > 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
+        if self.margin == np.inf:  # every triplet's hinge would be infinite
+            raise ValueError(f"margin must be finite, got {self.margin}")
 
 
 def combo_name(active: frozenset[str]) -> str:

@@ -42,8 +42,9 @@ class SynthConfig:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.feature_dim < 2:
             raise ValueError("feature_dim must be at least 2")
-        if self.offset_scale < 0 or self.noise < 0:
-            raise ValueError("scales must be non-negative")
+        for name in ("offset_scale", "noise"):
+            if not 0 <= (value := getattr(self, name)) < np.inf:  # `nan < 0` is False
+                raise ValueError(f"scales must be non-negative and finite: {name} is {value}")
         if not 0 < self.decay <= 1:
             raise ValueError("decay must be in (0, 1]")
         ranges = self.level_branching()

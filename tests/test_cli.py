@@ -3,6 +3,7 @@ import ctypes
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import textwrap
@@ -27,7 +28,7 @@ from hieremb.cli import (
     run_experiment,
 )
 from hieremb.dataset import features_matrix, save_dataset
-from hieremb.datasplit import SplitError, partition_samples, split_to_json
+from hieremb.datasplit import SplitError, make_fold_splits, partition_samples, split_to_json
 from hieremb.losses import LossConfig
 from hieremb.metrics import MetricError, build_ranked_lists, per_query_diagnostics, score_pool
 from hieremb.model import ModelConfig, fit, save_checkpoint
@@ -142,6 +143,11 @@ class TestConfigParsing:
             ("synth_seed", "-1", "seed must be at least 0, got -1"),
             ("margin", "-1", "margin must be positive, got -1.0"),
             ("margin", "nan", "margin must be positive, got nan"),
+            # these were read, and training failed on an infinite loss or
+            # writing the dataset on non-finite features, naming no file
+            ("margin", "inf", "margin must be finite, got inf"),
+            ("synth_noise", "nan", "scales must be non-negative and finite: noise is nan"),
+            ("synth_offset_scale", "inf", "scales must be non-negative and finite: offset_scale is inf"),
             # parsed to no combination, and `run` trained nothing
             ("combos", ",", "combos lists no loss combination"),
             ("synth_branching", "1-2-3", "synth_branching: bad range '1-2-3', expected 'lo-hi'"),
@@ -387,6 +393,23 @@ class TestRunExperiment:
             main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("run", "margin", "inf", "margin must be finite, got inf"),
+            ("run", "synth_noise", "nan", "scales must be non-negative and finite: noise is nan"),
+            ("gen-data", "synth_noise", "nan", "scales must be non-negative and finite: noise is nan"),
+        ],
+    )
+    def test_non_finite_setting_refused_when_the_config_is_read(self, tmp_path, command, key,
+                                                               value, message):
+        # `run` trained until the loss was infinite, and both commands wrote
+        # NaN features until `save_dataset` refused them; neither named the file
+        cfg_path = write_config(tmp_path / "exp.cfg", {key: value, "combos": "L+T"})
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{cfg_path}: {message}')}$"):
+            main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("fault", ["empty", "small"])
     def test_dataset_too_small_for_the_folds_names_the_config(self, tmp_path, fault):
         # the data do not fit `k_folds`: the error names the config that asked for it
@@ -530,6 +553,18 @@ class TestSubcommandPipeline:
             "--out", str(splits_dir),
         ])
         run_dir = tmp_path / "manual" / "fold_0" / "PL+T"
+        auto_dir = tmp_path / "auto" / "fold_0" / "PL+T"
+        # `run`'s cell function writes the cell's four files as `run` does,
+        # and with no subsets only the two that `train` writes
+        taxonomy, dataset = cli.load_experiment_data(config)
+        split = make_fold_splits(taxonomy, dataset, config.k_folds, config.seed)[0]
+        four = ["checkpoint.json", "log.csv", "prediction.json", "test.json"]
+        for subsets, names in ((("test", "prediction"), four), ((), four[:2])):
+            cell = tmp_path / "cell" / f"{len(subsets)}-subsets"
+            cli.run_cell(taxonomy, dataset, split, config, frozenset({"PL", "T"}), cell, subsets)
+            assert sorted(p.name for p in cell.iterdir()) == names
+            for name in names:
+                assert (cell / name).read_bytes() == (auto_dir / name).read_bytes()
         main([
             "train",
             "--config", str(cfg_path),
@@ -541,7 +576,6 @@ class TestSubcommandPipeline:
         ])
         # the staged cell is run's cell: the same log, and the same checkpoint
         # but for the data paths echoed into it
-        auto_dir = tmp_path / "auto" / "fold_0" / "PL+T"
         assert (run_dir / "log.csv").read_bytes() == (auto_dir / "log.csv").read_bytes()
         staged = json.loads((run_dir / "checkpoint.json").read_text())
         assert staged["extra"].pop("taxonomy") == str(data_dir / "taxonomy.json")
@@ -639,6 +673,47 @@ class TestSubcommandPipeline:
             argv += ["--fold", "0", "--losses", "L"]
         with pytest.raises(SplitError, match=re.escape(f"{split}: {error}")):
             main(argv)
+
+
+class TestSeedFlags:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("split", "--seed"), ("sample-triplets", "--epoch-seed"), ("gen-data", "--seed"),
+         ("train", "--seed"), ("run", "--seed")],
+    )
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, command, flag):
+        # `split` and `sample-triplets` used to end in numpy's "expected
+        # non-negative integer", which names no flag
+        tax = parse_taxonomy(t0_document())
+        samples = make_samples(tax, {"a1": 10, "a2": 10, "b1": 10}, dim=4)
+        save_taxonomy(tmp_path / "taxonomy.json", tax)
+        save_dataset(tmp_path / "dataset.jsonl", samples)
+        (tmp_path / "split.json").write_text(json.dumps(
+            {"fold": 0, "seen": ["a1", "a2", "b1"], "unseen": [],
+             "partition": {s.id: "train" for s in samples}}))
+        data = ["--taxonomy", str(tmp_path / "taxonomy.json"),
+                "--dataset", str(tmp_path / "dataset.jsonl")]
+        split = ["--split", str(tmp_path / "split.json")]
+        inputs = {"split": data, "sample-triplets": data + split, "train": split + ["--losses", "L"]}
+        with pytest.raises(SystemExit) as exit_:
+            main([command, flag, "-3", "--out", str(tmp_path / "out"), *inputs.get(command, [])])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: must be a non-negative integer, got -3\n")
+        assert not (tmp_path / "out").exists()
+
+
+class TestEntryPoint:
+    def test_module_runs_as_a_script(self, monkeypatch, capsys):
+        # the `__main__` guard that `python -m hieremb.cli` runs; runpy warns
+        # that the module is imported already, a RuntimeWarning that the
+        # test settings would turn into an error
+        monkeypatch.setattr(sys, "argv", ["hieremb", "--help"])
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+                pytest.raises(SystemExit) as exit_:
+            runpy.run_module("hieremb.cli", run_name="__main__")
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hieremb [-h]")
 
 
 def write_stage_inputs(tmp_path, trained):

@@ -468,6 +468,8 @@ class TestLossConfig:
             LossConfig(active=frozenset({"X"}))
         with pytest.raises(ValueError, match="margin"):
             LossConfig(active=frozenset({"T"}), margin=-1.0)
+        with pytest.raises(ValueError, match="^margin must be finite, got inf$"):
+            LossConfig(active=frozenset({"T"}), margin=np.inf)
 
     def test_combo_names(self):
         assert combo_name(frozenset({"T", "PL"})) == "PL+T"

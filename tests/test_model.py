@@ -808,10 +808,12 @@ class TestCheckpoint:
             (lambda payload: payload["loss"].update(active=["L", "L"]),
              "loss 'active' is ['L', 'L'], not a list of distinct names"),
             (lambda payload: payload["loss"].update(margin=True), "loss 'margin' is True, not a number"),
+            # this loaded: JSON's `Infinity`, which makes every triplet loss infinite
+            (lambda payload: payload["loss"].update(margin=float("inf")), "margin must be finite, got inf"),
         ],
         ids=["levels-null", "binary-list", "loss-active-int", "list-class", "dict-node",
              "number-class", "string-level", "float-level", "huge-integer", "loss-active-string",
-             "loss-active-repeated", "loss-margin-bool"],
+             "loss-active-repeated", "loss-margin-bool", "loss-margin-infinity"],
     )
     def test_wrongly_typed_entry_rejected(self, tmp_path, edit, message):
         # each used to escape as a bare TypeError that named no file

@@ -22,6 +22,12 @@ class TestConfig:
             SynthConfig(branching=((3, 2),))
         with pytest.raises(ValueError, match="branching needs"):
             SynthConfig(depth=4, branching=((2, 2), (2, 2)))
+        # `nan < 0` is False, so a NaN scale used to pass and every feature was NaN
+        for name in ("offset_scale", "noise"):
+            for value in (np.nan, np.inf, -1.0):
+                message = f"^scales must be non-negative and finite: {name} is {value}$"
+                with pytest.raises(ValueError, match=message):
+                    SynthConfig(**{name: value})
 
     def test_single_range_broadcasts(self):
         assert SynthConfig(depth=4, branching=((2, 3),)).level_branching() == [

@@ -3,7 +3,8 @@
     PYTHONPATH=src:tools python -m pytest -p untested_statements -q
 
 After the run it prints each statement of `src/hieremb/*.py` that was never
-executed, as `file:line: source`. A statement counts as executed when any
+executed, as `file:line: source`, and a run that lists any exits with status 1
+even when every test passed. A statement counts as executed when any
 line of its header (a simple statement's lines, a compound statement's lines
 before its body, an `except` clause's line) ran. Code that only runs in a
 subprocess a test starts is not seen.
@@ -26,6 +27,7 @@ SOURCE = ROOT / "src" / "hieremb"
 
 _executed: dict[str, set[int]] = {}  # per file of SOURCE, the lines that ran
 _lines: dict[str, set[int] | None] = {}  # per code file name, its set in `_executed` or None
+_missed: list[str] = []  # `file:line: source` of each statement that never ran
 
 
 def _trace(frame, event, arg):
@@ -71,15 +73,19 @@ def statements(path: Path) -> list[tuple[int, set[int]]]:
     return sorted(found)
 
 
-def pytest_terminal_summary(terminalreporter):
+def pytest_sessionfinish(session):
     sys.settrace(None)
-    missed = []
     for path in sorted(SOURCE.glob("*.py")):
         ran = _executed.get(str(path), set())
         lines = path.read_text(encoding="utf-8").splitlines()
         for first, header in statements(path):
             if not header & ran:
-                missed.append(f"{path.relative_to(ROOT)}:{first}: {lines[first - 1].strip()}")
-    terminalreporter.section(f"statements of src/hieremb no test executed: {len(missed)}")
-    for line in missed:
+                _missed.append(f"{path.relative_to(ROOT)}:{first}: {lines[first - 1].strip()}")
+    if _missed and session.exitstatus == 0:
+        session.exitstatus = 1
+
+
+def pytest_terminal_summary(terminalreporter):
+    terminalreporter.section(f"statements of src/hieremb no test executed: {len(_missed)}")
+    for line in _missed:
         terminalreporter.write_line(line)
